@@ -12,18 +12,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    ModelParams,
-    build_hamiltonian,
-    build_jc_hamiltonian,
-    build_operators,
-    thermal_state,
-)
-from .noise import ResolventSolver, _pair_value, noise_resolvent
-from .steady import currents, moment_report, solve_steady_state
+from .model import ModelParams, thermal_state
+from .noise import ResolventSolver, noise_resolvent, pair_value
+from .steady import currents, moment_report, solve_steady_state, transport_point
 from .superop import (
     assemble_liouvillian,
-    build_liouvillian,
     counting_liouvillian,
     devectorize,
     spectrum,
@@ -59,16 +52,6 @@ class CheckResult:
 def _result(name, context, observed, tolerance, larger_ok=False) -> CheckResult:
     ok = observed >= tolerance if larger_ok else observed <= tolerance
     return CheckResult(name, context, bool(ok), float(observed), float(tolerance))
-
-
-def _transport_bundle(params: ModelParams, hamiltonian: str = "full"):
-    space = params.space()
-    ops = build_operators(space)
-    build = build_jc_hamiltonian if hamiltonian == "jc" else build_hamiltonian
-    h = build(params, space, ops)
-    liouv = build_liouvillian(h, params)
-    ss = solve_steady_state(liouv)
-    return ops, liouv, ss
 
 
 def _single_level_liouvillian(gamma_L: float, gamma_R: float):
@@ -109,7 +92,7 @@ def _fast_checks() -> list[CheckResult]:
     # (cutoffs sized so the truncated Boltzmann tail sits below 1e-8 in <n^2>)
     for t, nf in ((0.5, 18), (1.0, 30), (2.0, 58)):
         params = ModelParams(delta=0.5, g=0.0, temperature=t, n_fock=nf)
-        ops, liouv, ss = _transport_bundle(params)
+        ops, liouv, ss = transport_point(params)
         nb = thermal_occupation(1.0, t)
         rep = moment_report(ss, liouv)
         out.append(_result("fano-thermal-1+nbar", f"T={t}", abs(rep.fano_q - (1 + nb)), 1e-8))
@@ -117,7 +100,7 @@ def _fast_checks() -> list[CheckResult]:
 
     # g = 0 factorization against dot-only (x) Boltzmann product
     params = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=24)
-    ops, liouv, ss = _transport_bundle(params)
+    ops, liouv, ss = transport_point(params)
     rho_dot = _dot_only_steady(params)
     rho_th = thermal_state(params.n_fock, thermal_occupation(1.0, 1.0))
     dev = np.max(np.abs(ss.rho_ss - np.kron(rho_dot, rho_th)))
@@ -125,7 +108,7 @@ def _fast_checks() -> list[CheckResult]:
 
     # vacuum Fano convention
     params0 = ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=4)
-    _, liouv0, ss0 = _transport_bundle(params0)
+    _, liouv0, ss0 = transport_point(params0)
     rep0 = moment_report(ss0, liouv0)
     out.append(_result("vacuum-fano-zero", "T=0,g=0",
                        abs(rep0.fano_q) + (0.0 if rep0.fano_vacuum else 1.0), 1e-12))
@@ -142,7 +125,7 @@ def _fast_checks() -> list[CheckResult]:
 
     # charge conservation and trace preservation on the fig2 preset point
     params = ModelParams(delta=0.5, g=0.2, n_fock=6)
-    _, liouv, ss = _transport_bundle(params)
+    _, liouv, ss = transport_point(params)
     cur = currents(ss, liouv)
     out.append(_result("charge-conservation", "fig2,g=0.2", abs(cur.inflow - cur.e), 1e-10))
     out.append(_result("trace-preservation", "fig2,g=0.2", trace_defect(liouv), 1e-10))
@@ -168,7 +151,7 @@ def _full_checks() -> list[CheckResult]:
     rng = np.random.default_rng(20240811)
     for name in PRESET_NAMES:
         params, ham = _preset_point(name)
-        ops, liouv, ss = _transport_bundle(params, ham)
+        ops, liouv, ss = transport_point(params, ham)
         d = liouv.dim_rho
         ctx = f"{name}"
 
@@ -207,17 +190,17 @@ def _full_checks() -> list[CheckResult]:
         solver = ResolventSolver(liouv, ss)
         flux = currents(ss, liouv).e
         sym = max(
-            abs(_pair_value(solver, liouv, "e", "e", w, flux)
-                - _pair_value(solver, liouv, "e", "e", -w, flux))
+            abs(pair_value(solver, liouv, "e", "e", w, flux)
+                - pair_value(solver, liouv, "e", "e", -w, flux))
             for w in (0.37, 1.0)
         )
         out.append(_result("noise-symmetry", ctx, sym, 1e-8))
-        hi = _pair_value(solver, liouv, "e", "e", 1000.0, flux)
+        hi = pair_value(solver, liouv, "e", "e", 1000.0, flux)
         out.append(_result("high-frequency-floor", ctx, abs(hi / (2 * flux) - 1.0), 1e-3))
 
         # spectrum checks at a reduced documented cutoff
         eig_params = replace(params, n_fock=min(params.n_fock, _EIG_CHECK_CUTOFF))
-        _, eig_liouv, _ = _transport_bundle(eig_params, ham)
+        _, eig_liouv, _ = transport_point(eig_params, ham)
         spec = spectrum(eig_liouv)
         out.append(_result("eigenvalue-half-plane", f"{ctx} (N_b<={_EIG_CHECK_CUTOFF})",
                            float(spec.alphas.real.max()), 1e-10))

@@ -24,10 +24,10 @@ import numpy as np
 
 from .checks import run_checks
 from .errors import ConfigError, InvariantViolation, NumericalError
-from .model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
+from .model import ModelParams
 from .noise import compute_spectrum
-from .steady import moment_report, solve_steady_state
-from .superop import build_liouvillian, spectrum as liouvillian_spectrum
+from .steady import moment_report, transport_point
+from .superop import spectrum as liouvillian_spectrum
 from .sweep import (
     PRESET_NAMES,
     GridResult,
@@ -396,12 +396,8 @@ def _single_point_bundle(cfg: RunConfig, hamiltonian: str):
         params = replace(params, n_fock=converged)
     elif cfg.fock_cutoff is not None:
         params = replace(params, n_fock=int(cfg.fock_cutoff))
-    space = params.space()
-    ops = build_operators(space)
-    build = build_jc_hamiltonian if hamiltonian == "jc" else build_hamiltonian
-    h = build(params, space, ops)
-    liouv = build_liouvillian(h, params)
-    return params, liouv, solve_steady_state(liouv)
+    _, liouv, ss = transport_point(params, hamiltonian)
+    return params, liouv, ss
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:

@@ -5,8 +5,9 @@ resolvent (primary)
     S(w)/2 = Re{-Tr[L_i R(w) L_j rho_ss] - Tr[L_j R(w) L_i rho_ss]}
              + delta_ij Tr[L_i rho_ss],
     with R(w) = Q (i w + L)^{-1} Q, P = |rho_ss><1|, Q = 1 - P. Each
-    frequency is a direct sparse factorization; w = 0 uses the
-    trace-row-augmented system (pseudo-inverse restricted to range Q).
+    frequency is a direct sparse factorization; w = 0 solves the
+    trace-row-augmented system (pseudo-inverse restricted to range Q)
+    with the factorization the steady-state solve already made.
 
 eigen (diagnostic)
     S(w)/2I = 1 - 2 sum_k c_k alpha_k / (w^2 + alpha_k^2) over the
@@ -37,7 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, MethodUnavailable, NumericalError
-from .steady import SteadyState, trace_replaced_system
+from .steady import SteadyState
 from .superop import (
     LiouvillianSpectrum,
     Superoperator,
@@ -50,6 +51,7 @@ from .superop import (
 __all__ = [
     "NoiseSpectrum",
     "ResolventSolver",
+    "pair_value",
     "noise_resolvent",
     "noise_eigen_expansion",
     "MacdonaldTrace",
@@ -82,7 +84,8 @@ class ResolventSolver:
     P projects onto the stationary direction, Q = 1 - P onto its
     complement; factorizations of (i w + L) are LRU-cached per frequency,
     and the singular w = 0 point is handled by replacing the redundant
-    trace-block row with the trace constraint.
+    trace-block row with the trace constraint, which is the system
+    ``ss.factor`` already factors.
     """
 
     def __init__(self, liouv: Superoperator, ss: SteadyState, cache_size: int = 16):
@@ -93,7 +96,7 @@ class ResolventSolver:
         self._eye = sp.identity(liouv.dim_rho**2, format="csc", dtype=complex)
         self._cache: OrderedDict[float, object] = OrderedDict()
         self._cache_size = cache_size
-        self._zero_lu = None
+        self._zero_factor = ss.factor
 
     def q_apply(self, x: np.ndarray) -> np.ndarray:
         return x - self.rho_vec * (self.tr @ x)
@@ -118,23 +121,16 @@ class ResolventSolver:
         """R(omega) x = Q (i omega + L)^{-1} Q x."""
         rhs = self.q_apply(np.asarray(x, dtype=complex))
         if omega == 0.0:
-            if self._zero_lu is None:
-                m0, _ = trace_replaced_system(self.liouv)
-                try:
-                    self._zero_lu = spla.splu(m0)
-                except RuntimeError as exc:
-                    raise NumericalError(
-                        f"projected inverse singular at omega=0: {exc}"
-                    ) from exc
             rhs[0] = 0.0  # trace constraint row: selects the range-Q solution
-            y = self._zero_lu.solve(rhs)
+            y = self._zero_factor.solve(rhs)
         else:
             y = self._factor(omega).solve(rhs)
         return self.q_apply(y)
 
 
-def _pair_value(solver: ResolventSolver, liouv: Superoperator, i: str, j: str,
-                omega: float, i_flux: float) -> float:
+def pair_value(solver: ResolventSolver, liouv: Superoperator, i: str, j: str,
+               omega: float, i_flux: float) -> float:
+    """S(omega)_{i,j} with a reused solver; ``i_flux`` is Tr[L_i rho_ss]."""
     ci = liouv.channel(i).part
     cj = liouv.channel(j).part
     t_ij = solver.tr @ (ci @ solver.apply(omega, cj @ solver.rho_vec))
@@ -159,7 +155,7 @@ def noise_resolvent(liouv: Superoperator, ss: SteadyState, i: str, j: str,
     """Symmetrized noise S(omega)_{i,j} in natural units (e = 1)."""
     solver = solver or ResolventSolver(liouv, ss)
     flux = float(np.real(solver.tr @ (liouv.channel(i).part @ solver.rho_vec)))
-    return _pair_value(solver, liouv, i, j, float(omega), flux)
+    return pair_value(solver, liouv, i, j, float(omega), flux)
 
 
 def _eigen_coefficients(spec: LiouvillianSpectrum, channel_part: sp.csr_matrix,
@@ -418,7 +414,7 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState, pair: tuple[str, str
         solver = ResolventSolver(liouv, ss)
         flux = float(np.real(solver.tr @ (liouv.channel(i).part @ solver.rho_vec)))
         values = np.array(
-            [_pair_value(solver, liouv, i, j, w, flux) for w in omegas]
+            [pair_value(solver, liouv, i, j, w, flux) for w in omegas]
         )
     elif method == "eigen":
         if i != j:

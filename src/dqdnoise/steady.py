@@ -6,11 +6,14 @@ directly, with a couple of iterative-refinement passes on the cached
 factorization; the residual is always reported against the unmodified
 generator. The replaced row must belong to the trace block (a diagonal
 vec position), which is where the generator's one row dependency lives.
+The factorization is kept on the returned SteadyState, and the omega = 0
+projected resolvent solves with it instead of factoring the same matrix
+again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +21,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
-from .superop import Superoperator, devectorize, trace_vector, vectorize
+from .model import (
+    HilbertSpace,
+    ModelParams,
+    OperatorSet,
+    build_hamiltonian,
+    build_jc_hamiltonian,
+    build_operators,
+)
+from .superop import Superoperator, build_liouvillian, devectorize, trace_vector, vectorize
 
 __all__ = [
     "SteadyState",
@@ -26,6 +37,7 @@ __all__ = [
     "MomentReport",
     "solve_steady_state",
     "trace_replaced_system",
+    "transport_point",
     "currents",
     "expectation",
     "fano_number",
@@ -42,10 +54,16 @@ CHARGE_DOT_DIM = 3
 
 @dataclass
 class SteadyState:
-    """Normalized Hermitian stationary state with its solve diagnostics."""
+    """Normalized Hermitian stationary state with its solve diagnostics.
+
+    ``factor`` is the sparse LU (``SuperLU``) of the trace-replaced
+    generator the state was solved with; the omega = 0 projected
+    resolvent reuses it.
+    """
 
     rho_ss: np.ndarray
     residual: float
+    factor: spla.SuperLU = field(repr=False, compare=False)
     method: str = "trace-lu"
 
     @property
@@ -125,7 +143,8 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
 
     Raises DegenerateSteadyState when the stationary subspace is not
     one-dimensional and ConvergenceFailure when the residual against the
-    unmodified generator stays above tolerance.
+    unmodified generator stays above tolerance. The returned state keeps
+    the factorization of ``trace_replaced_system(liouv)``.
     """
     m, b = trace_replaced_system(liouv)
     try:
@@ -156,7 +175,23 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
             f"steady state has eigenvalue {min_eig:.3e} below {POSITIVITY_TOL:g}; "
             "the Fock cutoff is likely too small, increase n_fock"
         )
-    return SteadyState(rho_ss=rho, residual=residual)
+    return SteadyState(rho_ss=rho, residual=residual, factor=lu)
+
+
+def transport_point(params: ModelParams, hamiltonian: str = "full"
+                    ) -> tuple[OperatorSet, Superoperator, SteadyState]:
+    """(operators, generator, steady state) of one transport parameter point.
+
+    ``hamiltonian`` is "full" (the complete dot-resonator coupling) or
+    "jc" (the rotating-wave form).
+    """
+    if hamiltonian not in ("full", "jc"):
+        raise ValueError(f"hamiltonian must be 'full' or 'jc', got {hamiltonian!r}")
+    build = build_jc_hamiltonian if hamiltonian == "jc" else build_hamiltonian
+    space = params.space()
+    ops = build_operators(space)
+    liouv = build_liouvillian(build(params, space, ops), params)
+    return ops, liouv, solve_steady_state(liouv)
 
 
 def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
@@ -186,16 +221,12 @@ def currents(ss: SteadyState, liouv: Superoperator) -> Currents:
     return Currents(e=vals["e"], b=vals["b"], inflow=vals["in"])
 
 
-def _mode_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, n) on the composite space, inferred from the fixed basis ordering."""
-    if dim % CHARGE_DOT_DIM != 0:
-        raise ValueError(f"dimension {dim} is not a 3-level dot (x) Fock space")
-    nf = dim // CHARGE_DOT_DIM
-    a_f = np.zeros((nf, nf), dtype=complex)
-    for n in range(1, nf):
-        a_f[n - 1, n] = np.sqrt(n)
-    a = np.kron(np.eye(CHARGE_DOT_DIM), a_f)
-    return a, a.conj().T @ a
+def _mode(ss: SteadyState) -> tuple[np.ndarray, np.ndarray]:
+    """(a, n) on the composite space of ``ss``."""
+    if ss.dim % CHARGE_DOT_DIM != 0:
+        raise ValueError(f"dimension {ss.dim} is not a 3-level dot (x) Fock space")
+    ops = build_operators(HilbertSpace(n_fock=ss.dim // CHARGE_DOT_DIM - 1))
+    return ops.a, ops.number
 
 
 def fano_number(ss: SteadyState) -> float:
@@ -204,7 +235,7 @@ def fano_number(ss: SteadyState) -> float:
     Values below one flag sub-Poissonian phonon-number statistics. The
     vacuum limit <n> -> 0 is defined as 0 (see MomentReport.fano_vacuum).
     """
-    a, num = _mode_operators(ss.dim)
+    a, num = _mode(ss)
     mean_n = expectation(num, ss.rho_ss).real
     if mean_n < VACUUM_TOL:
         return 0.0
@@ -217,7 +248,7 @@ def quadrature_variance(ss: SteadyState, phi: float) -> float:
 
     Negative values would indicate quadrature squeezing.
     """
-    a, num = _mode_operators(ss.dim)
+    a, num = _mode(ss)
     rho = ss.rho_ss
     mean_a = expectation(a, rho)
     mean_a2 = expectation(a @ a, rho)
@@ -234,7 +265,7 @@ def min_quadrature_variance(ss: SteadyState) -> tuple[float, float]:
     Returns (phi_star, value) with phi_star in [0, pi); the variance is
     pi-periodic in the quadrature angle.
     """
-    a, num = _mode_operators(ss.dim)
+    a, num = _mode(ss)
     rho = ss.rho_ss
     mean_a = expectation(a, rho)
     mean_a2 = expectation(a @ a, rho)
@@ -252,7 +283,7 @@ def min_quadrature_variance(ss: SteadyState) -> tuple[float, float]:
 def moment_report(ss: SteadyState, liouv: Superoperator) -> MomentReport:
     """All stationary observables in one record."""
     cur = currents(ss, liouv)
-    a, num = _mode_operators(ss.dim)
+    a, num = _mode(ss)
     rho = ss.rho_ss
     mean_n = expectation(num, rho).real
     mean_n2 = expectation(num @ num, rho).real

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, NumericalError
-from .model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
-from .noise import ResolventSolver, _pair_value
-from .steady import currents, fano_number, min_quadrature_variance, solve_steady_state
-from .superop import build_liouvillian
+from .model import ModelParams
+from .noise import ResolventSolver, pair_value
+from .steady import currents, fano_number, min_quadrature_variance, transport_point
 
 __all__ = [
     "SweepAxis",
@@ -144,16 +143,9 @@ def cutoff_policy(temperature: float, omega_b: float = 1.0) -> int:
     return 25
 
 
-_HAMILTONIAN_BUILDERS = {"full": build_hamiltonian, "jc": build_jc_hamiltonian}
-
-
 def _steady_probe(params: ModelParams, hamiltonian: str = "full") -> tuple[float, float]:
     """Default convergence probe: electron current and mean phonon number."""
-    space = params.space()
-    ops = build_operators(space)
-    h = _HAMILTONIAN_BUILDERS[hamiltonian](params, space, ops)
-    liouv = build_liouvillian(h, params)
-    ss = solve_steady_state(liouv)
+    ops, liouv, ss = transport_point(params, hamiltonian)
     cur = currents(ss, liouv)
     mean_n = float(np.real(np.trace(ops.number @ ss.rho_ss)))
     return cur.e, mean_n
@@ -198,12 +190,7 @@ class _PointEngine:
     """Steady state plus lazily built resolvent machinery for one parameter point."""
 
     def __init__(self, params: ModelParams, hamiltonian: str = "full"):
-        self.params = params
-        space = params.space()
-        self.ops = build_operators(space)
-        h = _HAMILTONIAN_BUILDERS[hamiltonian](params, space, self.ops)
-        self.liouv = build_liouvillian(h, params)
-        self.ss = solve_steady_state(self.liouv)
+        _, self.liouv, self.ss = transport_point(params, hamiltonian)
         self._solver = None
         self._currents = None
 
@@ -230,7 +217,7 @@ class _PointEngine:
             return min_quadrature_variance(self.ss)[1]
         (i, j), norm = QUANTITIES[name]
         flux_i = {"e": self.flux.e, "b": self.flux.b}[i]
-        value = _pair_value(self.solver, self.liouv, i, j, omega, flux_i)
+        value = pair_value(self.solver, self.liouv, i, j, omega, flux_i)
         if norm == "fano":
             if flux_i <= 0:
                 raise NumericalError(f"cannot Fano-normalize {name}: zero channel flux")
@@ -259,9 +246,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
             if axis.name == "omega":
                 continue
             g = axis.grid()
-            lo, hi = float(g.min()), float(g.max())
-            extremes = {min(lo, hi, key=abs), max(lo, hi, key=abs)}
-            corners = [c + [(axis.name, v)] for c in corners for v in sorted(extremes)]
+            extremes = sorted({float(g.min()), float(g.max())})
+            corners = [c + [(axis.name, v)] for c in corners for v in extremes]
         n_fock = spec.base.n_fock
         probe = lambda p: _steady_probe(p, spec.hamiltonian)  # noqa: E731
         for corner in corners:

@@ -1,19 +1,13 @@
 import numpy as np
 import pytest
 
-from dqdnoise.model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
-from dqdnoise.steady import solve_steady_state
-from dqdnoise.superop import build_liouvillian
+from dqdnoise.model import ModelParams
+from dqdnoise.steady import transport_point
 
 
 def transport_bundle(params: ModelParams, hamiltonian: str = "full"):
     """(ops, liouvillian, steady state) for one parameter point."""
-    space = params.space()
-    ops = build_operators(space)
-    build = build_jc_hamiltonian if hamiltonian == "jc" else build_hamiltonian
-    h = build(params, space, ops)
-    liouv = build_liouvillian(h, params)
-    return ops, liouv, solve_steady_state(liouv)
+    return transport_point(params, hamiltonian)
 
 
 @pytest.fixture(scope="session")

@@ -15,11 +15,11 @@ from dqdnoise.checks import run_checks
 from dqdnoise.model import ModelParams, resonance_branches
 from dqdnoise.noise import (
     ResolventSolver,
-    _pair_value,
     counting_fd_check,
     find_peaks_xy,
     macdonald_correlation_trace,
     macdonald_evaluate,
+    pair_value,
 )
 from dqdnoise.steady import currents
 from dqdnoise.superop import spectrum
@@ -47,7 +47,7 @@ class FanoCurve:
 
     def value(self, omega: float) -> float:
         i, j = self.pair
-        return _pair_value(self.solver, self.liouv, i, j, omega, self.flux)
+        return pair_value(self.solver, self.liouv, i, j, omega, self.flux)
 
     def fano(self, omegas) -> np.ndarray:
         return np.array([self.value(w) for w in np.atleast_1d(omegas)]) / (2 * self.flux)
@@ -188,7 +188,7 @@ def test_criterion_6_cross_correlation_structure():
         _, liouv, ss = transport_bundle(params)
         solver = ResolventSolver(liouv, ss)
         flux = currents(ss, liouv).e
-        zero_vals.append(abs(_pair_value(solver, liouv, "e", "b", 0.0, flux)))
+        zero_vals.append(abs(pair_value(solver, liouv, "e", "b", 0.0, flux)))
     decoupled_ok = max(zero_vals) <= 1e-10
 
     eps_grid = np.arange(0.7, 2.301, 0.02)
@@ -198,7 +198,7 @@ def test_criterion_6_cross_correlation_structure():
         _, liouv, ss = transport_bundle(params)
         solver = ResolventSolver(liouv, ss)
         flux = currents(ss, liouv).e
-        vals.append(_pair_value(solver, liouv, "e", "b", 0.0, flux))
+        vals.append(pair_value(solver, liouv, "e", "b", 0.0, flux))
     peaks = find_peaks_xy(eps_grid, np.array(vals))
     errs = {k: nearest_peak_error(peaks, float(k), window=0.2) for k in (1, 2)}
     peaks_ok = all(e is not None and e <= 0.05 for e in errs.values())
@@ -228,14 +228,14 @@ def test_criterion_7_squeezing_maps():
             if g == 0.0:
                 solver = ResolventSolver(liouv, ss)
                 flux = currents(ss, liouv).e
-                cross_at_zero.append(abs(_pair_value(solver, liouv, "e", "b",
-                                                     0.0, flux)))
+                cross_at_zero.append(abs(pair_value(solver, liouv, "e", "b",
+                                                    0.0, flux)))
             if temperature == 0.0 and 0.05 <= g <= 0.35:
                 fq = fano_number(ss)
                 flux_b = currents(ss, liouv).b
                 if flux_b > 0:
                     solver = ResolventSolver(liouv, ss)
-                    sbb = _pair_value(solver, liouv, "b", "b", 0.0, flux_b) / (2 * flux_b)
+                    sbb = pair_value(solver, liouv, "b", "b", 0.0, flux_b) / (2 * flux_b)
                     if fq < 1.0 and sbb < 1.0:
                         squeezed_g.append((float(g), fq, sbb))
 
@@ -304,12 +304,12 @@ def test_criterion_8_method_triangle():
             trace = macdonald_correlation_trace(liouv, ss, i, j,
                                                 t_max=15.0 / rate, dt=dt)
             for w in omegas:
-                res = _pair_value(solver, liouv, i, j, float(w), flux)
+                res = pair_value(solver, liouv, i, j, float(w), flux)
                 mac = float(np.atleast_1d(macdonald_evaluate(trace, float(w)))[0])
                 rel = abs(res - mac) / max(abs(res), abs(mac), 1e-10)
                 if rel > worst_mac[1]:
                     worst_mac = (f"{name} w={w}", rel)
-            res0 = _pair_value(solver, liouv, i, j, 0.0, flux)
+            res0 = pair_value(solver, liouv, i, j, 0.0, flux)
             fd = counting_fd_check(liouv, ss, i, j)
             rel = abs(res0 - fd) / max(abs(res0), abs(fd), 1e-10)
             if rel > worst_fd[1]:

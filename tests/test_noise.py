@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from conftest import transport_bundle
 from dqdnoise.errors import ConvergenceFailure, MethodUnavailable
@@ -17,8 +18,9 @@ from dqdnoise.noise import (
     noise_macdonald_oracle,
     noise_resolvent,
 )
-from dqdnoise.steady import currents, solve_steady_state
+from dqdnoise.steady import currents, solve_steady_state, trace_replaced_system
 from dqdnoise.superop import assemble_liouvillian, spectrum
+from dqdnoise.sweep import SweepAxis, SweepSpec, run_sweep
 
 
 def single_level(gamma_L, gamma_R):
@@ -76,6 +78,37 @@ class TestResolvent:
         _, liouv, ss = fig2_bundle
         for w in (0.0, 0.5, 1.0):
             assert noise_resolvent(liouv, ss, "e", "e", w) > -1e-8
+
+
+class TestSharedZeroFrequencyFactor:
+    def test_zero_frequency_point_factors_once(self, monkeypatch):
+        calls = []
+        original = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, g=0.2, n_fock=4),
+            axes=(SweepAxis(name="epsilon", values=(-0.5, 0.5)),),
+            quantities=("S_ee", "S_eb"),
+        )
+        result = run_sweep(spec)
+        assert not result.gaps
+        assert len(calls) == result.data["S_ee"].size
+
+    def test_zero_frequency_apply_matches_fresh_factorization(self, fig2_bundle, rng):
+        _, liouv, ss = fig2_bundle
+        solver = ResolventSolver(liouv, ss)
+        d2 = liouv.dim_rho**2
+        x = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+        rhs = solver.q_apply(x)
+        rhs[0] = 0.0
+        fresh = spla.splu(trace_replaced_system(liouv)[0])
+        expected = solver.q_apply(fresh.solve(rhs))
+        assert np.array_equal(solver.apply(0.0, x), expected)
 
 
 class TestMacdonald:

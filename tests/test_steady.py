@@ -11,6 +11,7 @@ from dqdnoise.steady import (
     moment_report,
     quadrature_variance,
     solve_steady_state,
+    transport_point,
 )
 from dqdnoise.superop import build_liouvillian, thermal_occupation, vectorize
 
@@ -78,6 +79,10 @@ class TestSolve:
         liouv = build_liouvillian(build_hamiltonian(p), p)
         with pytest.raises(DegenerateSteadyState):
             solve_steady_state(liouv)
+
+    def test_transport_point_rejects_unknown_hamiltonian(self):
+        with pytest.raises(ValueError, match="hamiltonian"):
+            transport_point(ModelParams(n_fock=2), "rwa")
 
 
 class TestCurrents:

@@ -185,6 +185,15 @@ class TestRunSweep:
         assert result.convergence_report["mode"] == "auto"
         assert result.cutoff_used >= 2
 
+    def test_auto_cutoff_probes_both_ends_of_symmetric_axis(self):
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, g=0.1, n_fock=2),
+            axes=(SweepAxis(name="epsilon", start=-1.0, stop=1.0, count=3),),
+            quantities=("I_e",),
+        )
+        result = run_sweep(spec, cutoff="auto")
+        assert result.convergence_report["corners"] == 2
+
     def test_jc_hamiltonian_variant(self):
         spec = SweepSpec(
             base=ModelParams(delta=0.5, g=0.2, n_fock=4),
