@@ -19,8 +19,10 @@ macdonald (oracle)
     S(w) = 2 f_inf + 2 w int_0^T sin(w tau) (f(tau) - f_inf) dtau with
     f(tau) = Tr[L_i rho_j] + Tr[L_j rho_i] + delta_ij I_i - 2 tau I_i I_j
     and d rho_i/dtau = L rho_i + L_i rho_ss. The coupled system is
-    propagated with the exact step matrix exp(L dt); no resolvent or
-    pseudo-inverse solve enters this path.
+    propagated with the exact step matrix E = exp(L dt); the N samples
+    of f are running sums of r E^m w, evaluated in sqrt(N) blocks of
+    powers of E (baby-step/giant-step). No resolvent, pseudo-inverse
+    solve or eigendecomposition enters this path.
 
 A zero-frequency consistency check through counting-field finite
 differences of the stationary eigenvalue completes the method triangle.
@@ -29,7 +31,6 @@ differences of the stationary eigenvalue completes the method triangle.
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,43 +80,41 @@ class NoiseSpectrum:
 
 
 class ResolventSolver:
-    """Projected-resolvent applications R(w) x with cached factorizations.
+    """Projected-resolvent applications R(w) x.
 
     P projects onto the stationary direction, Q = 1 - P onto its
-    complement; factorizations of (i w + L) are LRU-cached per frequency,
-    and the singular w = 0 point is handled by replacing the redundant
+    complement. The factorization of (i w + L) at the last frequency is
+    kept, so repeated applications at one frequency (the quantities of a
+    sweep point, the two orderings of a cross pair) factor once. The
+    singular w = 0 point is handled by replacing the redundant
     trace-block row with the trace constraint, which is the system
     ``ss.factor`` already factors.
     """
 
-    def __init__(self, liouv: Superoperator, ss: SteadyState, cache_size: int = 16):
+    def __init__(self, liouv: Superoperator, ss: SteadyState):
         self.liouv = liouv
         self.rho_vec = vectorize(ss.rho_ss)
         self.tr = trace_vector(liouv.dim_rho)
         self._csc = liouv.matrix.tocsc()
         self._eye = sp.identity(liouv.dim_rho**2, format="csc", dtype=complex)
-        self._cache: OrderedDict[float, object] = OrderedDict()
-        self._cache_size = cache_size
+        self._omega: float | None = None
+        self._lu = None
         self._zero_factor = ss.factor
 
     def q_apply(self, x: np.ndarray) -> np.ndarray:
         return x - self.rho_vec * (self.tr @ x)
 
     def _factor(self, omega: float):
-        lu = self._cache.get(omega)
-        if lu is None:
+        if omega != self._omega:
+            self._omega = self._lu = None  # free the old factor before the new one
             try:
-                lu = spla.splu((1j * omega) * self._eye + self._csc)
+                self._lu = spla.splu((1j * omega) * self._eye + self._csc)
             except RuntimeError as exc:
                 raise NumericalError(
                     f"resolvent factorization singular at omega={omega!r}: {exc}"
                 ) from exc
-            self._cache[omega] = lu
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(omega)
-        return lu
+            self._omega = omega
+        return self._lu
 
     def apply(self, omega: float, x: np.ndarray) -> np.ndarray:
         """R(omega) x = Q (i omega + L)^{-1} Q x."""
@@ -240,8 +239,15 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     d rho_i / dtau = L rho_i + L_i rho_ss while rho stays at the steady
     state. Exact stepping: rho_i(t+dt) = E rho_i(t) + w_i with
     E = exp(L dt) and w_i the step integral of the constant forcing,
-    both obtained from one augmented matrix exponential. Fails with a
-    suggested larger t_max when the running tail has not flattened.
+    both obtained from one augmented matrix exponential. After k steps
+    rho_i = sum_{m<k} E^m w_i, so f is a running sum of the scalars
+    y_m = Tr[L_i E^m w_j] + Tr[L_j E^m w_i]. These are evaluated by
+    baby-step/giant-step (Paterson & Stockmeyer, SIAM J. Comput. 2, 60
+    (1973)): with b = ceil(sqrt(N)), m = q b + p and
+    y_m = (r E^p)((E^b)^q w), which takes b row products, ceil(N / b)
+    column products with E^b and one matrix product instead of N steps.
+    Fails with a suggested larger t_max when the running tail has not
+    flattened.
     """
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
@@ -269,14 +275,24 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     e_step = eaug[:d2, :d2]
     w_step = eaug[:d2, d2:]  # columns: int_0^dt e^{L s} v ds
 
-    u = np.zeros((d2, 2), dtype=complex)
+    b = int(np.ceil(np.sqrt(n_steps)))
+    a = -(-n_steps // b)
+    rows = np.empty((b, 2, d2), dtype=complex)  # baby steps [r_i E^p, r_j E^p]
+    rows[0] = (r_i, r_j)
+    for p in range(1, b):
+        rows[p] = rows[p - 1] @ e_step
+    giant = np.linalg.matrix_power(e_step, b)
+    cols = np.empty((a, d2, 2), dtype=complex)  # giant steps (E^b)^q [w_j, w_i]
+    cols[0] = w_step[:, ::-1]
+    for q in range(1, a):
+        cols[q] = giant @ cols[q - 1]
+    y = np.tensordot(rows, cols, axes=([1, 2], [2, 1]))  # y[p, q] = y_{q b + p}
+
     f = np.empty(n_steps + 1)
     delta_floor = flux_i if i == j else 0.0
     f[0] = delta_floor
-    for k in range(1, n_steps + 1):
-        u = e_step @ u + w_step
-        f[k] = float(np.real(r_i @ u[:, 1] + r_j @ u[:, 0])) + delta_floor \
-            - 2.0 * taus[k] * flux_i * flux_j
+    f[1:] = np.cumsum(y.T.ravel()[:n_steps]).real + delta_floor \
+        - 2.0 * taus[1:] * flux_i * flux_j
 
     n_tail = max(8, (n_steps + 1) // 10)
     tail = f[-n_tail:]

@@ -190,7 +190,7 @@ def transport_point(params: ModelParams, hamiltonian: str = "full"
     build = build_jc_hamiltonian if hamiltonian == "jc" else build_hamiltonian
     space = params.space()
     ops = build_operators(space)
-    liouv = build_liouvillian(build(params, space, ops), params)
+    liouv = build_liouvillian(build(params, space, ops), params, ops)
     return ops, liouv, solve_steady_state(liouv)
 
 

@@ -28,7 +28,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import MethodUnavailable
-from .model import ModelParams, build_operators
+from .model import ModelParams, OperatorSet, build_operators
 
 __all__ = [
     "JumpChannel",
@@ -232,7 +232,8 @@ def assemble_liouvillian(h: np.ndarray,
     return Superoperator(dim_rho=d, base=base, channels=channels)
 
 
-def build_liouvillian(h: np.ndarray, params: ModelParams) -> Superoperator:
+def build_liouvillian(h: np.ndarray, params: ModelParams,
+                      ops: OperatorSet | None = None) -> Superoperator:
     """Transport Liouvillian: -i[H, .] plus lead injection/emission and
     thermal resonator damping, with the four labeled jump channels."""
     space = params.space()
@@ -241,7 +242,7 @@ def build_liouvillian(h: np.ndarray, params: ModelParams) -> Superoperator:
             f"Hamiltonian shape {h.shape} does not match dim {space.dim} "
             f"from n_fock={params.n_fock}"
         )
-    ops = build_operators(space)
+    ops = ops or build_operators(space)
     n_bar = thermal_occupation(params.omega_b, params.temperature)
     return assemble_liouvillian(
         h,

@@ -35,12 +35,12 @@ def announce(criterion: int, ok: bool, detail: str) -> None:
 
 
 class FanoCurve:
-    """Resolvent S_ii(w)/2I_i evaluator sharing one factorization cache."""
+    """Resolvent S_ii(w)/2I_i evaluator sharing one resolvent solver."""
 
     def __init__(self, params: ModelParams, hamiltonian: str = "jc",
                  pair=("e", "e")):
         _, self.liouv, self.ss = transport_bundle(params, hamiltonian)
-        self.solver = ResolventSolver(self.liouv, self.ss, cache_size=4)
+        self.solver = ResolventSolver(self.liouv, self.ss)
         self.pair = pair
         self.flux = float(np.real(
             self.solver.tr @ (self.liouv.channel(pair[0]).part @ self.solver.rho_vec)))

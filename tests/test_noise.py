@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from conftest import transport_bundle
@@ -19,7 +20,7 @@ from dqdnoise.noise import (
     noise_resolvent,
 )
 from dqdnoise.steady import currents, solve_steady_state, trace_replaced_system
-from dqdnoise.superop import assemble_liouvillian, spectrum
+from dqdnoise.superop import assemble_liouvillian, spectrum, trace_vector, vectorize
 from dqdnoise.sweep import SweepAxis, SweepSpec, run_sweep
 
 
@@ -80,16 +81,30 @@ class TestResolvent:
             assert noise_resolvent(liouv, ss, "e", "e", w) > -1e-8
 
 
+@pytest.fixture()
+def splu_calls(monkeypatch):
+    """List that gains one entry per sparse LU factorization."""
+    calls = []
+    original = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+class TestResolventFactorCache:
+    def test_cross_pair_spectrum_factors_once_per_frequency(self, fig2_bundle, splu_calls):
+        _, liouv, ss = fig2_bundle
+        grid = np.array([0.4, 1.0, 1.3])
+        compute_spectrum(liouv, ss, ("e", "b"), grid, normalization="raw")
+        assert len(splu_calls) == grid.size
+
+
 class TestSharedZeroFrequencyFactor:
-    def test_zero_frequency_point_factors_once(self, monkeypatch):
-        calls = []
-        original = spla.splu
-
-        def counting_splu(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counting_splu)
+    def test_zero_frequency_point_factors_once(self, splu_calls):
         spec = SweepSpec(
             base=ModelParams(delta=0.5, g=0.2, n_fock=4),
             axes=(SweepAxis(name="epsilon", values=(-0.5, 0.5)),),
@@ -97,7 +112,7 @@ class TestSharedZeroFrequencyFactor:
         )
         result = run_sweep(spec)
         assert not result.gaps
-        assert len(calls) == result.data["S_ee"].size
+        assert len(splu_calls) == result.data["S_ee"].size
 
     def test_zero_frequency_apply_matches_fresh_factorization(self, fig2_bundle, rng):
         _, liouv, ss = fig2_bundle
@@ -144,6 +159,37 @@ class TestMacdonald:
         vals = macdonald_evaluate(trace, grid)
         for w, v in zip(grid, vals):
             assert v == pytest.approx(macdonald_evaluate(trace, float(w)), abs=1e-15)
+
+    @pytest.mark.parametrize("pair", [("e", "e"), ("e", "b")])
+    @pytest.mark.parametrize("n_steps", [4, 40, 1000])  # b = ceil(sqrt N) divides 4 only
+    def test_blocked_sum_matches_plain_stepping(self, pair, n_steps):
+        i, j = pair
+        dt = 0.25
+        _, liouv, ss = transport_bundle(ModelParams(delta=0.5, g=0.2, n_fock=2))
+        trace = macdonald_correlation_trace(liouv, ss, i, j, t_max=n_steps * dt, dt=dt,
+                                            tail_rtol=1.0)
+        assert trace.f.size == n_steps + 1
+
+        d2 = liouv.dim_rho**2
+        rho_vec = vectorize(ss.rho_ss)
+        tr = trace_vector(liouv.dim_rho)
+        ci, cj = liouv.channel(i).part, liouv.channel(j).part
+        aug = np.zeros((d2 + 2, d2 + 2), dtype=complex)
+        aug[:d2, :d2] = liouv.matrix.toarray()
+        aug[:d2, d2] = ci @ rho_vec
+        aug[:d2, d2 + 1] = cj @ rho_vec
+        eaug = la.expm(aug * dt)
+        e_step, w_step = eaug[:d2, :d2], eaug[:d2, d2:]
+        flux_i, flux_j = (tr @ aug[:d2, d2:]).real
+        floor = flux_i if i == j else 0.0
+        u = np.zeros((d2, 2), dtype=complex)
+        expected = [floor]
+        for k in range(1, n_steps + 1):
+            u = e_step @ u + w_step
+            expected.append((tr @ (ci @ u[:, 1]) + tr @ (cj @ u[:, 0])).real + floor
+                            - 2.0 * k * dt * flux_i * flux_j)
+        expected = np.array(expected)
+        assert np.max(np.abs(trace.f - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_insufficient_t_max_raises(self, fig2_bundle):
         _, liouv, ss = fig2_bundle
