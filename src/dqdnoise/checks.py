@@ -24,7 +24,7 @@ from .superop import (
     trace_defect,
     vectorize,
 )
-from .sweep import PRESET_NAMES, preset
+from .sweep import PRESET_NAMES, _axis_params, preset
 
 __all__ = ["CheckResult", "run_checks", "FAST_LEVEL", "FULL_LEVEL"]
 
@@ -136,14 +136,11 @@ def _fast_checks() -> list[CheckResult]:
 def _preset_point(name: str) -> tuple[ModelParams, str]:
     """Most demanding representative parameter point of a preset grid."""
     spec = preset(name)
-    kw = {}
-    for axis in spec.axes:
-        if axis.name == "omega":
-            continue
-        grid = axis.grid()
-        field = {"g": "g", "delta": "delta", "epsilon": "epsilon", "T": "temperature"}[axis.name]
-        kw[field] = float(grid.max() if axis.name != "epsilon" else grid[len(grid) // 2 + 2])
-    return replace(spec.base, **kw), spec.hamiltonian
+    names = [axis.name for axis in spec.axes]
+    grids = [axis.grid() for axis in spec.axes]
+    vals = [g[len(g) // 2 + 2] if name == "epsilon" else g.max()
+            for name, g in zip(names, grids)]
+    return _axis_params(spec.base, names, vals, spec.base.n_fock), spec.hamiltonian
 
 
 def _full_checks() -> list[CheckResult]:

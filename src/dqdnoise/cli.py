@@ -389,11 +389,9 @@ def _write(path: str | None, text: str) -> None:
 def _single_point_bundle(cfg: RunConfig, hamiltonian: str):
     params = cfg.model
     if cfg.fock_cutoff == "auto":
-        from .sweep import _steady_probe, fock_convergence
+        from .sweep import fock_convergence
 
-        converged = fock_convergence(
-            params, probe=lambda p: _steady_probe(p, hamiltonian))
-        params = replace(params, n_fock=converged)
+        params = replace(params, n_fock=fock_convergence(params, hamiltonian))
     elif cfg.fock_cutoff is not None:
         params = replace(params, n_fock=int(cfg.fock_cutoff))
     _, liouv, ss = transport_point(params, hamiltonian)

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, MethodUnavailable, NumericalError
-from .steady import SteadyState
+from .steady import SteadyState, channel_flux
 from .superop import (
     LiouvillianSpectrum,
     Superoperator,
@@ -153,23 +153,7 @@ def noise_resolvent(liouv: Superoperator, ss: SteadyState, i: str, j: str,
                     omega: float, solver: ResolventSolver | None = None) -> float:
     """Symmetrized noise S(omega)_{i,j} in natural units (e = 1)."""
     solver = solver or ResolventSolver(liouv, ss)
-    flux = float(np.real(solver.tr @ (liouv.channel(i).part @ solver.rho_vec)))
-    return pair_value(solver, liouv, i, j, float(omega), flux)
-
-
-def _eigen_coefficients(spec: LiouvillianSpectrum, channel_part: sp.csr_matrix,
-                        key: str | None = None) -> np.ndarray:
-    cache = getattr(spec, "_coeff_cache", None)
-    if cache is None:
-        cache = {}
-        spec._coeff_cache = cache
-    if key is not None and key in cache:
-        return cache[key]
-    cv = channel_part @ spec.right_vectors
-    coeff = np.einsum("ij,ji->i", spec.left_vectors, cv)
-    if key is not None:
-        cache[key] = coeff
-    return coeff
+    return pair_value(solver, liouv, i, j, float(omega), channel_flux(ss, liouv, i))
 
 
 def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | np.ndarray:
@@ -184,8 +168,7 @@ def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | 
     validity conditions.
     """
     part = getattr(channel, "part", channel)
-    key = getattr(channel, "id", None)
-    coeff = _eigen_coefficients(spec, part, key)
+    coeff = np.einsum("ij,ji->i", spec.left_vectors, part @ spec.right_vectors)
     mask = np.ones(coeff.size, dtype=bool)
     mask[spec.zero_index] = False
     alphas = spec.alphas[mask]
@@ -426,9 +409,9 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState, pair: tuple[str, str
     if normalization == "fano" and i != j:
         raise ValueError("fano normalization applies to autocorrelation pairs only")
 
+    flux = channel_flux(ss, liouv, i)
     if method == "resolvent":
         solver = ResolventSolver(liouv, ss)
-        flux = float(np.real(solver.tr @ (liouv.channel(i).part @ solver.rho_vec)))
         values = np.array(
             [pair_value(solver, liouv, i, j, w, flux) for w in omegas]
         )
@@ -436,13 +419,9 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState, pair: tuple[str, str
         if i != j:
             raise MethodUnavailable("eigen-expansion covers autocorrelation pairs only")
         spec = spectrum(liouv)
-        normalized = np.atleast_1d(noise_eigen_expansion(spec, liouv.channel(i), omegas))
-        if normalization == "fano":
-            values = normalized
-        else:
-            tr = trace_vector(liouv.dim_rho)
-            flux = float(np.real(tr @ (liouv.channel(i).part @ vectorize(ss.rho_ss))))
-            values = normalized * 2.0 * flux
+        values = np.atleast_1d(noise_eigen_expansion(spec, liouv.channel(i), omegas))
+        if normalization == "raw":
+            values = values * 2.0 * flux
         return NoiseSpectrum(pair=pair, omegas=omegas, values=values,
                              normalization=normalization, method=method)
     elif method == "macdonald":
@@ -454,8 +433,6 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState, pair: tuple[str, str
         raise ValueError(f"unknown method {method!r}")
 
     if normalization == "fano":
-        tr = trace_vector(liouv.dim_rho)
-        flux = float(np.real(tr @ (liouv.channel(i).part @ vectorize(ss.rho_ss))))
         if flux <= 0:
             raise NumericalError(f"cannot Fano-normalize: channel {i!r} flux is {flux:g}")
         values = values / (2.0 * flux)

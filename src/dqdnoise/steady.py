@@ -22,7 +22,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
 from .model import (
-    HilbertSpace,
     ModelParams,
     OperatorSet,
     build_hamiltonian,
@@ -38,7 +37,9 @@ __all__ = [
     "solve_steady_state",
     "trace_replaced_system",
     "transport_point",
+    "channel_flux",
     "currents",
+    "mode_moments",
     "expectation",
     "fano_number",
     "quadrature_variance",
@@ -198,35 +199,60 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
     return complex(np.trace(op @ rho))
 
 
-def _channel_flux(liouv: Superoperator, channel_id: str, rho_vec: np.ndarray,
-                  tr: np.ndarray) -> float:
-    return float(np.real(tr @ (liouv.channel(channel_id).part @ rho_vec)))
+def channel_flux(ss: SteadyState, liouv: Superoperator, cid: str) -> float:
+    """Stationary flux Tr[L_cid rho_ss] of one jump channel of ``liouv``."""
+    tr = trace_vector(ss.dim)
+    return float(np.real(tr @ (liouv.channel(cid).part @ vectorize(ss.rho_ss))))
 
 
 def currents(ss: SteadyState, liouv: Superoperator) -> Currents:
     """Stationary fluxes I_i = Tr[L_i rho_ss] of the emission, phonon and
     injection channels. Charge conservation makes inflow equal e outflow.
     Channels absent from the generator report zero flux."""
-    rho_vec = vectorize(ss.rho_ss)
-    tr = trace_vector(ss.dim)
     vals = {}
     for cid in ("e", "b", "in"):
         if cid not in liouv.channels:
             vals[cid] = 0.0
             continue
-        v = _channel_flux(liouv, cid, rho_vec, tr)
+        v = channel_flux(ss, liouv, cid)
         if v < -1e-12:
             raise NumericalError(f"channel {cid!r} flux is negative ({v:.3e})")
         vals[cid] = max(v, 0.0)
     return Currents(e=vals["e"], b=vals["b"], inflow=vals["in"])
 
 
-def _mode(ss: SteadyState) -> tuple[np.ndarray, np.ndarray]:
-    """(a, n) on the composite space of ``ss``."""
-    if ss.dim % CHARGE_DOT_DIM != 0:
+def mode_moments(ss: SteadyState) -> tuple[complex, complex, float, float]:
+    """Resonator moments (<a>, <a^2>, <n>, <n^2>) of ``ss``.
+
+    Read off the diagonals of the resonator's reduced state rho_b (the
+    dot traced out): <n^k> = sum n^k rho_b[n, n], <a> = sum sqrt(n)
+    rho_b[n, n-1], <a^2> = sum sqrt(n (n-1)) rho_b[n, n-2].
+    """
+    nf, rest = divmod(ss.dim, CHARGE_DOT_DIM)
+    if rest or nf < 2:
         raise ValueError(f"dimension {ss.dim} is not a 3-level dot (x) Fock space")
-    ops = build_operators(HilbertSpace(n_fock=ss.dim // CHARGE_DOT_DIM - 1))
-    return ops.a, ops.number
+    rho_b = np.trace(ss.rho_ss.reshape(CHARGE_DOT_DIM, nf, CHARGE_DOT_DIM, nf),
+                     axis1=0, axis2=2)
+    n = np.arange(nf)
+    pop = rho_b.diagonal().real
+    mean_a = complex(np.sqrt(n[1:]) @ rho_b.diagonal(-1))
+    mean_a2 = complex(np.sqrt(n[2:] * n[1:-1]) @ rho_b.diagonal(-2))
+    return mean_a, mean_a2, float(n @ pop), float(n**2 @ pop)
+
+
+def _fano(mean_n: float, mean_n2: float) -> float:
+    return 0.0 if mean_n < VACUUM_TOL else (mean_n2 - mean_n**2) / mean_n
+
+
+def _quad_min(mean_a: complex, mean_a2: complex, mean_n: float) -> tuple[float, float]:
+    z = mean_a2 - mean_a**2
+    value = float(2.0 * (mean_n - abs(mean_a) ** 2) - 2.0 * abs(z))
+    if abs(z) == 0.0:
+        phi_star = 0.0
+    else:
+        # e^{-2 i phi} z = -|z| at the minimum
+        phi_star = float((np.angle(z) + np.pi) / 2.0 % np.pi)
+    return phi_star, value
 
 
 def fano_number(ss: SteadyState) -> float:
@@ -235,12 +261,7 @@ def fano_number(ss: SteadyState) -> float:
     Values below one flag sub-Poissonian phonon-number statistics. The
     vacuum limit <n> -> 0 is defined as 0 (see MomentReport.fano_vacuum).
     """
-    a, num = _mode(ss)
-    mean_n = expectation(num, ss.rho_ss).real
-    if mean_n < VACUUM_TOL:
-        return 0.0
-    mean_n2 = expectation(num @ num, ss.rho_ss).real
-    return (mean_n2 - mean_n**2) / mean_n
+    return _fano(*mode_moments(ss)[2:])
 
 
 def quadrature_variance(ss: SteadyState, phi: float) -> float:
@@ -248,11 +269,7 @@ def quadrature_variance(ss: SteadyState, phi: float) -> float:
 
     Negative values would indicate quadrature squeezing.
     """
-    a, num = _mode(ss)
-    rho = ss.rho_ss
-    mean_a = expectation(a, rho)
-    mean_a2 = expectation(a @ a, rho)
-    mean_n = expectation(num, rho).real
+    mean_a, mean_a2, mean_n, _ = mode_moments(ss)
     return float(
         2.0 * np.real((mean_a2 - mean_a**2) * np.exp(-2j * phi))
         + 2.0 * (mean_n - abs(mean_a) ** 2)
@@ -265,41 +282,24 @@ def min_quadrature_variance(ss: SteadyState) -> tuple[float, float]:
     Returns (phi_star, value) with phi_star in [0, pi); the variance is
     pi-periodic in the quadrature angle.
     """
-    a, num = _mode(ss)
-    rho = ss.rho_ss
-    mean_a = expectation(a, rho)
-    mean_a2 = expectation(a @ a, rho)
-    mean_n = expectation(num, rho).real
-    z = mean_a2 - mean_a**2
-    value = float(2.0 * (mean_n - abs(mean_a) ** 2) - 2.0 * abs(z))
-    if abs(z) == 0.0:
-        phi_star = 0.0
-    else:
-        # e^{-2 i phi} z = -|z| at the minimum
-        phi_star = float((np.angle(z) + np.pi) / 2.0 % np.pi)
-    return phi_star, value
+    return _quad_min(*mode_moments(ss)[:3])
 
 
 def moment_report(ss: SteadyState, liouv: Superoperator) -> MomentReport:
     """All stationary observables in one record."""
     cur = currents(ss, liouv)
-    a, num = _mode(ss)
-    rho = ss.rho_ss
-    mean_n = expectation(num, rho).real
-    mean_n2 = expectation(num @ num, rho).real
-    vacuum = mean_n < VACUUM_TOL
-    fano = 0.0 if vacuum else (mean_n2 - mean_n**2) / mean_n
-    phi_star, qmin = min_quadrature_variance(ss)
+    mean_a, mean_a2, mean_n, mean_n2 = mode_moments(ss)
+    phi_star, qmin = _quad_min(mean_a, mean_a2, mean_n)
     return MomentReport(
         current_e=cur.e,
         current_b=cur.b,
         current_in=cur.inflow,
         mean_n=mean_n,
         mean_n2=mean_n2,
-        fano_q=fano,
-        fano_vacuum=vacuum,
+        fano_q=_fano(mean_n, mean_n2),
+        fano_vacuum=mean_n < VACUUM_TOL,
         quad_phi_star=phi_star,
         quad_min=qmin,
-        mean_a=expectation(a, rho),
-        mean_a2=expectation(a @ a, rho),
+        mean_a=mean_a,
+        mean_a2=mean_a2,
     )

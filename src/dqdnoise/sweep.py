@@ -23,7 +23,13 @@ import numpy as np
 from .errors import ConvergenceFailure, NumericalError
 from .model import ModelParams
 from .noise import ResolventSolver, pair_value
-from .steady import currents, fano_number, min_quadrature_variance, transport_point
+from .steady import (
+    currents,
+    fano_number,
+    min_quadrature_variance,
+    mode_moments,
+    transport_point,
+)
 
 __all__ = [
     "SweepAxis",
@@ -39,6 +45,8 @@ __all__ = [
 ]
 
 AXIS_NAMES = ("omega", "g", "delta", "epsilon", "T")
+#: relative change of the probes below which a Fock cutoff counts as converged
+FOCK_RTOL = 1e-6
 _PARAM_FIELD = {"g": "g", "delta": "delta", "epsilon": "epsilon", "T": "temperature"}
 
 #: quantity -> (channel pair, normalization); None marks steady-state-only
@@ -143,37 +151,31 @@ def cutoff_policy(temperature: float, omega_b: float = 1.0) -> int:
     return 25
 
 
-def _steady_probe(params: ModelParams, hamiltonian: str = "full") -> tuple[float, float]:
-    """Default convergence probe: electron current and mean phonon number."""
-    ops, liouv, ss = transport_point(params, hamiltonian)
-    cur = currents(ss, liouv)
-    mean_n = float(np.real(np.trace(ops.number @ ss.rho_ss)))
-    return cur.e, mean_n
+def fock_convergence(params: ModelParams, hamiltonian: str = "full",
+                     max_cutoff: int = 40) -> int:
+    """Smallest cutoff N_b >= 1 whose electron current and mean phonon
+    number move by less than ``FOCK_RTOL`` relative when raised to
+    N_b + 3, under the "full" or "jc" Hamiltonian. Raises
+    ConvergenceFailure at ``max_cutoff``."""
+    cache: dict[int, tuple[float, float]] = {}
 
-
-def fock_convergence(params: ModelParams, probe=None, start: int = 1,
-                     max_cutoff: int = 40, rtol: float = 1e-6) -> int:
-    """Smallest cutoff N_b whose probes move by less than ``rtol`` relative
-    when raised to N_b + 3. Raises ConvergenceFailure at the cap."""
-    probe = probe or _steady_probe
-    cache: dict[int, tuple[float, ...]] = {}
-
-    def values(n: int) -> tuple[float, ...]:
+    def values(n: int) -> tuple[float, float]:
         if n not in cache:
-            cache[n] = tuple(probe(replace(params, n_fock=n)))
+            _, liouv, ss = transport_point(replace(params, n_fock=n), hamiltonian)
+            cache[n] = (currents(ss, liouv).e, mode_moments(ss)[2])
         return cache[n]
 
-    n = max(1, start)
+    n = 1
     while n <= max_cutoff:
         v1, v2 = values(n), values(n + 3)
         rel = max(
             abs(a - b) / max(abs(a), abs(b), 1e-12) for a, b in zip(v1, v2)
         )
-        if rel < rtol:
+        if rel < FOCK_RTOL:
             return n
         n += 1
     raise ConvergenceFailure(
-        f"Fock cutoff did not converge below N_b = {max_cutoff} (rtol {rtol:g})"
+        f"Fock cutoff did not converge below N_b = {max_cutoff} (rtol {FOCK_RTOL:g})"
     )
 
 
@@ -216,7 +218,7 @@ class _PointEngine:
         if name == "quad_min":
             return min_quadrature_variance(self.ss)[1]
         (i, j), norm = QUANTITIES[name]
-        flux_i = {"e": self.flux.e, "b": self.flux.b}[i]
+        flux_i = getattr(self.flux, i)
         value = pair_value(self.solver, self.liouv, i, j, omega, flux_i)
         if norm == "fano":
             if flux_i <= 0:
@@ -249,11 +251,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
             extremes = sorted({float(g.min()), float(g.max())})
             corners = [c + [(axis.name, v)] for c in corners for v in extremes]
         n_fock = spec.base.n_fock
-        probe = lambda p: _steady_probe(p, spec.hamiltonian)  # noqa: E731
         for corner in corners:
             p = _axis_params(spec.base, [n for n, _ in corner], [v for _, v in corner],
                              spec.base.n_fock)
-            n_fock = max(n_fock, fock_convergence(p, probe=probe))
+            n_fock = max(n_fock, fock_convergence(p, spec.hamiltonian))
         report = {"mode": "auto", "corners": len(corners)}
     else:
         n_fock = int(cutoff)

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
+from dqdnoise import steady
 from dqdnoise.model import ModelParams
 from dqdnoise.steady import transport_point
-
-
-def transport_bundle(params: ModelParams, hamiltonian: str = "full"):
-    """(ops, liouvillian, steady state) for one parameter point."""
-    return transport_point(params, hamiltonian)
 
 
 @pytest.fixture(scope="session")
@@ -19,9 +15,23 @@ def fig2_params():
 
 @pytest.fixture(scope="session")
 def fig2_bundle(fig2_params):
-    return transport_bundle(fig2_params)
+    return transport_point(fig2_params)
 
 
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def operator_builds(monkeypatch):
+    """Spaces passed to ``steady.build_operators`` while the test runs."""
+    calls = []
+    build = steady.build_operators
+
+    def counting(space):
+        calls.append(space)
+        return build(space)
+
+    monkeypatch.setattr(steady, "build_operators", counting)
+    return calls

@@ -10,7 +10,6 @@ parameter sets (the identities under test are cutoff independent).
 
 import numpy as np
 
-from conftest import transport_bundle
 from dqdnoise.checks import run_checks
 from dqdnoise.model import ModelParams, resonance_branches
 from dqdnoise.noise import (
@@ -21,7 +20,7 @@ from dqdnoise.noise import (
     macdonald_evaluate,
     pair_value,
 )
-from dqdnoise.steady import currents
+from dqdnoise.steady import currents, transport_point
 from dqdnoise.superop import spectrum
 
 FIG2 = dict(epsilon=0.0, omega_b=1.0, gamma_L=0.01, gamma_R=0.01,
@@ -39,7 +38,7 @@ class FanoCurve:
 
     def __init__(self, params: ModelParams, hamiltonian: str = "jc",
                  pair=("e", "e")):
-        _, self.liouv, self.ss = transport_bundle(params, hamiltonian)
+        _, self.liouv, self.ss = transport_point(params, hamiltonian)
         self.solver = ResolventSolver(self.liouv, self.ss)
         self.pair = pair
         self.flux = float(np.real(
@@ -185,7 +184,7 @@ def test_criterion_6_cross_correlation_structure():
     zero_vals = []
     for eps in (-1.0, 0.0, 0.7):
         params = ModelParams(g=0.0, n_fock=6, **{**FIG5, "epsilon": eps})
-        _, liouv, ss = transport_bundle(params)
+        _, liouv, ss = transport_point(params)
         solver = ResolventSolver(liouv, ss)
         flux = currents(ss, liouv).e
         zero_vals.append(abs(pair_value(solver, liouv, "e", "b", 0.0, flux)))
@@ -195,7 +194,7 @@ def test_criterion_6_cross_correlation_structure():
     vals = []
     for eps in eps_grid:
         params = ModelParams(g=0.4, n_fock=10, **{**FIG5, "epsilon": float(eps)})
-        _, liouv, ss = transport_bundle(params)
+        _, liouv, ss = transport_point(params)
         solver = ResolventSolver(liouv, ss)
         flux = currents(ss, liouv).e
         vals.append(pair_value(solver, liouv, "e", "b", 0.0, flux))
@@ -222,7 +221,7 @@ def test_criterion_7_squeezing_maps():
         for g in g_grid:
             params = ModelParams(delta=0.5, g=float(g), n_fock=15,
                                  **{**FIG2, "temperature": temperature})
-            _, liouv, ss = transport_bundle(params)
+            _, liouv, ss = transport_point(params)
             qmin = min_quadrature_variance(ss)[1]
             quad_floor = min(quad_floor, qmin)
             if g == 0.0:
@@ -293,7 +292,7 @@ def test_criterion_8_method_triangle():
     worst_fd = ("", 0.0)
     for name, ham, pair, points in _triangle_samples():
         for params, omegas in points:
-            _, liouv, ss = transport_bundle(params, ham)
+            _, liouv, ss = transport_point(params, ham)
             solver = ResolventSolver(liouv, ss)
             i, j = pair
             flux = float(np.real(

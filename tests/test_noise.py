@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from conftest import transport_bundle
 from dqdnoise.errors import ConvergenceFailure, MethodUnavailable
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import (
@@ -19,7 +18,12 @@ from dqdnoise.noise import (
     noise_macdonald_oracle,
     noise_resolvent,
 )
-from dqdnoise.steady import currents, solve_steady_state, trace_replaced_system
+from dqdnoise.steady import (
+    currents,
+    solve_steady_state,
+    trace_replaced_system,
+    transport_point,
+)
 from dqdnoise.superop import assemble_liouvillian, spectrum, trace_vector, vectorize
 from dqdnoise.sweep import SweepAxis, SweepSpec, run_sweep
 
@@ -49,7 +53,7 @@ class TestResolvent:
 
     def test_cross_correlation_vanishes_decoupled(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.5, n_fock=10)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         assert abs(noise_resolvent(liouv, ss, "e", "b", 0.0)) <= 1e-10
 
     def test_high_frequency_poissonian_floor(self, fig2_bundle):
@@ -135,7 +139,7 @@ class TestMacdonald:
 
     def test_cross_pair_decoupled(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=3)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         rate = spectrum(liouv).slowest_decay_rate()
         val = noise_macdonald_oracle(liouv, ss, "e", "b", 0.7,
                                      t_max=12 / rate, dt=0.02)
@@ -143,7 +147,7 @@ class TestMacdonald:
 
     def test_matches_resolvent_fig2(self):
         p = ModelParams(delta=0.5, g=0.2, n_fock=6)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         rate = spectrum(liouv).slowest_decay_rate()
         mac = noise_macdonald_oracle(liouv, ss, "e", "e", 1.0,
                                      t_max=12 / rate, dt=0.02)
@@ -165,7 +169,7 @@ class TestMacdonald:
     def test_blocked_sum_matches_plain_stepping(self, pair, n_steps):
         i, j = pair
         dt = 0.25
-        _, liouv, ss = transport_bundle(ModelParams(delta=0.5, g=0.2, n_fock=2))
+        _, liouv, ss = transport_point(ModelParams(delta=0.5, g=0.2, n_fock=2))
         trace = macdonald_correlation_trace(liouv, ss, i, j, t_max=n_steps * dt, dt=dt,
                                             tail_rtol=1.0)
         assert trace.f.size == n_steps + 1
@@ -246,7 +250,7 @@ class TestEigenExpansion:
     def test_locates_rabi_branch(self):
         # diagnostic role: a strong mode at the upper branch is resolved
         p = ModelParams(delta=0.5, g=0.4, n_fock=6)
-        _, liouv, ss = transport_bundle(p, hamiltonian="jc")
+        _, liouv, ss = transport_point(p, hamiltonian="jc")
         spec = spectrum(liouv)
         grid = np.linspace(1.2, 1.6, 801)
         vals = np.atleast_1d(noise_eigen_expansion(spec, liouv.channel("e"), grid))
@@ -263,13 +267,13 @@ class TestCountingFiniteDifference:
 
     def test_cross_pair_decoupled(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.5, n_fock=8)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         assert abs(counting_fd_check(liouv, ss, "e", "b")) <= 1e-6
 
     def test_matches_resolvent_fig5_point(self):
         p = ModelParams(epsilon=0.0, delta=0.1, g=0.0008, gamma_L=0.1,
                         gamma_R=0.001, gamma_b=0.01, n_fock=4)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         fd = counting_fd_check(liouv, ss, "e", "e")
         res = noise_resolvent(liouv, ss, "e", "e", 0.0)
         assert abs(fd - res) / abs(res) <= 1e-4
@@ -335,7 +339,7 @@ class TestFindPeaks:
     def test_bare_dot_single_peak_near_splitting(self):
         # with no coupling the only above-floor feature sits at 2 Delta
         p = ModelParams(delta=0.5, g=0.0, n_fock=2)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         grid = np.linspace(0.2, 1.8, 600)
         ns = compute_spectrum(liouv, ss, ("e", "e"), grid, normalization="fano")
         above_floor = [(w, h) for w, h in find_peaks(ns) if h > 1.0]
@@ -348,6 +352,6 @@ class TestBlockadeTrend:
         vals = []
         for g in (0.2, 0.4, 0.8):
             p = ModelParams(epsilon=0.0, delta=0.02, g=g, n_fock=12)
-            _, liouv, ss = transport_bundle(p)
+            _, liouv, ss = transport_point(p)
             vals.append(currents(ss, liouv).e)
         assert vals[0] > vals[1] > vals[2]

@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import transport_bundle
 from dqdnoise.errors import DegenerateSteadyState
 from dqdnoise.model import ModelParams, build_hamiltonian, thermal_state
 from dqdnoise.steady import (
     currents,
     fano_number,
     min_quadrature_variance,
+    mode_moments,
     moment_report,
     quadrature_variance,
     solve_steady_state,
@@ -29,7 +31,7 @@ class TestSolve:
     def test_blocked_transport_limit(self):
         # g = 0, Delta = 0: electron trapped in L, resonator thermal
         p = ModelParams(delta=0.0, g=0.0, temperature=1.0, n_fock=20)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         n_bar = thermal_occupation(1.0, 1.0)
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 1] = 1.0
@@ -39,7 +41,7 @@ class TestSolve:
 
     def test_decoupled_resonator_thermal_occupation(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=26)
-        ops, liouv, ss = transport_bundle(p)
+        ops, liouv, ss = transport_point(p)
         n_bar = thermal_occupation(1.0, 1.0)
         mean_n = np.real(np.trace(ops.number @ ss.rho_ss))
         assert mean_n == pytest.approx(n_bar, abs=1e-8)
@@ -59,7 +61,7 @@ class TestSolve:
 
     def test_g0_factorization(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=26)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         # independent dot-only route
         dot = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=1)
         # build 3x3 dot steady state from the full solution's dot marginal
@@ -93,7 +95,7 @@ class TestCurrents:
 
     def test_phonon_current_thermal(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=26)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         n_bar = thermal_occupation(1.0, 1.0)
         cur = currents(ss, liouv)
         # counted emission weight gamma_b (1 + n_bar) acting on <n> = n_bar
@@ -101,19 +103,19 @@ class TestCurrents:
 
     def test_phonon_current_vanishes_at_zero_temperature(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=4)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         assert currents(ss, liouv).b == pytest.approx(0.0, abs=1e-12)
 
     def test_blocked_current_zero(self):
         p = ModelParams(delta=0.0, g=0.0, n_fock=2)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         assert currents(ss, liouv).e == pytest.approx(0.0, abs=1e-12)
 
     def test_fig5_point_against_oracle(self):
         p = ModelParams(epsilon=0.0, delta=0.1, g=0.0008, omega_b=1.0,
                         gamma_L=0.1, gamma_R=0.001, gamma_b=0.01,
                         temperature=0.0, n_fock=4)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         cur = currents(ss, liouv)
         assert cur.e > 0
         oracle = nullspace_steady_state(liouv)
@@ -130,13 +132,13 @@ class TestCurrents:
 class TestMoments:
     def test_thermal_fano(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=30)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         n_bar = thermal_occupation(1.0, 1.0)
         assert fano_number(ss) == pytest.approx(1 + n_bar, abs=1e-8)
 
     def test_vacuum_fano_flag(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=4)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         rep = moment_report(ss, liouv)
         assert rep.fano_vacuum and rep.fano_q == 0.0
 
@@ -147,20 +149,56 @@ class TestMoments:
 
     def test_sub_poissonian_window_exists(self):
         p = ModelParams(delta=0.5, g=0.1, n_fock=8)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         assert fano_number(ss) < 1.0
+
+    def test_report_builds_no_operators(self, fig2_bundle, operator_builds):
+        _, liouv, ss = fig2_bundle
+        moment_report(ss, liouv)
+        assert operator_builds == []
+
+    def test_match_composite_operators(self):
+        ops, liouv, ss = transport_point(
+            ModelParams(delta=0.5, g=0.2, temperature=0.5, n_fock=15))
+
+        def ev(op):
+            return complex(np.trace(op @ ss.rho_ss))
+
+        mean_a, mean_a2 = ev(ops.a), ev(ops.a @ ops.a)
+        mean_n, mean_n2 = ev(ops.number).real, ev(ops.number @ ops.number).real
+        z = mean_a2 - mean_a**2
+        spread = 2 * (mean_n - abs(mean_a) ** 2)
+        fano = (mean_n2 - mean_n**2) / mean_n
+        qmin = (float((np.angle(z) + np.pi) / 2 % np.pi), spread - 2 * abs(z))
+        tol = 1e-12
+        assert fano_number(ss) == pytest.approx(fano, abs=tol)
+        for phi in (0.0, 0.7, 2.1):
+            expected = 2 * np.real(z * np.exp(-2j * phi)) + spread
+            assert quadrature_variance(ss, phi) == pytest.approx(expected, abs=tol)
+        assert min_quadrature_variance(ss) == pytest.approx(qmin, abs=tol)
+        rep = moment_report(ss, liouv)
+        assert (rep.mean_a, rep.mean_a2) == pytest.approx((mean_a, mean_a2), abs=tol)
+        assert (rep.mean_n, rep.mean_n2) == pytest.approx((mean_n, mean_n2), abs=tol)
+        assert rep.fano_q == pytest.approx(fano, abs=tol) and not rep.fano_vacuum
+        assert (rep.quad_phi_star, rep.quad_min) == pytest.approx(qmin, abs=tol)
+
+    def test_rejects_non_dot_dimension(self, fig2_bundle):
+        _, _, ss = fig2_bundle
+        two_level = replace(ss, rho_ss=np.eye(2, dtype=complex) / 2)
+        with pytest.raises(ValueError, match="3-level"):
+            mode_moments(two_level)
 
 
 class TestQuadrature:
     def test_vacuum_variance_zero(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=4)
-        _, _, ss = transport_bundle(p)
+        _, _, ss = transport_point(p)
         for phi in np.linspace(0, np.pi, 7):
             assert quadrature_variance(ss, phi) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_variance(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=30)
-        _, _, ss = transport_bundle(p)
+        _, _, ss = transport_point(p)
         n_bar = thermal_occupation(1.0, 1.0)
         for phi in (0.0, 0.4, 1.1):
             assert quadrature_variance(ss, phi) == pytest.approx(2 * n_bar, abs=1e-8)

@@ -123,11 +123,10 @@ class TestRunSweep:
         assert result.data["S_ee"].shape == (2, 3)
         assert not np.any(np.isnan(result.data["S_ee"]))
         # spot check one grid point against the direct computation
-        from conftest import transport_bundle
-        from dqdnoise.steady import currents
+        from dqdnoise.steady import currents, transport_point
 
         p = ModelParams(delta=0.5, g=0.2, n_fock=4)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         expected = noise_resolvent(liouv, ss, "e", "e", 1.0) / (2 * currents(ss, liouv).e)
         assert result.data["S_ee"][1, 1] == pytest.approx(expected, rel=1e-12)
 
@@ -138,11 +137,10 @@ class TestRunSweep:
             quantities=("S_ee", "S_eb"),
         )
         result = run_sweep(spec)
-        from conftest import transport_bundle
-        from dqdnoise.steady import currents
+        from dqdnoise.steady import currents, transport_point
 
         p = ModelParams(delta=0.5, g=0.1, n_fock=4)
-        _, liouv, ss = transport_bundle(p)
+        _, liouv, ss = transport_point(p)
         s0 = noise_resolvent(liouv, ss, "e", "e", 0.0) / (2 * currents(ss, liouv).e)
         assert result.data["S_ee"][0] == pytest.approx(s0, rel=1e-12)
 
@@ -193,6 +191,16 @@ class TestRunSweep:
         )
         result = run_sweep(spec, cutoff="auto")
         assert result.convergence_report["corners"] == 2
+
+    def test_moment_quantities_build_operators_once_per_point(self, operator_builds):
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, temperature=0.5, n_fock=4),
+            axes=(SweepAxis(name="g", values=(0.05, 0.1, 0.15, 0.2)),),
+            quantities=("F_Q", "quad_min"),
+        )
+        result = run_sweep(spec)
+        assert not result.gaps
+        assert len(operator_builds) == 4
 
     def test_jc_hamiltonian_variant(self):
         spec = SweepSpec(
