@@ -44,7 +44,7 @@ from .steady import (
 from .noise import (
     NoiseSpectrum,
     ResolventSolver,
-    noise_resolvent,
+    TransportPoint,
     noise_eigen_expansion,
     noise_macdonald_oracle,
     counting_fd_check,

@@ -1,9 +1,9 @@
 """Self-check suites: analytic limits (fast) and structural invariants
 across the figure presets (full). Run via the CLI ``check`` subcommand.
 
-Eigendecomposition-based checks for the hottest presets run at a reduced,
-documented Fock cutoff; the invariants under test (stability half-plane,
-unique stationary state) are structural and cutoff independent.
+Eigenvalue checks run at a reduced, documented Fock cutoff; the
+invariants under test (stability half-plane, unique stationary state,
+conjugate pairs) are structural and cutoff independent.
 """
 
 from __future__ import annotations
@@ -11,15 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as la
 
 from .model import ModelParams, thermal_state
-from .noise import ResolventSolver, noise_resolvent, pair_value
-from .steady import currents, moment_report, solve_steady_state, transport_point
+from .noise import TransportPoint, compute_spectrum
+from .steady import solve_steady_state
 from .superop import (
+    STATIONARY_TOL,
     assemble_liouvillian,
     counting_liouvillian,
     devectorize,
-    spectrum,
     thermal_occupation,
     trace_defect,
     vectorize,
@@ -31,7 +32,7 @@ __all__ = ["CheckResult", "run_checks", "FAST_LEVEL", "FULL_LEVEL"]
 FAST_LEVEL = "fast"
 FULL_LEVEL = "full"
 
-#: reduced cutoff for dense-eigendecomposition checks, keyed by temperature band
+#: Fock cutoff cap for the dense eigenvalue checks at every preset point
 _EIG_CHECK_CUTOFF = 12
 
 
@@ -91,45 +92,38 @@ def _fast_checks() -> list[CheckResult]:
     # decoupled thermal resonator: F_Q = 1 + n_bar, quad variance = 2 n_bar
     # (cutoffs sized so the truncated Boltzmann tail sits below 1e-8 in <n^2>)
     for t, nf in ((0.5, 18), (1.0, 30), (2.0, 58)):
-        params = ModelParams(delta=0.5, g=0.0, temperature=t, n_fock=nf)
-        ops, liouv, ss = transport_point(params)
+        rep = TransportPoint(ModelParams(delta=0.5, g=0.0, temperature=t, n_fock=nf)).report
         nb = thermal_occupation(1.0, t)
-        rep = moment_report(ss, liouv)
         out.append(_result("fano-thermal-1+nbar", f"T={t}", abs(rep.fano_q - (1 + nb)), 1e-8))
         out.append(_result("quad-thermal-2nbar", f"T={t}", abs(rep.quad_min - 2 * nb), 1e-8))
 
     # g = 0 factorization against dot-only (x) Boltzmann product
     params = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=24)
-    ops, liouv, ss = transport_point(params)
+    rho = TransportPoint(params).ss.rho_ss
     rho_dot = _dot_only_steady(params)
     rho_th = thermal_state(params.n_fock, thermal_occupation(1.0, 1.0))
-    dev = np.max(np.abs(ss.rho_ss - np.kron(rho_dot, rho_th)))
+    dev = np.max(np.abs(rho - np.kron(rho_dot, rho_th)))
     out.append(_result("g0-factorization", "T=1", dev, 1e-8))
 
     # vacuum Fano convention
-    params0 = ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=4)
-    _, liouv0, ss0 = transport_point(params0)
-    rep0 = moment_report(ss0, liouv0)
+    rep0 = TransportPoint(ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=4)).report
     out.append(_result("vacuum-fano-zero", "T=0,g=0",
                        abs(rep0.fano_q) + (0.0 if rep0.fano_vacuum else 1.0), 1e-12))
 
     # single resonant level: S(0)/2I = (GL^2 + GR^2)/(GL + GR)^2
     for gl, gr in ((0.1, 0.1), (0.1, 0.025)):
         liouv = _single_level_liouvillian(gl, gr)
-        ss = solve_steady_state(liouv)
-        s0 = noise_resolvent(liouv, ss, "e", "e", 0.0)
-        flux = currents(ss, liouv).e
+        fano0 = compute_spectrum(liouv, solve_steady_state(liouv), ("e", "e"), [0.0]).values[0]
         expected = (gl**2 + gr**2) / (gl + gr) ** 2
-        out.append(_result("single-level-fano", f"GL={gl},GR={gr}",
-                           abs(s0 / (2 * flux) - expected), 1e-8))
+        out.append(_result("single-level-fano", f"GL={gl},GR={gr}", abs(fano0 - expected), 1e-8))
 
     # charge conservation and trace preservation on the fig2 preset point
-    params = ModelParams(delta=0.5, g=0.2, n_fock=6)
-    _, liouv, ss = transport_point(params)
-    cur = currents(ss, liouv)
-    out.append(_result("charge-conservation", "fig2,g=0.2", abs(cur.inflow - cur.e), 1e-10))
-    out.append(_result("trace-preservation", "fig2,g=0.2", trace_defect(liouv), 1e-10))
-    out.append(_result("steady-residual", "fig2,g=0.2", ss.residual, 1e-10))
+    point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=6))
+    rep = point.report
+    out.append(_result("charge-conservation", "fig2,g=0.2",
+                       abs(rep.current_in - rep.current_e), 1e-10))
+    out.append(_result("trace-preservation", "fig2,g=0.2", trace_defect(point.liouv), 1e-10))
+    out.append(_result("steady-residual", "fig2,g=0.2", point.ss.residual, 1e-10))
     return out
 
 
@@ -148,7 +142,8 @@ def _full_checks() -> list[CheckResult]:
     rng = np.random.default_rng(20240811)
     for name in PRESET_NAMES:
         params, ham = _preset_point(name)
-        ops, liouv, ss = transport_point(params, ham)
+        point = TransportPoint(params, ham)
+        liouv, ss = point.liouv, point.ss
         d = liouv.dim_rho
         ctx = f"{name}"
 
@@ -184,26 +179,21 @@ def _full_checks() -> list[CheckResult]:
                            -float(np.linalg.eigvalsh(ss.rho_ss).min()), 1e-9))
 
         # noise symmetry and the high-frequency Poissonian floor
-        solver = ResolventSolver(liouv, ss)
-        flux = currents(ss, liouv).e
-        sym = max(
-            abs(pair_value(solver, liouv, "e", "e", w, flux)
-                - pair_value(solver, liouv, "e", "e", -w, flux))
-            for w in (0.37, 1.0)
-        )
+        sym = max(abs(point.noise("e", "e", w) - point.noise("e", "e", -w))
+                  for w in (0.37, 1.0))
         out.append(_result("noise-symmetry", ctx, sym, 1e-8))
-        hi = pair_value(solver, liouv, "e", "e", 1000.0, flux)
-        out.append(_result("high-frequency-floor", ctx, abs(hi / (2 * flux) - 1.0), 1e-3))
+        hi = point.noise("e", "e", 1000.0, "fano")
+        out.append(_result("high-frequency-floor", ctx, abs(hi - 1.0), 1e-3))
 
-        # spectrum checks at a reduced documented cutoff
+        # eigenvalue checks at a reduced documented cutoff
         eig_params = replace(params, n_fock=min(params.n_fock, _EIG_CHECK_CUTOFF))
-        _, eig_liouv, _ = transport_point(eig_params, ham)
-        spec = spectrum(eig_liouv)
+        alphas = la.eigvals(TransportPoint(eig_params, ham).liouv.matrix.toarray())
         out.append(_result("eigenvalue-half-plane", f"{ctx} (N_b<={_EIG_CHECK_CUTOFF})",
-                           float(spec.alphas.real.max()), 1e-10))
+                           float(alphas.real.max()), 1e-10))
+        n_stationary = int(np.sum(np.abs(alphas) <= STATIONARY_TOL))
         out.append(_result("unique-stationary-state", f"{ctx} (N_b<={_EIG_CHECK_CUTOFF})",
-                           abs(spec.n_stationary - 1), 0.0))
-        conj_dev = _conjugate_pair_defect(spec.alphas)
+                           abs(n_stationary - 1), 0.0))
+        conj_dev = _conjugate_pair_defect(alphas)
         out.append(_result("conjugate-pair-symmetry", f"{ctx} (N_b<={_EIG_CHECK_CUTOFF})",
                            conj_dev, 1e-10))
     return out

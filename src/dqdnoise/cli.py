@@ -25,14 +25,14 @@ import numpy as np
 from .checks import run_checks
 from .errors import ConfigError, InvariantViolation, NumericalError
 from .model import ModelParams
-from .noise import compute_spectrum
-from .steady import moment_report, transport_point
+from .noise import TransportPoint, compute_spectrum
 from .superop import spectrum as liouvillian_spectrum
 from .sweep import (
     PRESET_NAMES,
     GridResult,
     SweepAxis,
     SweepSpec,
+    fock_convergence,
     preset,
     run_sweep,
 )
@@ -386,16 +386,13 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _single_point_bundle(cfg: RunConfig, hamiltonian: str):
+def _single_point(cfg: RunConfig, hamiltonian: str) -> TransportPoint:
     params = cfg.model
     if cfg.fock_cutoff == "auto":
-        from .sweep import fock_convergence
-
         params = replace(params, n_fock=fock_convergence(params, hamiltonian))
     elif cfg.fock_cutoff is not None:
         params = replace(params, n_fock=int(cfg.fock_cutoff))
-    _, liouv, ss = transport_point(params, hamiltonian)
-    return params, liouv, ss
+    return TransportPoint(params, hamiltonian)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -417,22 +414,22 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if pair[0] != pair[1] and normalization == "fano":
         normalization = "raw"
 
-    params, liouv, ss = _single_point_bundle(cfg, hamiltonian)
+    point = _single_point(cfg, hamiltonian)
     rows = []
     for method in cfg.methods:
         kwargs = {}
         if method == "macdonald":
             t_max = cfg.macdonald_t_max
             if t_max is None:
-                if liouv.dim_rho**2 > 10_000:
+                if point.liouv.dim_rho**2 > 10_000:
                     raise ConfigError(
                         "macdonald.t_max required (system too large to "
                         "auto-derive the relaxation time)"
                     )
-                rate = liouvillian_spectrum(liouv).slowest_decay_rate()
+                rate = liouvillian_spectrum(point.liouv).slowest_decay_rate()
                 t_max = 12.0 / rate
             kwargs = {"t_max": t_max, "dt": cfg.macdonald_dt}
-        ns = compute_spectrum(liouv, ss, pair, grid, method=method,
+        ns = compute_spectrum(point.liouv, point.ss, pair, grid, method=method,
                               normalization=normalization, **kwargs)
         for w, v in zip(ns.omegas, ns.values):
             rows.append((w, v, method, sp.pair, normalization))
@@ -461,13 +458,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_steady(cfg: RunConfig) -> int:
-    params, liouv, ss = _single_point_bundle(cfg, cfg.spectrum.hamiltonian)
-    rep = moment_report(ss, liouv)
+    point = _single_point(cfg, cfg.spectrum.hamiltonian)
     payload = {
         "schema": "dqdnoise.steady.v1",
-        "params": {k: getattr(params, k) for k in _MODEL_FIELDS},
-        "residual": ss.residual,
-        "report": rep.to_dict(),
+        "params": {k: getattr(point.params, k) for k in _MODEL_FIELDS},
+        "residual": point.ss.residual,
+        "report": point.report.to_dict(),
     }
     _write(cfg.output_path, _json_text(payload) + "\n")
     return EXIT_OK

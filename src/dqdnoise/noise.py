@@ -1,7 +1,7 @@
 """Symmetrized finite-frequency noise spectra S(omega)_{i,j} for the
 counted jump channels, by three routes.
 
-resolvent (primary)
+resolvent (primary, ``ResolventSolver.noise``)
     S(w)/2 = Re{-Tr[L_i R(w) L_j rho_ss] - Tr[L_j R(w) L_i rho_ss]}
              + delta_ij Tr[L_i rho_ss],
     with R(w) = Q (i w + L)^{-1} Q, P = |rho_ss><1|, Q = 1 - P. Each
@@ -26,12 +26,16 @@ macdonald (oracle)
 
 A zero-frequency consistency check through counting-field finite
 differences of the stationary eigenvalue completes the method triangle.
+
+:class:`TransportPoint` takes a parameter point to its generator, steady
+state, moment report and resolvent noise.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -39,10 +43,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, MethodUnavailable, NumericalError
-from .steady import SteadyState, channel_flux
+from .model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
+from .steady import (
+    MomentReport,
+    SteadyState,
+    channel_flux,
+    moment_report,
+    solve_steady_state,
+)
 from .superop import (
     LiouvillianSpectrum,
     Superoperator,
+    build_liouvillian,
     counting_liouvillian,
     spectrum,
     trace_vector,
@@ -52,8 +64,7 @@ from .superop import (
 __all__ = [
     "NoiseSpectrum",
     "ResolventSolver",
-    "pair_value",
-    "noise_resolvent",
+    "TransportPoint",
     "noise_eigen_expansion",
     "MacdonaldTrace",
     "macdonald_correlation_trace",
@@ -93,13 +104,13 @@ class ResolventSolver:
 
     def __init__(self, liouv: Superoperator, ss: SteadyState):
         self.liouv = liouv
+        self.ss = ss
         self.rho_vec = vectorize(ss.rho_ss)
         self.tr = trace_vector(liouv.dim_rho)
         self._csc = liouv.matrix.tocsc()
         self._eye = sp.identity(liouv.dim_rho**2, format="csc", dtype=complex)
         self._omega: float | None = None
         self._lu = None
-        self._zero_factor = ss.factor
 
     def q_apply(self, x: np.ndarray) -> np.ndarray:
         return x - self.rho_vec * (self.tr @ x)
@@ -121,39 +132,78 @@ class ResolventSolver:
         rhs = self.q_apply(np.asarray(x, dtype=complex))
         if omega == 0.0:
             rhs[0] = 0.0  # trace constraint row: selects the range-Q solution
-            y = self._zero_factor.solve(rhs)
+            y = self.ss.factor.solve(rhs)
         else:
             y = self._factor(omega).solve(rhs)
         return self.q_apply(y)
 
-
-def pair_value(solver: ResolventSolver, liouv: Superoperator, i: str, j: str,
-               omega: float, i_flux: float) -> float:
-    """S(omega)_{i,j} with a reused solver; ``i_flux`` is Tr[L_i rho_ss]."""
-    ci = liouv.channel(i).part
-    cj = liouv.channel(j).part
-    t_ij = solver.tr @ (ci @ solver.apply(omega, cj @ solver.rho_vec))
-    if i == j:
-        t_ji = t_ij
-    else:
-        t_ji = solver.tr @ (cj @ solver.apply(omega, ci @ solver.rho_vec))
-    raw = -t_ij - t_ji
-    # taking the real part symmetrizes over +-omega; away from omega = 0 the
-    # discarded imaginary part is the genuine antisymmetric component
-    if omega == 0.0 and abs(raw.imag) > REALITY_TOL * max(1.0, abs(raw.real)):
-        warnings.warn(
-            f"zero-frequency noise has imaginary residue {raw.imag:.3e}",
-            stacklevel=3,
-        )
-    delta = i_flux if i == j else 0.0
-    return 2.0 * (raw.real + delta)
+    def noise(self, i: str, j: str, omega: float) -> float:
+        """Symmetrized noise S(omega)_{i,j} in natural units (e = 1)."""
+        ci = self.liouv.channel(i).part
+        cj = self.liouv.channel(j).part
+        t_ij = self.tr @ (ci @ self.apply(omega, cj @ self.rho_vec))
+        t_ji = t_ij if i == j else self.tr @ (cj @ self.apply(omega, ci @ self.rho_vec))
+        raw = -t_ij - t_ji
+        # taking the real part symmetrizes over +-omega; away from omega = 0 the
+        # discarded imaginary part is the genuine antisymmetric component
+        if omega == 0.0 and abs(raw.imag) > REALITY_TOL * max(1.0, abs(raw.real)):
+            warnings.warn(
+                f"zero-frequency noise has imaginary residue {raw.imag:.3e}",
+                stacklevel=2,
+            )
+        delta = channel_flux(self.ss, self.liouv, i) if i == j else 0.0
+        return 2.0 * (raw.real + delta)
 
 
-def noise_resolvent(liouv: Superoperator, ss: SteadyState, i: str, j: str,
-                    omega: float, solver: ResolventSolver | None = None) -> float:
-    """Symmetrized noise S(omega)_{i,j} in natural units (e = 1)."""
-    solver = solver or ResolventSolver(liouv, ss)
-    return pair_value(solver, liouv, i, j, float(omega), channel_flux(ss, liouv, i))
+def _check_normalization(normalization: str, i: str, j: str) -> None:
+    if normalization not in ("raw", "fano"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    if normalization == "fano" and i != j:
+        raise ValueError("fano normalization applies to autocorrelation pairs only")
+
+
+def _fano(values, flux: float, channel: str):
+    """S / 2 I_i; a channel without flux has no Fano factor."""
+    if flux <= 0:
+        raise NumericalError(f"cannot Fano-normalize: channel {channel!r} flux is {flux:g}")
+    return values / (2.0 * flux)
+
+
+class TransportPoint:
+    """One transport parameter point: generator, steady state, moment
+    report and resolvent noise.
+
+    ``hamiltonian`` is "full" (the complete dot-resonator coupling) or
+    "jc" (the rotating-wave form). The generator and the steady state are
+    built on construction; the moment report and the resolvent solver
+    are built on first use and kept.
+    """
+
+    def __init__(self, params: ModelParams, hamiltonian: str = "full"):
+        if hamiltonian not in ("full", "jc"):
+            raise ValueError(f"hamiltonian must be 'full' or 'jc', got {hamiltonian!r}")
+        build = build_jc_hamiltonian if hamiltonian == "jc" else build_hamiltonian
+        space = params.space()
+        ops = build_operators(space)
+        self.params = params
+        self.liouv = build_liouvillian(build(params, space, ops), params, ops)
+        self.ss = solve_steady_state(self.liouv)
+
+    @cached_property
+    def report(self) -> MomentReport:
+        return moment_report(self.ss, self.liouv)
+
+    @cached_property
+    def solver(self) -> ResolventSolver:
+        return ResolventSolver(self.liouv, self.ss)
+
+    def noise(self, i: str, j: str, omega: float, normalization: str = "raw") -> float:
+        """S(omega)_{i,j}, "raw" or "fano" (S / 2 I_i, autocorrelation only)."""
+        _check_normalization(normalization, i, j)
+        value = self.solver.noise(i, j, omega)
+        if normalization == "fano":
+            value = _fano(value, channel_flux(self.ss, self.liouv, i), i)
+        return value
 
 
 def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | np.ndarray:
@@ -404,17 +454,12 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState, pair: tuple[str, str
     """Evaluate one channel pair on a frequency grid with the chosen method."""
     i, j = pair
     omegas = np.asarray(omegas, dtype=float)
-    if normalization not in ("raw", "fano"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    if normalization == "fano" and i != j:
-        raise ValueError("fano normalization applies to autocorrelation pairs only")
+    _check_normalization(normalization, i, j)
 
     flux = channel_flux(ss, liouv, i)
     if method == "resolvent":
         solver = ResolventSolver(liouv, ss)
-        values = np.array(
-            [pair_value(solver, liouv, i, j, w, flux) for w in omegas]
-        )
+        values = np.array([solver.noise(i, j, w) for w in omegas])
     elif method == "eigen":
         if i != j:
             raise MethodUnavailable("eigen-expansion covers autocorrelation pairs only")
@@ -433,9 +478,7 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState, pair: tuple[str, str
         raise ValueError(f"unknown method {method!r}")
 
     if normalization == "fano":
-        if flux <= 0:
-            raise NumericalError(f"cannot Fano-normalize: channel {i!r} flux is {flux:g}")
-        values = values / (2.0 * flux)
+        values = _fano(values, flux, i)
     return NoiseSpectrum(pair=pair, omegas=omegas, values=values,
                          normalization=normalization, method=method)
 

@@ -21,14 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
-from .model import (
-    ModelParams,
-    OperatorSet,
-    build_hamiltonian,
-    build_jc_hamiltonian,
-    build_operators,
-)
-from .superop import Superoperator, build_liouvillian, devectorize, trace_vector, vectorize
+from .superop import Superoperator, devectorize, trace_vector, vectorize
 
 __all__ = [
     "SteadyState",
@@ -36,11 +29,9 @@ __all__ = [
     "MomentReport",
     "solve_steady_state",
     "trace_replaced_system",
-    "transport_point",
     "channel_flux",
     "currents",
     "mode_moments",
-    "expectation",
     "fano_number",
     "quadrature_variance",
     "min_quadrature_variance",
@@ -177,26 +168,6 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
             "the Fock cutoff is likely too small, increase n_fock"
         )
     return SteadyState(rho_ss=rho, residual=residual, factor=lu)
-
-
-def transport_point(params: ModelParams, hamiltonian: str = "full"
-                    ) -> tuple[OperatorSet, Superoperator, SteadyState]:
-    """(operators, generator, steady state) of one transport parameter point.
-
-    ``hamiltonian`` is "full" (the complete dot-resonator coupling) or
-    "jc" (the rotating-wave form).
-    """
-    if hamiltonian not in ("full", "jc"):
-        raise ValueError(f"hamiltonian must be 'full' or 'jc', got {hamiltonian!r}")
-    build = build_jc_hamiltonian if hamiltonian == "jc" else build_hamiltonian
-    space = params.space()
-    ops = build_operators(space)
-    liouv = build_liouvillian(build(params, space, ops), params, ops)
-    return ops, liouv, solve_steady_state(liouv)
-
-
-def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
-    return complex(np.trace(op @ rho))
 
 
 def channel_flux(ss: SteadyState, liouv: Superoperator, cid: str) -> float:

@@ -148,10 +148,6 @@ class Superoperator:
                 f"unknown channel {channel_id!r}; have {sorted(self.channels)}"
             ) from None
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Action d rho / dt = L[rho] on a density matrix."""
-        return devectorize(self.matrix @ vectorize(rho))
-
 
 @dataclass
 class LiouvillianSpectrum:

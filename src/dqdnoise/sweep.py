@@ -22,14 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NumericalError
 from .model import ModelParams
-from .noise import ResolventSolver, pair_value
-from .steady import (
-    currents,
-    fano_number,
-    min_quadrature_variance,
-    mode_moments,
-    transport_point,
-)
+from .noise import TransportPoint
 
 __all__ = [
     "SweepAxis",
@@ -49,15 +42,16 @@ AXIS_NAMES = ("omega", "g", "delta", "epsilon", "T")
 FOCK_RTOL = 1e-6
 _PARAM_FIELD = {"g": "g", "delta": "delta", "epsilon": "epsilon", "T": "temperature"}
 
-#: quantity -> (channel pair, normalization); None marks steady-state-only
+#: quantity -> (channel pair, normalization) of a noise spectrum, or the
+#: MomentReport field of a steady-state quantity
 QUANTITIES = {
     "S_ee": (("e", "e"), "fano"),
     "S_bb": (("b", "b"), "fano"),
     "S_eb": (("e", "b"), "raw"),
-    "I_e": None,
-    "I_b": None,
-    "F_Q": None,
-    "quad_min": None,
+    "I_e": "current_e",
+    "I_b": "current_b",
+    "F_Q": "fano_q",
+    "quad_min": "quad_min",
 }
 
 
@@ -161,8 +155,8 @@ def fock_convergence(params: ModelParams, hamiltonian: str = "full",
 
     def values(n: int) -> tuple[float, float]:
         if n not in cache:
-            _, liouv, ss = transport_point(replace(params, n_fock=n), hamiltonian)
-            cache[n] = (currents(ss, liouv).e, mode_moments(ss)[2])
+            report = TransportPoint(replace(params, n_fock=n), hamiltonian).report
+            cache[n] = (report.current_e, report.mean_n)
         return cache[n]
 
     n = 1
@@ -188,43 +182,12 @@ def _axis_params(base: ModelParams, names: list[str], vals: list[float],
     return replace(base, **kw)
 
 
-class _PointEngine:
-    """Steady state plus lazily built resolvent machinery for one parameter point."""
-
-    def __init__(self, params: ModelParams, hamiltonian: str = "full"):
-        _, self.liouv, self.ss = transport_point(params, hamiltonian)
-        self._solver = None
-        self._currents = None
-
-    @property
-    def solver(self) -> ResolventSolver:
-        if self._solver is None:
-            self._solver = ResolventSolver(self.liouv, self.ss)
-        return self._solver
-
-    @property
-    def flux(self):
-        if self._currents is None:
-            self._currents = currents(self.ss, self.liouv)
-        return self._currents
-
-    def quantity(self, name: str, omega: float) -> float:
-        if name == "I_e":
-            return self.flux.e
-        if name == "I_b":
-            return self.flux.b
-        if name == "F_Q":
-            return fano_number(self.ss)
-        if name == "quad_min":
-            return min_quadrature_variance(self.ss)[1]
-        (i, j), norm = QUANTITIES[name]
-        flux_i = getattr(self.flux, i)
-        value = pair_value(self.solver, self.liouv, i, j, omega, flux_i)
-        if norm == "fano":
-            if flux_i <= 0:
-                raise NumericalError(f"cannot Fano-normalize {name}: zero channel flux")
-            value /= 2.0 * flux_i
-        return value
+def _quantity(point: TransportPoint, name: str, omega: float) -> float:
+    what = QUANTITIES[name]
+    if isinstance(what, str):
+        return getattr(point.report, what)
+    (i, j), normalization = what
+    return point.noise(i, j, omega, normalization)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
@@ -278,8 +241,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
         pnames = [names[k] for k in param_axes]
         pvals = [float(axis_values[k][i]) for k, i in zip(param_axes, task_idx)]
         try:
-            engine = _PointEngine(_axis_params(spec.base, pnames, pvals, n_fock),
-                                  spec.hamiltonian)
+            point = TransportPoint(_axis_params(spec.base, pnames, pvals, n_fock),
+                                   spec.hamiltonian)
         except Exception as exc:  # noqa: BLE001 - recorded as an explicit gap
             return [(_full_index(task_idx, w_i), None, str(exc))
                     for w_i in _omega_indices()]
@@ -288,7 +251,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
             omega = float(axis_values[omega_axis][w_i]) if omega_axis is not None else 0.0
             full = _full_index(task_idx, w_i)
             try:
-                vals = {q: engine.quantity(q, omega) for q in spec.quantities}
+                vals = {q: _quantity(point, q, omega) for q in spec.quantities}
                 out.append((full, vals, None))
             except Exception as exc:  # noqa: BLE001
                 out.append((full, None, str(exc)))

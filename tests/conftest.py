@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dqdnoise import steady
+from dqdnoise import noise
 from dqdnoise.model import ModelParams
-from dqdnoise.steady import transport_point
+from dqdnoise.noise import TransportPoint
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +15,7 @@ def fig2_params():
 
 @pytest.fixture(scope="session")
 def fig2_bundle(fig2_params):
-    return transport_point(fig2_params)
+    return TransportPoint(fig2_params)
 
 
 @pytest.fixture()
@@ -25,13 +25,13 @@ def rng():
 
 @pytest.fixture()
 def operator_builds(monkeypatch):
-    """Spaces passed to ``steady.build_operators`` while the test runs."""
+    """Spaces passed to ``build_operators`` by ``TransportPoint`` while the test runs."""
     calls = []
-    build = steady.build_operators
+    build = noise.build_operators
 
     def counting(space):
         calls.append(space)
         return build(space)
 
-    monkeypatch.setattr(steady, "build_operators", counting)
+    monkeypatch.setattr(noise, "build_operators", counting)
     return calls

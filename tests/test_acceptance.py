@@ -13,14 +13,12 @@ import numpy as np
 from dqdnoise.checks import run_checks
 from dqdnoise.model import ModelParams, resonance_branches
 from dqdnoise.noise import (
-    ResolventSolver,
+    TransportPoint,
     counting_fd_check,
     find_peaks_xy,
     macdonald_correlation_trace,
     macdonald_evaluate,
-    pair_value,
 )
-from dqdnoise.steady import currents, transport_point
 from dqdnoise.superop import spectrum
 
 FIG2 = dict(epsilon=0.0, omega_b=1.0, gamma_L=0.01, gamma_R=0.01,
@@ -33,23 +31,9 @@ def announce(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-class FanoCurve:
-    """Resolvent S_ii(w)/2I_i evaluator sharing one resolvent solver."""
-
-    def __init__(self, params: ModelParams, hamiltonian: str = "jc",
-                 pair=("e", "e")):
-        _, self.liouv, self.ss = transport_point(params, hamiltonian)
-        self.solver = ResolventSolver(self.liouv, self.ss)
-        self.pair = pair
-        self.flux = float(np.real(
-            self.solver.tr @ (self.liouv.channel(pair[0]).part @ self.solver.rho_vec)))
-
-    def value(self, omega: float) -> float:
-        i, j = self.pair
-        return pair_value(self.solver, self.liouv, i, j, omega, self.flux)
-
-    def fano(self, omegas) -> np.ndarray:
-        return np.array([self.value(w) for w in np.atleast_1d(omegas)]) / (2 * self.flux)
+def fano(point: TransportPoint, omegas) -> np.ndarray:
+    """Resolvent S_ee(w)/2I_e of one point on a frequency grid."""
+    return np.array([point.noise("e", "e", w, "fano") for w in omegas])
 
 
 def above_floor_peaks(omegas, fano_values):
@@ -64,9 +48,9 @@ def nearest_peak_error(peaks, target, window=0.1):
 def test_criterion_1_resonance_triplet():
     """Peaks of S_ee/2I at {0.6, 1.0, 1.4} within 0.02 (g=0.4 preset)."""
     params = ModelParams(delta=0.5, g=0.4, n_fock=6, **FIG2)
-    curve = FanoCurve(params)
+    point = TransportPoint(params, "jc")
     omegas = np.linspace(0.2, 1.8, 300)
-    peaks = above_floor_peaks(omegas, curve.fano(omegas))
+    peaks = above_floor_peaks(omegas, fano(point, omegas))
     errs = {t: nearest_peak_error(peaks, t) for t in (0.6, 1.0, 1.4)}
     ok = all(e is not None and e <= 0.02 for e in errs.values())
     announce(1, ok, f"peak position errors {errs} (peaks {peaks})")
@@ -82,9 +66,9 @@ def test_criterion_2_branch_separation_scales_with_coupling():
     results = {}
     for g in (0.2, 0.4):
         params = ModelParams(delta=0.5, g=g, n_fock=6, **FIG2)
-        curve = FanoCurve(params)
+        point = TransportPoint(params, "jc")
         omegas = np.linspace(0.2, 1.8, 300)
-        peaks = above_floor_peaks(omegas, curve.fano(omegas))
+        peaks = above_floor_peaks(omegas, fano(point, omegas))
         lower = [w for w, _ in peaks if abs(w - (1.0 - g)) <= 0.1]
         upper = [w for w, _ in peaks if abs(w - (1.0 + g)) <= 0.1]
         assert lower and upper, f"missing outer branches at g={g}: {peaks}"
@@ -102,10 +86,10 @@ def test_criterion_3_thermal_suppression_of_side_peaks():
     for temperature in (0.0, 0.5, 1.0):
         params = ModelParams(delta=0.5, g=0.4, n_fock=15,
                              **{**FIG2, "temperature": temperature})
-        curve = FanoCurve(params)
+        point = TransportPoint(params, "jc")
         for target in heights:
             window = np.linspace(target - 0.08, target + 0.08, 21)
-            heights[target].append(float(curve.fano(window).max()))
+            heights[target].append(float(fano(point, window).max()))
     ok = all(h[0] > h[1] > h[2] for h in heights.values())
     announce(3, ok, f"side-peak heights vs T=(0,0.5,1): {heights}")
     assert ok, f"side-peak heights not strictly decreasing: {heights}"
@@ -120,15 +104,15 @@ def test_criterion_4_off_resonant_hyperbolae():
         for delta in (0.3, 0.4, 0.5, 0.6, 0.7):
             params = ModelParams(delta=delta, g=g, n_fock=6, **FIG2)
             de_up, de_low, _ = resonance_branches(params)
-            curve = FanoCurve(params)
+            point = TransportPoint(params, "jc")
             for label, target in (("up", de_up), ("low", de_low)):
                 window = np.linspace(target - 0.12, target + 0.12, 61)
-                peaks = find_peaks_xy(window, curve.fano(window))
+                peaks = find_peaks_xy(window, fano(point, window))
                 err = nearest_peak_error(peaks, target, window=0.12)
                 errors[(g, delta, label)] = err
             if delta == 0.5:
-                up = nearest_extracted(curve, de_up)
-                low = nearest_extracted(curve, de_low)
+                up = nearest_extracted(point, de_up)
+                low = nearest_extracted(point, de_low)
                 gaps[g] = up - low
     grows = gaps[0.4] > gaps[0.1]
     bad = {k: v for k, v in errors.items() if v is None or v > tol}
@@ -142,11 +126,11 @@ def test_criterion_4_off_resonant_hyperbolae():
     )
 
 
-def nearest_extracted(curve: FanoCurve, target: float) -> float:
+def nearest_extracted(point: TransportPoint, target: float) -> float:
     window = np.linspace(target - 0.12, target + 0.12, 61)
-    peaks = find_peaks_xy(window, curve.fano(window))
+    peaks = find_peaks_xy(window, fano(point, window))
     if not peaks:
-        return float(window[np.argmax(curve.fano(window))])
+        return float(window[np.argmax(fano(point, window))])
     return min((w for w, _ in peaks), key=lambda w: abs(w - target))
 
 
@@ -161,11 +145,10 @@ def test_criterion_5_zero_frequency_fano_structure():
             params = ModelParams(g=0.0008, n_fock=25,
                                  **{**FIG5, "epsilon": float(eps),
                                     "temperature": temperature})
-            curve = FanoCurve(params, hamiltonian="full")
-            vals.append(float(curve.fano(0.0)[0]))
+            vals.append(TransportPoint(params).noise("e", "e", 0.0, "fano"))
         maxima.append(max(vals))
     strong = ModelParams(g=0.4, n_fock=8, **FIG5)
-    strong_value = float(FanoCurve(strong, hamiltonian="full").fano(0.0)[0])
+    strong_value = TransportPoint(strong).noise("e", "e", 0.0, "fano")
 
     super_poissonian = maxima[0] > 1.0
     monotone = all(maxima[k] > maxima[k + 1] for k in range(4))
@@ -184,20 +167,14 @@ def test_criterion_6_cross_correlation_structure():
     zero_vals = []
     for eps in (-1.0, 0.0, 0.7):
         params = ModelParams(g=0.0, n_fock=6, **{**FIG5, "epsilon": eps})
-        _, liouv, ss = transport_point(params)
-        solver = ResolventSolver(liouv, ss)
-        flux = currents(ss, liouv).e
-        zero_vals.append(abs(pair_value(solver, liouv, "e", "b", 0.0, flux)))
+        zero_vals.append(abs(TransportPoint(params).noise("e", "b", 0.0)))
     decoupled_ok = max(zero_vals) <= 1e-10
 
     eps_grid = np.arange(0.7, 2.301, 0.02)
     vals = []
     for eps in eps_grid:
         params = ModelParams(g=0.4, n_fock=10, **{**FIG5, "epsilon": float(eps)})
-        _, liouv, ss = transport_point(params)
-        solver = ResolventSolver(liouv, ss)
-        flux = currents(ss, liouv).e
-        vals.append(pair_value(solver, liouv, "e", "b", 0.0, flux))
+        vals.append(TransportPoint(params).noise("e", "b", 0.0))
     peaks = find_peaks_xy(eps_grid, np.array(vals))
     errs = {k: nearest_peak_error(peaks, float(k), window=0.2) for k in (1, 2)}
     peaks_ok = all(e is not None and e <= 0.05 for e in errs.values())
@@ -211,8 +188,6 @@ def test_criterion_6_cross_correlation_structure():
 def test_criterion_7_squeezing_maps():
     """Fig 6: sub-Poissonian window in both measures, no quadrature
     squeezing anywhere, and zero cross-correlation at g=0 for all T."""
-    from dqdnoise.steady import fano_number, min_quadrature_variance
-
     g_grid = np.linspace(0.0, 0.4, 17)
     quad_floor = 0.0
     squeezed_g = []
@@ -221,20 +196,14 @@ def test_criterion_7_squeezing_maps():
         for g in g_grid:
             params = ModelParams(delta=0.5, g=float(g), n_fock=15,
                                  **{**FIG2, "temperature": temperature})
-            _, liouv, ss = transport_point(params)
-            qmin = min_quadrature_variance(ss)[1]
-            quad_floor = min(quad_floor, qmin)
+            point = TransportPoint(params)
+            quad_floor = min(quad_floor, point.report.quad_min)
             if g == 0.0:
-                solver = ResolventSolver(liouv, ss)
-                flux = currents(ss, liouv).e
-                cross_at_zero.append(abs(pair_value(solver, liouv, "e", "b",
-                                                    0.0, flux)))
+                cross_at_zero.append(abs(point.noise("e", "b", 0.0)))
             if temperature == 0.0 and 0.05 <= g <= 0.35:
-                fq = fano_number(ss)
-                flux_b = currents(ss, liouv).b
-                if flux_b > 0:
-                    solver = ResolventSolver(liouv, ss)
-                    sbb = pair_value(solver, liouv, "b", "b", 0.0, flux_b) / (2 * flux_b)
+                fq = point.report.fano_q
+                if point.report.current_b > 0:
+                    sbb = point.noise("b", "b", 0.0, "fano")
                     if fq < 1.0 and sbb < 1.0:
                         squeezed_g.append((float(g), fq, sbb))
 
@@ -292,23 +261,21 @@ def test_criterion_8_method_triangle():
     worst_fd = ("", 0.0)
     for name, ham, pair, points in _triangle_samples():
         for params, omegas in points:
-            _, liouv, ss = transport_point(params, ham)
-            solver = ResolventSolver(liouv, ss)
+            point = TransportPoint(params, ham)
+            liouv, ss = point.liouv, point.ss
             i, j = pair
-            flux = float(np.real(
-                solver.tr @ (liouv.channel(i).part @ solver.rho_vec)))
             rate = spectrum(liouv).slowest_decay_rate()
             zero_only = list(omegas) == [0.0]
             dt = 1.0 if zero_only else 0.02
             trace = macdonald_correlation_trace(liouv, ss, i, j,
                                                 t_max=15.0 / rate, dt=dt)
             for w in omegas:
-                res = pair_value(solver, liouv, i, j, float(w), flux)
+                res = point.noise(i, j, float(w))
                 mac = float(np.atleast_1d(macdonald_evaluate(trace, float(w)))[0])
                 rel = abs(res - mac) / max(abs(res), abs(mac), 1e-10)
                 if rel > worst_mac[1]:
                     worst_mac = (f"{name} w={w}", rel)
-            res0 = pair_value(solver, liouv, i, j, 0.0, flux)
+            res0 = point.noise(i, j, 0.0)
             fd = counting_fd_check(liouv, ss, i, j)
             rel = abs(res0 - fd) / max(abs(res0), abs(fd), 1e-10)
             if rel > worst_fd[1]:

@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from dqdnoise.errors import ConvergenceFailure, MethodUnavailable
+from dqdnoise import noise
+from dqdnoise.errors import ConvergenceFailure, MethodUnavailable, NumericalError
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import (
     NoiseSpectrum,
     ResolventSolver,
+    TransportPoint,
     compute_spectrum,
     counting_fd_check,
     find_peaks,
@@ -16,14 +18,8 @@ from dqdnoise.noise import (
     macdonald_evaluate,
     noise_eigen_expansion,
     noise_macdonald_oracle,
-    noise_resolvent,
 )
-from dqdnoise.steady import (
-    currents,
-    solve_steady_state,
-    trace_replaced_system,
-    transport_point,
-)
+from dqdnoise.steady import currents, solve_steady_state, trace_replaced_system
 from dqdnoise.superop import assemble_liouvillian, spectrum, trace_vector, vectorize
 from dqdnoise.sweep import SweepAxis, SweepSpec, run_sweep
 
@@ -48,25 +44,20 @@ class TestResolvent:
     def test_single_level_zero_frequency(self, gl, gr):
         liouv, ss = single_level(gl, gr)
         flux = currents(ss, liouv).e
-        s0 = noise_resolvent(liouv, ss, "e", "e", 0.0)
+        s0 = ResolventSolver(liouv, ss).noise("e", "e", 0.0)
         assert s0 / (2 * flux) == pytest.approx(analytic_fano(gl, gr), abs=1e-10)
 
     def test_cross_correlation_vanishes_decoupled(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.5, n_fock=10)
-        _, liouv, ss = transport_point(p)
-        assert abs(noise_resolvent(liouv, ss, "e", "b", 0.0)) <= 1e-10
+        assert abs(TransportPoint(p).noise("e", "b", 0.0)) <= 1e-10
 
     def test_high_frequency_poissonian_floor(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
-        flux = currents(ss, liouv).e
-        val = noise_resolvent(liouv, ss, "e", "e", 1000.0)
-        assert abs(val / (2 * flux) - 1.0) <= 1e-3
+        assert abs(fig2_bundle.noise("e", "e", 1000.0, "fano") - 1.0) <= 1e-3
 
     def test_symmetry_in_frequency(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
         for w in (0.31, 0.7, 1.2):
-            sp = noise_resolvent(liouv, ss, "e", "e", w)
-            sm = noise_resolvent(liouv, ss, "e", "e", -w)
+            sp = fig2_bundle.noise("e", "e", w)
+            sm = fig2_bundle.noise("e", "e", -w)
             assert abs(sp - sm) <= 1e-8
 
     def test_projector_identities(self):
@@ -80,9 +71,37 @@ class TestResolvent:
         assert np.max(np.abs(p_mat @ q_mat)) < 1e-10
 
     def test_autocorrelation_positive(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
         for w in (0.0, 0.5, 1.0):
-            assert noise_resolvent(liouv, ss, "e", "e", w) > -1e-8
+            assert fig2_bundle.noise("e", "e", w) > -1e-8
+
+
+class TestTransportPoint:
+    def test_rejects_unknown_hamiltonian(self):
+        with pytest.raises(ValueError, match="hamiltonian"):
+            TransportPoint(ModelParams(n_fock=2), "rwa")
+
+    def test_builds_and_solves_once_and_caches(self, fig2_params, operator_builds,
+                                               monkeypatch):
+        solves = []
+        solve = noise.solve_steady_state
+
+        def counting(liouv):
+            solves.append(liouv)
+            return solve(liouv)
+
+        monkeypatch.setattr(noise, "solve_steady_state", counting)
+        point = TransportPoint(fig2_params)
+        assert point.report is point.report
+        assert point.solver is point.solver
+        point.noise("e", "e", 0.5, "fano")
+        point.noise("e", "b", 0.0)
+        assert len(operator_builds) == 1 and len(solves) == 1
+
+    def test_fano_normalization_rejects_zero_flux(self):
+        blocked = TransportPoint(ModelParams(delta=0.0, g=0.0, n_fock=2))
+        assert blocked.report.current_e == 0.0
+        with pytest.raises(NumericalError, match="Fano-normalize"):
+            blocked.noise("e", "e", 0.0, "fano")
 
 
 @pytest.fixture()
@@ -101,7 +120,7 @@ def splu_calls(monkeypatch):
 
 class TestResolventFactorCache:
     def test_cross_pair_spectrum_factors_once_per_frequency(self, fig2_bundle, splu_calls):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         grid = np.array([0.4, 1.0, 1.3])
         compute_spectrum(liouv, ss, ("e", "b"), grid, normalization="raw")
         assert len(splu_calls) == grid.size
@@ -119,7 +138,7 @@ class TestSharedZeroFrequencyFactor:
         assert len(splu_calls) == result.data["S_ee"].size
 
     def test_zero_frequency_apply_matches_fresh_factorization(self, fig2_bundle, rng):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         solver = ResolventSolver(liouv, ss)
         d2 = liouv.dim_rho**2
         x = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
@@ -139,23 +158,23 @@ class TestMacdonald:
 
     def test_cross_pair_decoupled(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=3)
-        _, liouv, ss = transport_point(p)
+        point = TransportPoint(p)
+        liouv, ss = point.liouv, point.ss
         rate = spectrum(liouv).slowest_decay_rate()
         val = noise_macdonald_oracle(liouv, ss, "e", "b", 0.7,
                                      t_max=12 / rate, dt=0.02)
         assert abs(val) <= 1e-6
 
     def test_matches_resolvent_fig2(self):
-        p = ModelParams(delta=0.5, g=0.2, n_fock=6)
-        _, liouv, ss = transport_point(p)
-        rate = spectrum(liouv).slowest_decay_rate()
-        mac = noise_macdonald_oracle(liouv, ss, "e", "e", 1.0,
+        point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=6))
+        rate = spectrum(point.liouv).slowest_decay_rate()
+        mac = noise_macdonald_oracle(point.liouv, point.ss, "e", "e", 1.0,
                                      t_max=12 / rate, dt=0.02)
-        res = noise_resolvent(liouv, ss, "e", "e", 1.0)
+        res = point.noise("e", "e", 1.0)
         assert abs(mac - res) / abs(res) <= 1e-5
 
     def test_frequency_array_shares_trace(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         rate = spectrum(liouv).slowest_decay_rate()
         trace = macdonald_correlation_trace(liouv, ss, "e", "e",
                                             t_max=12 / rate, dt=0.02)
@@ -169,7 +188,8 @@ class TestMacdonald:
     def test_blocked_sum_matches_plain_stepping(self, pair, n_steps):
         i, j = pair
         dt = 0.25
-        _, liouv, ss = transport_point(ModelParams(delta=0.5, g=0.2, n_fock=2))
+        point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=2))
+        liouv, ss = point.liouv, point.ss
         trace = macdonald_correlation_trace(liouv, ss, i, j, t_max=n_steps * dt, dt=dt,
                                             tail_rtol=1.0)
         assert trace.f.size == n_steps + 1
@@ -196,7 +216,7 @@ class TestMacdonald:
         assert np.max(np.abs(trace.f - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_insufficient_t_max_raises(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         with pytest.raises(ConvergenceFailure, match="increase t_max"):
             macdonald_correlation_trace(liouv, ss, "e", "e", t_max=20.0, dt=0.02)
 
@@ -217,7 +237,7 @@ class TestMacdonald:
         assert vals[1] < 1e-6
 
     def test_input_validation(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         with pytest.raises(ValueError):
             macdonald_correlation_trace(liouv, ss, "e", "e", t_max=-1.0, dt=0.1)
 
@@ -231,13 +251,13 @@ class TestEigenExpansion:
         assert val == pytest.approx(analytic_fano(0.1, 0.025), abs=1e-10)
 
     def test_high_frequency_limit(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         spec = spectrum(liouv)
         val = noise_eigen_expansion(spec, liouv.channel("e"), 1e4)
         assert abs(val - 1.0) <= 1e-3
 
     def test_reality_of_conjugate_pair_sum(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         spec = spectrum(liouv)
         grid = np.linspace(0.2, 1.8, 50)
         import warnings
@@ -250,7 +270,7 @@ class TestEigenExpansion:
     def test_locates_rabi_branch(self):
         # diagnostic role: a strong mode at the upper branch is resolved
         p = ModelParams(delta=0.5, g=0.4, n_fock=6)
-        _, liouv, ss = transport_point(p, hamiltonian="jc")
+        liouv = TransportPoint(p, hamiltonian="jc").liouv
         spec = spectrum(liouv)
         grid = np.linspace(1.2, 1.6, 801)
         vals = np.atleast_1d(noise_eigen_expansion(spec, liouv.channel("e"), grid))
@@ -267,21 +287,22 @@ class TestCountingFiniteDifference:
 
     def test_cross_pair_decoupled(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.5, n_fock=8)
-        _, liouv, ss = transport_point(p)
+        point = TransportPoint(p)
+        liouv, ss = point.liouv, point.ss
         assert abs(counting_fd_check(liouv, ss, "e", "b")) <= 1e-6
 
     def test_matches_resolvent_fig5_point(self):
         p = ModelParams(epsilon=0.0, delta=0.1, g=0.0008, gamma_L=0.1,
                         gamma_R=0.001, gamma_b=0.01, n_fock=4)
-        _, liouv, ss = transport_point(p)
-        fd = counting_fd_check(liouv, ss, "e", "e")
-        res = noise_resolvent(liouv, ss, "e", "e", 0.0)
+        point = TransportPoint(p)
+        fd = counting_fd_check(point.liouv, point.ss, "e", "e")
+        res = point.noise("e", "e", 0.0)
         assert abs(fd - res) / abs(res) <= 1e-4
 
     def test_first_derivative_reproduces_current(self, fig2_bundle):
         # the delta_ij part of the stencil is the shot-noise floor 2 I_e;
         # equivalently I_e in S / 2e^2 units
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         flux = currents(ss, liouv).e
         with_delta = counting_fd_check(liouv, ss, "e", "e")
         without = counting_fd_check(liouv, ss, "e", "e", include_delta=False)
@@ -290,7 +311,7 @@ class TestCountingFiniteDifference:
 
 class TestComputeSpectrum:
     def test_methods_agree_on_grid(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         grid = np.linspace(0.8, 1.2, 9)
         rate = spectrum(liouv).slowest_decay_rate()
         res = compute_spectrum(liouv, ss, ("e", "e"), grid, method="resolvent")
@@ -299,7 +320,7 @@ class TestComputeSpectrum:
         assert np.max(np.abs(res.values - mac.values) / np.abs(res.values)) <= 1e-5
 
     def test_fano_normalization(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         grid = np.array([0.9, 1.1])
         raw = compute_spectrum(liouv, ss, ("e", "e"), grid, normalization="raw")
         fano = compute_spectrum(liouv, ss, ("e", "e"), grid, normalization="fano")
@@ -307,13 +328,13 @@ class TestComputeSpectrum:
         assert np.allclose(raw.values / (2 * flux), fano.values, atol=1e-14)
 
     def test_cross_pair_rejects_fano(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         with pytest.raises(ValueError):
             compute_spectrum(liouv, ss, ("e", "b"), np.array([0.5]),
                              normalization="fano")
 
     def test_eigen_cross_pair_unavailable(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         with pytest.raises(MethodUnavailable):
             compute_spectrum(liouv, ss, ("e", "b"), np.array([0.5]),
                              method="eigen", normalization="raw")
@@ -339,7 +360,8 @@ class TestFindPeaks:
     def test_bare_dot_single_peak_near_splitting(self):
         # with no coupling the only above-floor feature sits at 2 Delta
         p = ModelParams(delta=0.5, g=0.0, n_fock=2)
-        _, liouv, ss = transport_point(p)
+        point = TransportPoint(p)
+        liouv, ss = point.liouv, point.ss
         grid = np.linspace(0.2, 1.8, 600)
         ns = compute_spectrum(liouv, ss, ("e", "e"), grid, normalization="fano")
         above_floor = [(w, h) for w, h in find_peaks(ns) if h > 1.0]
@@ -352,6 +374,5 @@ class TestBlockadeTrend:
         vals = []
         for g in (0.2, 0.4, 0.8):
             p = ModelParams(epsilon=0.0, delta=0.02, g=g, n_fock=12)
-            _, liouv, ss = transport_point(p)
-            vals.append(currents(ss, liouv).e)
+            vals.append(TransportPoint(p).report.current_e)
         assert vals[0] > vals[1] > vals[2]

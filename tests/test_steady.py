@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dqdnoise.errors import DegenerateSteadyState
-from dqdnoise.model import ModelParams, build_hamiltonian, thermal_state
+from dqdnoise.model import ModelParams, build_hamiltonian, build_operators, thermal_state
+from dqdnoise.noise import TransportPoint
 from dqdnoise.steady import (
     currents,
     fano_number,
@@ -13,7 +14,6 @@ from dqdnoise.steady import (
     moment_report,
     quadrature_variance,
     solve_steady_state,
-    transport_point,
 )
 from dqdnoise.superop import build_liouvillian, thermal_occupation, vectorize
 
@@ -31,7 +31,8 @@ class TestSolve:
     def test_blocked_transport_limit(self):
         # g = 0, Delta = 0: electron trapped in L, resonator thermal
         p = ModelParams(delta=0.0, g=0.0, temperature=1.0, n_fock=20)
-        _, liouv, ss = transport_point(p)
+        point = TransportPoint(p)
+        liouv, ss = point.liouv, point.ss
         n_bar = thermal_occupation(1.0, 1.0)
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 1] = 1.0
@@ -41,18 +42,18 @@ class TestSolve:
 
     def test_decoupled_resonator_thermal_occupation(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=26)
-        ops, liouv, ss = transport_point(p)
+        ss = TransportPoint(p).ss
         n_bar = thermal_occupation(1.0, 1.0)
-        mean_n = np.real(np.trace(ops.number @ ss.rho_ss))
+        mean_n = np.real(np.trace(build_operators(p.space()).number @ ss.rho_ss))
         assert mean_n == pytest.approx(n_bar, abs=1e-8)
 
     def test_matches_nullspace_oracle_fig2(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         oracle = nullspace_steady_state(liouv)
         assert np.max(np.abs(ss.rho_ss - oracle)) < 1e-8
 
     def test_state_properties(self, fig2_bundle):
-        _, _, ss = fig2_bundle
+        ss = fig2_bundle.ss
         rho = ss.rho_ss
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
@@ -61,7 +62,7 @@ class TestSolve:
 
     def test_g0_factorization(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=26)
-        _, liouv, ss = transport_point(p)
+        ss = TransportPoint(p).ss
         # independent dot-only route
         dot = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=1)
         # build 3x3 dot steady state from the full solution's dot marginal
@@ -82,20 +83,17 @@ class TestSolve:
         with pytest.raises(DegenerateSteadyState):
             solve_steady_state(liouv)
 
-    def test_transport_point_rejects_unknown_hamiltonian(self):
-        with pytest.raises(ValueError, match="hamiltonian"):
-            transport_point(ModelParams(n_fock=2), "rwa")
-
 
 class TestCurrents:
     def test_charge_conservation(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         cur = currents(ss, liouv)
         assert abs(cur.inflow - cur.e) <= 1e-10
 
     def test_phonon_current_thermal(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=26)
-        _, liouv, ss = transport_point(p)
+        point = TransportPoint(p)
+        liouv, ss = point.liouv, point.ss
         n_bar = thermal_occupation(1.0, 1.0)
         cur = currents(ss, liouv)
         # counted emission weight gamma_b (1 + n_bar) acting on <n> = n_bar
@@ -103,19 +101,22 @@ class TestCurrents:
 
     def test_phonon_current_vanishes_at_zero_temperature(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=4)
-        _, liouv, ss = transport_point(p)
+        point = TransportPoint(p)
+        liouv, ss = point.liouv, point.ss
         assert currents(ss, liouv).b == pytest.approx(0.0, abs=1e-12)
 
     def test_blocked_current_zero(self):
         p = ModelParams(delta=0.0, g=0.0, n_fock=2)
-        _, liouv, ss = transport_point(p)
+        point = TransportPoint(p)
+        liouv, ss = point.liouv, point.ss
         assert currents(ss, liouv).e == pytest.approx(0.0, abs=1e-12)
 
     def test_fig5_point_against_oracle(self):
         p = ModelParams(epsilon=0.0, delta=0.1, g=0.0008, omega_b=1.0,
                         gamma_L=0.1, gamma_R=0.001, gamma_b=0.01,
                         temperature=0.0, n_fock=4)
-        _, liouv, ss = transport_point(p)
+        point = TransportPoint(p)
+        liouv, ss = point.liouv, point.ss
         cur = currents(ss, liouv)
         assert cur.e > 0
         oracle = nullspace_steady_state(liouv)
@@ -124,42 +125,37 @@ class TestCurrents:
         assert cur.e == pytest.approx(flux, rel=1e-8)
 
     def test_all_non_negative(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         cur = currents(ss, liouv)
         assert cur.e >= 0 and cur.b >= 0 and cur.inflow >= 0
 
 
 class TestMoments:
     def test_thermal_fano(self):
-        p = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=30)
-        _, liouv, ss = transport_point(p)
+        ss = TransportPoint(ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=30)).ss
         n_bar = thermal_occupation(1.0, 1.0)
         assert fano_number(ss) == pytest.approx(1 + n_bar, abs=1e-8)
 
     def test_vacuum_fano_flag(self):
-        p = ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=4)
-        _, liouv, ss = transport_point(p)
-        rep = moment_report(ss, liouv)
+        rep = TransportPoint(ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=4)).report
         assert rep.fano_vacuum and rep.fano_q == 0.0
 
     def test_variance_inequality(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
-        rep = moment_report(ss, liouv)
+        rep = fig2_bundle.report
         assert rep.mean_n2 >= rep.mean_n**2 - 1e-14
 
     def test_sub_poissonian_window_exists(self):
-        p = ModelParams(delta=0.5, g=0.1, n_fock=8)
-        _, liouv, ss = transport_point(p)
-        assert fano_number(ss) < 1.0
+        assert fano_number(TransportPoint(ModelParams(delta=0.5, g=0.1, n_fock=8)).ss) < 1.0
 
     def test_report_builds_no_operators(self, fig2_bundle, operator_builds):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         moment_report(ss, liouv)
         assert operator_builds == []
 
     def test_match_composite_operators(self):
-        ops, liouv, ss = transport_point(
-            ModelParams(delta=0.5, g=0.2, temperature=0.5, n_fock=15))
+        p = ModelParams(delta=0.5, g=0.2, temperature=0.5, n_fock=15)
+        point = TransportPoint(p)
+        ops, liouv, ss = build_operators(p.space()), point.liouv, point.ss
 
         def ev(op):
             return complex(np.trace(op @ ss.rho_ss))
@@ -183,7 +179,7 @@ class TestMoments:
         assert (rep.quad_phi_star, rep.quad_min) == pytest.approx(qmin, abs=tol)
 
     def test_rejects_non_dot_dimension(self, fig2_bundle):
-        _, _, ss = fig2_bundle
+        ss = fig2_bundle.ss
         two_level = replace(ss, rho_ss=np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError, match="3-level"):
             mode_moments(two_level)
@@ -192,19 +188,19 @@ class TestMoments:
 class TestQuadrature:
     def test_vacuum_variance_zero(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=0.0, n_fock=4)
-        _, _, ss = transport_point(p)
+        ss = TransportPoint(p).ss
         for phi in np.linspace(0, np.pi, 7):
             assert quadrature_variance(ss, phi) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_variance(self):
         p = ModelParams(delta=0.5, g=0.0, temperature=1.0, n_fock=30)
-        _, _, ss = transport_point(p)
+        ss = TransportPoint(p).ss
         n_bar = thermal_occupation(1.0, 1.0)
         for phi in (0.0, 0.4, 1.1):
             assert quadrature_variance(ss, phi) == pytest.approx(2 * n_bar, abs=1e-8)
 
     def test_closed_form_matches_grid_minimum(self, fig2_bundle):
-        _, _, ss = fig2_bundle
+        ss = fig2_bundle.ss
         phi_star, vmin = min_quadrature_variance(ss)
         phis = np.linspace(0, np.pi, 10_000, endpoint=False)
         vals = np.array([quadrature_variance(ss, p) for p in phis])
@@ -220,14 +216,14 @@ class TestQuadrature:
         assert quadrature_variance(ss, phi_star) == pytest.approx(vmin, abs=1e-12)
 
     def test_pi_periodicity(self, fig2_bundle):
-        _, _, ss = fig2_bundle
+        ss = fig2_bundle.ss
         assert quadrature_variance(ss, 0.3) == pytest.approx(
             quadrature_variance(ss, 0.3 + np.pi), abs=1e-12)
 
 
 class TestMomentReport:
     def test_serializable(self, fig2_bundle):
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         d = moment_report(ss, liouv).to_dict()
         assert set(d) >= {"current_e", "current_b", "current_in", "mean_n",
                           "mean_n2", "fano_q", "quad_min", "quad_phi_star"}

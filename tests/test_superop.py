@@ -95,13 +95,13 @@ class TestBuildLiouvillian:
             assert trace_defect(liouv) <= 1e-10
 
     def test_channel_tags_and_counting_flags(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         assert set(liouv.channels) == {"in", "e", "b", "b_abs"}
         assert liouv.channels["e"].counted and liouv.channels["b"].counted
         assert not liouv.channels["in"].counted and not liouv.channels["b_abs"].counted
 
     def test_absorption_channel_vanishes_at_zero_temperature(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         assert abs(liouv.channels["b_abs"].part).max() == 0.0
 
     def test_rejects_non_hermitian(self):
@@ -128,7 +128,7 @@ class TestBuildLiouvillian:
             assert np.linalg.eigvalsh(out).min() > -1e-12
 
     def test_hermiticity_and_trace_preserved_by_action(self, rng, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         for _ in range(5):
             rho = random_hermitian(rng, liouv.dim_rho)
             lrho = devectorize(liouv.matrix @ vectorize(rho))
@@ -136,7 +136,7 @@ class TestBuildLiouvillian:
             assert abs(np.trace(lrho)) <= 1e-10
 
     def test_channel_completeness_bitwise(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         total = liouv.base
         for ch in liouv.channels.values():
             total = total + ch.part
@@ -182,12 +182,12 @@ class TestThermalGrouping:
 
 class TestCounting:
     def test_unit_multipliers_reproduce_generator(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         m = counting_liouvillian(liouv, {"e": 1.0, "b": 1.0})
         assert abs(m.matrix - liouv.matrix).max() == 0.0
 
     def test_unknown_channel_rejected(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         with pytest.raises(KeyError):
             counting_liouvillian(liouv, {"nope": 0.5})
         with pytest.raises(KeyError):
@@ -195,7 +195,7 @@ class TestCounting:
 
     def test_blocked_channel_leaks_counted_flux(self, fig2_bundle):
         # with s_e = 0 the trace decays at the counted emission rate
-        _, liouv, ss = fig2_bundle
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         m = counting_liouvillian(liouv, {"e": 0.0})
         tr = trace_vector(liouv.dim_rho)
         rho_vec = vectorize(ss.rho_ss)
@@ -204,7 +204,7 @@ class TestCounting:
         assert leak == pytest.approx(-flux, abs=1e-14)
 
     def test_linearity_in_multiplier(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         h = 0.3
         second = (counting_liouvillian(liouv, {"e": 1 + h}).matrix
                   + counting_liouvillian(liouv, {"e": 1 - h}).matrix
@@ -215,20 +215,20 @@ class TestCounting:
 
 class TestSpectrum:
     def test_unique_stationary_and_half_plane(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         spec = spectrum(liouv)
         assert spec.n_stationary == 1
         assert spec.alphas.real.max() <= 1e-10
 
     def test_biorthogonality(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         spec = spectrum(liouv)
         d2 = liouv.dim_rho**2
         defect = np.max(np.abs(spec.left_vectors @ spec.right_vectors - np.eye(d2)))
         assert defect <= 1e-8
 
     def test_conjugate_pair_symmetry(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         alphas = spectrum(liouv).alphas
         for a in alphas:
             if abs(a.imag) > 1e-12:
@@ -244,12 +244,12 @@ class TestSpectrum:
             assert np.min(np.abs(alphas - target)) < 1e-8
 
     def test_slowest_decay_rate(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         rate = spectrum(liouv).slowest_decay_rate()
         assert 0 < rate < 0.05
 
     def test_cached_on_generator(self, fig2_bundle):
-        _, liouv, _ = fig2_bundle
+        liouv = fig2_bundle.liouv
         assert spectrum(liouv) is spectrum(liouv)
 
 

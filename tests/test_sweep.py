@@ -4,9 +4,10 @@ import pathlib
 import numpy as np
 import pytest
 
+from dqdnoise import steady
 from dqdnoise.errors import ConvergenceFailure, NumericalError
 from dqdnoise.model import ModelParams
-from dqdnoise.noise import noise_resolvent
+from dqdnoise.noise import TransportPoint
 from dqdnoise.sweep import (
     PRESET_NAMES,
     SweepAxis,
@@ -123,11 +124,8 @@ class TestRunSweep:
         assert result.data["S_ee"].shape == (2, 3)
         assert not np.any(np.isnan(result.data["S_ee"]))
         # spot check one grid point against the direct computation
-        from dqdnoise.steady import currents, transport_point
-
-        p = ModelParams(delta=0.5, g=0.2, n_fock=4)
-        _, liouv, ss = transport_point(p)
-        expected = noise_resolvent(liouv, ss, "e", "e", 1.0) / (2 * currents(ss, liouv).e)
+        expected = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=4)).noise(
+            "e", "e", 1.0, "fano")
         assert result.data["S_ee"][1, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_quantities_at_zero_frequency_without_omega_axis(self):
@@ -137,11 +135,7 @@ class TestRunSweep:
             quantities=("S_ee", "S_eb"),
         )
         result = run_sweep(spec)
-        from dqdnoise.steady import currents, transport_point
-
-        p = ModelParams(delta=0.5, g=0.1, n_fock=4)
-        _, liouv, ss = transport_point(p)
-        s0 = noise_resolvent(liouv, ss, "e", "e", 0.0) / (2 * currents(ss, liouv).e)
+        s0 = TransportPoint(ModelParams(delta=0.5, g=0.1, n_fock=4)).noise("e", "e", 0.0, "fano")
         assert result.data["S_ee"][0] == pytest.approx(s0, rel=1e-12)
 
     def test_failed_points_become_gaps(self):
@@ -201,6 +195,25 @@ class TestRunSweep:
         result = run_sweep(spec)
         assert not result.gaps
         assert len(operator_builds) == 4
+
+    def test_moments_computed_once_per_point_on_omega_axis(self, monkeypatch):
+        calls = []
+        moments = steady.mode_moments
+
+        def counting(ss):
+            calls.append(ss)
+            return moments(ss)
+
+        monkeypatch.setattr(steady, "mode_moments", counting)
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, temperature=0.5, n_fock=4),
+            axes=(SweepAxis(name="g", values=(0.1, 0.2)),
+                  SweepAxis(name="omega", start=0.0, stop=1.0, count=11)),
+            quantities=("S_ee", "F_Q"),
+        )
+        result = run_sweep(spec)
+        assert not result.gaps
+        assert len(calls) == 2
 
     def test_jc_hamiltonian_variant(self):
         spec = SweepSpec(
