@@ -19,8 +19,10 @@ from .steady import solve_steady_state
 from .superop import (
     STATIONARY_TOL,
     assemble_liouvillian,
+    charge_sector,
     counting_liouvillian,
     devectorize,
+    sector_leak,
     thermal_occupation,
     trace_defect,
     vectorize,
@@ -173,6 +175,10 @@ def _full_checks() -> list[CheckResult]:
         scale = max(1.0, abs(liouv.matrix).max())
         out.append(_result("counting-linearity", ctx,
                            float(abs(second).max()) / scale, 1e-14))
+
+        # the charge-sector block the resolvent solves on is closed under L
+        out.append(_result("charge-sector-closure", ctx,
+                           sector_leak(liouv, charge_sector(d)), 0.0))
 
         out.append(_result("steady-residual", ctx, ss.residual, 1e-10))
         out.append(_result("steady-positivity", ctx,

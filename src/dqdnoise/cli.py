@@ -26,7 +26,7 @@ from .checks import run_checks
 from .errors import ConfigError, InvariantViolation, NumericalError
 from .model import ModelParams
 from .noise import TransportPoint, compute_spectrum
-from .superop import spectrum as liouvillian_spectrum
+from .superop import slowest_decay_rate
 from .sweep import (
     PRESET_NAMES,
     GridResult,
@@ -426,8 +426,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                         "macdonald.t_max required (system too large to "
                         "auto-derive the relaxation time)"
                     )
-                rate = liouvillian_spectrum(point.liouv).slowest_decay_rate()
-                t_max = 12.0 / rate
+                t_max = 12.0 / slowest_decay_rate(point.liouv)
             kwargs = {"t_max": t_max, "dt": cfg.macdonald_dt}
         ns = compute_spectrum(point.liouv, point.ss, pair, grid, method=method,
                               normalization=normalization, **kwargs)

@@ -4,10 +4,13 @@ counted jump channels, by three routes.
 resolvent (primary, ``ResolventSolver.noise``)
     S(w)/2 = Re{-Tr[L_i R(w) L_j rho_ss] - Tr[L_j R(w) L_i rho_ss]}
              + delta_ij Tr[L_i rho_ss],
-    with R(w) = Q (i w + L)^{-1} Q, P = |rho_ss><1|, Q = 1 - P. Each
-    frequency is a direct sparse factorization; w = 0 solves the
-    trace-row-augmented system (pseudo-inverse restricted to range Q)
-    with the factorization the steady-state solve already made.
+    with R(w) = Q (i w + L)^{-1} Q, P = |rho_ss><1|, Q = 1 - P. A point's
+    nonzero frequencies, for every requested channel pair, are solved
+    together on the charge-sector block of L: by back-substitution on one
+    complex Schur form of the block for a large grid on a small block,
+    else by one sparse factorization per frequency. w = 0 solves the
+    trace-row-augmented system (pseudo-inverse restricted to range Q) with
+    the factorization the steady-state solve already made.
 
 eigen (diagnostic)
     S(w)/2I = 1 - 2 sum_k c_k alpha_k / (w^2 + alpha_k^2) over the
@@ -55,7 +58,9 @@ from .superop import (
     LiouvillianSpectrum,
     Superoperator,
     build_liouvillian,
+    charge_sector,
     counting_liouvillian,
+    sector_leak,
     spectrum,
     trace_vector,
     vectorize,
@@ -90,16 +95,26 @@ class NoiseSpectrum:
     method: str  # "resolvent", "eigen" or "macdonald"
 
 
+#: Schur path cut (:meth:`ResolventSolver._use_schur`), from the break-even
+#: table in CHANGES.md (BLAS threads 1). SCHUR_MAX_DIM bounds the memory of
+#: the dense form: T and Z take 2 x 16 n^2 bytes, 52 MB at n = 1280.
+SCHUR_BREAK_EVEN = 0.017
+SCHUR_MAX_DIM = 1280
+
+
 class ResolventSolver:
-    """Projected-resolvent applications R(w) x.
+    """Projected-resolvent applications R(w) x and the noise built on them.
 
     P projects onto the stationary direction, Q = 1 - P onto its
-    complement. The factorization of (i w + L) at the last frequency is
-    kept, so repeated applications at one frequency (the quantities of a
-    sweep point, the two orderings of a cross pair) factor once. The
-    singular w = 0 point is handled by replacing the redundant
-    trace-block row with the trace constraint, which is the system
-    ``ss.factor`` already factors.
+    complement. At w = 0 the redundant trace-block row is replaced with
+    the trace constraint, the system ``ss.factor`` already factors.
+    Nonzero frequencies are solved on the charge-sector block of L
+    (:func:`superop.charge_sector`; the whole L when it is not dot (x) Fock
+    or its blocks couple), one factorization per frequency for all pairs:
+    above the cut of :meth:`_use_schur` a triangular solve (i w + T) y = Z* b
+    on one complex Schur form L_blk = Z T Z* (Laub, IEEE Trans. Autom.
+    Control 26, 407 (1981)), below it a sparse LU. Not safe for concurrent
+    use: the Schur path writes each frequency onto the diagonal of T.
     """
 
     def __init__(self, liouv: Superoperator, ss: SteadyState):
@@ -107,52 +122,111 @@ class ResolventSolver:
         self.ss = ss
         self.rho_vec = vectorize(ss.rho_ss)
         self.tr = trace_vector(liouv.dim_rho)
-        self._csc = liouv.matrix.tocsc()
-        self._eye = sp.identity(liouv.dim_rho**2, format="csc", dtype=complex)
-        self._omega: float | None = None
-        self._lu = None
 
     def q_apply(self, x: np.ndarray) -> np.ndarray:
         return x - self.rho_vec * (self.tr @ x)
 
-    def _factor(self, omega: float):
-        if omega != self._omega:
-            self._omega = self._lu = None  # free the old factor before the new one
-            try:
-                self._lu = spla.splu((1j * omega) * self._eye + self._csc)
-            except RuntimeError as exc:
-                raise NumericalError(
-                    f"resolvent factorization singular at omega={omega!r}: {exc}"
-                ) from exc
-            self._omega = omega
-        return self._lu
-
     def apply(self, omega: float, x: np.ndarray) -> np.ndarray:
-        """R(omega) x = Q (i omega + L)^{-1} Q x."""
+        """R(0) x = Q L^{-1} Q x on the whole space, the range-Q solution.
+        Nonzero frequencies are solved only inside :meth:`noises`."""
+        if omega != 0.0:
+            raise ValueError(f"apply solves omega = 0 only, got {omega!r}")
         rhs = self.q_apply(np.asarray(x, dtype=complex))
-        if omega == 0.0:
-            rhs[0] = 0.0  # trace constraint row: selects the range-Q solution
-            y = self.ss.factor.solve(rhs)
-        else:
-            y = self._factor(omega).solve(rhs)
-        return self.q_apply(y)
+        rhs[0] = 0.0  # trace constraint row: selects the range-Q solution
+        return self.q_apply(self.ss.factor.solve(rhs))
 
-    def noise(self, i: str, j: str, omega: float) -> float:
-        """Symmetrized noise S(omega)_{i,j} in natural units (e = 1)."""
-        ci = self.liouv.channel(i).part
-        cj = self.liouv.channel(j).part
-        t_ij = self.tr @ (ci @ self.apply(omega, cj @ self.rho_vec))
-        t_ji = t_ij if i == j else self.tr @ (cj @ self.apply(omega, ci @ self.rho_vec))
-        raw = -t_ij - t_ji
+    @cached_property
+    def _block(self):
+        """(L_blk, rows Tr[L_c Q], columns Q L_c rho_ss of every channel c)."""
+        mask = charge_sector(self.liouv.dim_rho)
+        if mask is None or sector_leak(self.liouv, mask):
+            mask = np.ones(self.rho_vec.size, dtype=bool)
+        rows, cols = {}, {}
+        for cid, ch in self.liouv.channels.items():
+            r = self.tr @ ch.part
+            rows[cid] = (r - (r @ self.rho_vec) * self.tr)[mask]
+            cols[cid] = self.q_apply(ch.part @ self.rho_vec)[mask]
+        return self.liouv.matrix[mask][:, mask].tocsc(), rows, cols
+
+    @cached_property
+    def _schur(self):
+        """(T, diag T, rows Z, Z* columns); Z is dropped once projected. The
+        minimal workspace keeps LAPACK off its blocked multishift QR, whose
+        BLAS-3 buffers add about 2 MB of peak memory at n = 245."""
+        matrix, rows, cols = self._block
+        n = matrix.shape[0]
+        t, z = la.schur(matrix.toarray(order="F"), output="complex", lwork=2 * n,
+                        overwrite_a=True, check_finite=False)
+        return (t, np.diag(t).copy(), {c: r @ z for c, r in rows.items()},
+                {c: (v.conj() @ z).conj() for c, v in cols.items()})
+
+    def _use_schur(self, n_omega: int) -> bool:
+        """n <= SCHUR_MAX_DIM and n_omega >= SCHUR_BREAK_EVEN n^1.5 for a block of
+        dimension n: Schur costs O(n^3) once, a sparse LU O(n^1.5) per frequency."""
+        n = self._block[0].shape[0]
+        return n <= SCHUR_MAX_DIM and n_omega >= SCHUR_BREAK_EVEN * n**1.5
+
+    def _raw_nonzero(self, pairs: list[tuple[str, str]], chans: list[str],
+                     w: np.ndarray) -> np.ndarray:
+        """-t_ij - t_ji, t_ij = Tr[L_i R(w) L_j rho_ss], of every pair (rows) at
+        nonzero frequencies (columns); each frequency solves the columns of
+        ``chans`` with one factorization."""
+        matrix, rows, cols = self._block
+        n = matrix.shape[0]
+        if self._use_schur(w.size):
+            t, diag, rows, cols = self._schur
+
+            def solve(omega, b):
+                t.flat[::n + 1] = diag + 1j * omega
+                return la.solve_triangular(t, b, check_finite=False)
+        else:
+            eye = sp.identity(n, format="csc")
+
+            def solve(omega, b):
+                try:
+                    return spla.splu((1j * omega) * eye + matrix).solve(b)
+                except RuntimeError as exc:
+                    raise NumericalError(
+                        f"resolvent factorization singular at omega={omega!r}: {exc}"
+                    ) from exc
+
+        b = np.column_stack([cols[c] for c in chans])
+        out = np.empty((len(pairs), w.size), dtype=complex)
+        for k, omega in enumerate(w):
+            y = dict(zip(chans, solve(omega, b).T))
+            for p, (i, j) in enumerate(pairs):
+                out[p, k] = -(rows[i] @ y[j]) - rows[j] @ y[i]
+        return out
+
+    def noises(self, pairs: list[tuple[str, str]], omega) -> list:
+        """Symmetrized noise S(omega)_{i,j} in natural units (e = 1) of each
+        channel pair, at a frequency (floats) or on an array of frequencies."""
+        parts = {c: self.liouv.channel(c).part for pair in pairs for c in pair}
+        w = np.atleast_1d(np.asarray(omega, dtype=float))
+        zero = w == 0.0
+        raw = np.empty((len(pairs), w.size), dtype=complex)
+        if pairs and not np.all(zero):
+            raw[:, ~zero] = self._raw_nonzero(pairs, list(parts), w[~zero])
+        if np.any(zero):
+            y = {c: self.apply(0.0, part @ self.rho_vec) for c, part in parts.items()}
+            for p, (i, j) in enumerate(pairs):
+                t_ij = self.tr @ (parts[i] @ y[j])
+                t_ji = t_ij if i == j else self.tr @ (parts[j] @ y[i])
+                raw[p, zero] = raw0 = -t_ij - t_ji
+                if abs(raw0.imag) > REALITY_TOL * max(1.0, abs(raw0.real)):
+                    warnings.warn(
+                        f"zero-frequency noise has imaginary residue {raw0.imag:.3e}",
+                        stacklevel=2,
+                    )
         # taking the real part symmetrizes over +-omega; away from omega = 0 the
         # discarded imaginary part is the genuine antisymmetric component
-        if omega == 0.0 and abs(raw.imag) > REALITY_TOL * max(1.0, abs(raw.real)):
-            warnings.warn(
-                f"zero-frequency noise has imaginary residue {raw.imag:.3e}",
-                stacklevel=2,
-            )
-        delta = channel_flux(self.ss, self.liouv, i) if i == j else 0.0
-        return 2.0 * (raw.real + delta)
+        delta = [channel_flux(self.ss, self.liouv, i) if i == j else 0.0 for i, j in pairs]
+        values = 2.0 * (raw.real + np.reshape(delta, (-1, 1)))
+        return [float(v[0]) if np.ndim(omega) == 0 else v for v in values]
+
+    def noise(self, i: str, j: str, omega) -> float | np.ndarray:
+        """S(omega)_{i,j} of one channel pair; see :meth:`noises`."""
+        return self.noises([(i, j)], omega)[0]
 
 
 def _check_normalization(normalization: str, i: str, j: str) -> None:
@@ -197,13 +271,19 @@ class TransportPoint:
     def solver(self) -> ResolventSolver:
         return ResolventSolver(self.liouv, self.ss)
 
-    def noise(self, i: str, j: str, omega: float, normalization: str = "raw") -> float:
-        """S(omega)_{i,j}, "raw" or "fano" (S / 2 I_i, autocorrelation only)."""
-        _check_normalization(normalization, i, j)
-        value = self.solver.noise(i, j, omega)
-        if normalization == "fano":
-            value = _fano(value, channel_flux(self.ss, self.liouv, i), i)
-        return value
+    def noise(self, i: str, j: str, omega, normalization: str = "raw") -> float | np.ndarray:
+        """S(omega)_{i,j}, "raw" or "fano" (S / 2 I_i, autocorrelation only),
+        at a frequency or on an array of frequencies solved together."""
+        return self.noises([((i, j), normalization)], omega)[0]
+
+    def noises(self, requests: list[tuple[tuple[str, str], str]], omega) -> list:
+        """:meth:`noise` of several ((i, j), normalization) requests, which
+        share one factorization per frequency."""
+        for (i, j), normalization in requests:
+            _check_normalization(normalization, i, j)
+        values = self.solver.noises([pair for pair, _ in requests], omega)
+        return [_fano(v, channel_flux(self.ss, self.liouv, i), i) if norm == "fano" else v
+                for v, ((i, _), norm) in zip(values, requests)]
 
 
 def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | np.ndarray:
@@ -249,18 +329,17 @@ class MacdonaldTrace:
     flux_j: float
 
 
-def _boole(y: np.ndarray, dx: float) -> float:
-    """Composite Boole quadrature; len(y) - 1 must be a multiple of 4."""
-    n = y.size - 1
-    if n % 4 != 0:
+def _boole_weights(n_points: int, dx: float) -> np.ndarray:
+    """Composite Boole quadrature weights; n_points - 1 must be a multiple of 4."""
+    if (n_points - 1) % 4 != 0:
         raise ValueError("Boole rule needs a multiple of 4 intervals")
-    w = np.zeros(y.size)
+    w = np.zeros(n_points)
     w[0::4] = 14.0
     w[0] = w[-1] = 7.0
     w[1::4] = 32.0
     w[3::4] = 32.0
     w[2::4] = 12.0
-    return float((2.0 * dx / 45.0) * (w @ y))
+    return (2.0 * dx / 45.0) * w
 
 
 def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j: str,
@@ -344,16 +423,24 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
 
 
 def macdonald_evaluate(trace: MacdonaldTrace, omega) -> float | np.ndarray:
-    """S(omega) from a sampled trace; the constant tail is integrated analytically."""
-    g = trace.f - trace.f_inf
+    """S(omega) from a sampled trace; the constant tail is integrated analytically.
+
+    Every Boole-weighted sum sum_k h_k sin(w k dt) = Im sum_k h_k e^{i w k dt}
+    is taken by baby-step/giant-step phases: with b = ceil(sqrt(N)) and
+    k = q b + p, one (n_omega x b) @ (b x a) product of e^{i w p dt} with
+    the samples, then a row sum weighted by e^{i w q b dt}.
+    """
     dt = float(trace.taus[1] - trace.taus[0])
+    h = _boole_weights(trace.f.size, dt) * (trace.f - trace.f_inf)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    out = np.empty(w.size)
-    for k, wk in enumerate(w):
-        if wk == 0.0:
-            out[k] = 2.0 * trace.f_inf
-        else:
-            out[k] = 2.0 * trace.f_inf + 2.0 * wk * _boole(np.sin(wk * trace.taus) * g, dt)
+    b = int(np.ceil(np.sqrt(h.size)))
+    a = -(-h.size // b)
+    blocks = np.zeros(a * b)
+    blocks[:h.size] = h
+    baby = np.exp(1j * dt * np.outer(w, np.arange(b)))
+    giant = np.exp(1j * dt * b * np.outer(w, np.arange(a)))
+    sums = np.einsum("wq,wq->w", giant, baby @ blocks.reshape(a, b).T)
+    out = 2.0 * trace.f_inf + 2.0 * w * sums.imag
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
@@ -458,8 +545,7 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState, pair: tuple[str, str
 
     flux = channel_flux(ss, liouv, i)
     if method == "resolvent":
-        solver = ResolventSolver(liouv, ss)
-        values = np.array([solver.noise(i, j, w) for w in omegas])
+        values = np.atleast_1d(ResolventSolver(liouv, ss).noise(i, j, omegas))
     elif method == "eigen":
         if i != j:
             raise MethodUnavailable("eigen-expansion covers autocorrelation pairs only")

@@ -46,6 +46,9 @@ __all__ = [
     "build_liouvillian",
     "counting_liouvillian",
     "spectrum",
+    "slowest_decay_rate",
+    "charge_sector",
+    "sector_leak",
     "trace_defect",
 ]
 
@@ -164,14 +167,17 @@ class LiouvillianSpectrum:
 
     def slowest_decay_rate(self) -> float:
         """|Re alpha| of the slowest non-stationary mode (sets relaxation t_max)."""
-        mask = np.abs(self.alphas) > STATIONARY_TOL
-        if not np.any(mask):
-            raise ValueError("no non-stationary modes")
-        rates = -self.alphas[mask].real
-        slowest = float(rates.min())
-        if slowest <= 1e-12:
-            raise ValueError(f"undamped non-stationary mode (rate {slowest:.3e})")
-        return slowest
+        return _slowest_rate(self.alphas)
+
+
+def _slowest_rate(alphas: np.ndarray) -> float:
+    mask = np.abs(alphas) > STATIONARY_TOL
+    if not np.any(mask):
+        raise ValueError("no non-stationary modes")
+    slowest = float((-alphas[mask].real).min())
+    if slowest <= 1e-12:
+        raise ValueError(f"undamped non-stationary mode (rate {slowest:.3e})")
+    return slowest
 
 
 def _dissipator_parts(jump: np.ndarray, rate: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -300,6 +306,36 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
     )
     liouv._spectrum = result
     return result
+
+
+def slowest_decay_rate(liouv: Superoperator) -> float:
+    """|Re alpha| of the generator's slowest non-stationary mode, from the
+    cached eigendecomposition if there is one, else from eigenvalues alone."""
+    if liouv._spectrum is not None:
+        return liouv._spectrum.slowest_decay_rate()
+    return _slowest_rate(la.eigvals(liouv.matrix.toarray()))
+
+
+def charge_sector(dim_rho: int) -> np.ndarray | None:
+    """Mask over the vec indices of a dot (x) Fock generator of the
+    charge-sector ("kept") block, rho[i, j] with equal dot charges (both
+    empty or both occupied); the transport generator never couples it to
+    the empty-occupied coherences (Buca & Prosen, New J. Phys. 14, 073007
+    (2012)). None when ``dim_rho`` is not 3 (n_fock + 1)."""
+    if dim_rho % 3:
+        return None
+    occupied = np.arange(dim_rho) >= dim_rho // 3  # dot index k // (n_fock + 1) != DOT_EMPTY
+    return (occupied[:, None] == occupied[None, :]).ravel(order="F")
+
+
+def sector_leak(liouv: Superoperator, mask: np.ndarray) -> int:
+    """Nonzero entries of L and of its jump channels that couple the
+    masked block with the rest, both ways."""
+    leak = 0
+    for m in (liouv.matrix, *(ch.part for ch in liouv.channels.values())):
+        coo = m.tocoo()
+        leak += int(np.count_nonzero((mask[coo.row] != mask[coo.col]) & (coo.data != 0)))
+    return leak
 
 
 def trace_defect(liouv: Superoperator) -> float:

@@ -2,8 +2,9 @@
 
 Axes may vary the noise frequency ("omega") or any of the model knobs
 ("g", "delta", "epsilon", "T"). Grid points are independent; when one
-axis is the noise frequency, work factorizes over the other axis so the
-steady state and projector are reused across frequencies. Results are
+axis is the noise frequency, work factorizes over the other axis: each
+point builds its steady state once and solves its noise quantities on its
+whole frequency axis in one call. Results are
 placed by grid index, so output is deterministic and independent of the
 worker count. Per-point failures become explicit gap entries (NaN in
 the arrays, null in serialized output), never silent interpolation.
@@ -182,12 +183,20 @@ def _axis_params(base: ModelParams, names: list[str], vals: list[float],
     return replace(base, **kw)
 
 
-def _quantity(point: TransportPoint, name: str, omega: float) -> float:
-    what = QUANTITIES[name]
-    if isinstance(what, str):
-        return getattr(point.report, what)
-    (i, j), normalization = what
-    return point.noise(i, j, omega, normalization)
+def _evaluate(point: TransportPoint, names, omegas: np.ndarray) -> list:
+    """(values, None) or (None, error) per frequency; the noise quantities share
+    one factorization per frequency. A failed batch is retried frequency by
+    frequency, so only the failing ones become gaps."""
+    noisy = [q for q in names if not isinstance(QUANTITIES[q], str)]
+    try:
+        vals = dict(zip(noisy, point.noises([QUANTITIES[q] for q in noisy], omegas)))
+        vals.update((q, np.full(omegas.shape, getattr(point.report, QUANTITIES[q])))
+                    for q in names if q not in vals)
+    except Exception as exc:  # noqa: BLE001 - recorded as an explicit gap
+        if omegas.size == 1:
+            return [(None, str(exc))]
+        return [r for k in range(omegas.size) for r in _evaluate(point, names, omegas[k:k + 1])]
+    return [({q: vals[q][k] for q in names}, None) for k in range(omegas.size)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
@@ -232,10 +241,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
     omega_axis = names.index("omega") if "omega" in names else None
     param_axes = [k for k in range(len(names)) if k != omega_axis]
 
-    # one task per non-omega grid index; frequencies reuse the factorizations
+    # one task per non-omega grid index, all quantities on the whole omega axis at once
     task_indices = [()] if not param_axes else [
         idx for idx in np.ndindex(*(shape[k] for k in param_axes))
     ]
+    omegas = axis_values[omega_axis] if omega_axis is not None else np.zeros(1)
 
     def run_task(task_idx):
         pnames = [names[k] for k in param_axes]
@@ -243,30 +253,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
         try:
             point = TransportPoint(_axis_params(spec.base, pnames, pvals, n_fock),
                                    spec.hamiltonian)
-        except Exception as exc:  # noqa: BLE001 - recorded as an explicit gap
-            return [(_full_index(task_idx, w_i), None, str(exc))
-                    for w_i in _omega_indices()]
-        out = []
-        for w_i in _omega_indices():
-            omega = float(axis_values[omega_axis][w_i]) if omega_axis is not None else 0.0
-            full = _full_index(task_idx, w_i)
-            try:
-                vals = {q: _quantity(point, q, omega) for q in spec.quantities}
-                out.append((full, vals, None))
-            except Exception as exc:  # noqa: BLE001
-                out.append((full, None, str(exc)))
-        return out
-
-    def _omega_indices():
-        return range(shape[omega_axis]) if omega_axis is not None else [None]
-
-    def _full_index(task_idx, w_i):
-        full = [0] * len(shape)
-        for k, i in zip(param_axes, task_idx):
-            full[k] = i
-        if omega_axis is not None:
-            full[omega_axis] = w_i
-        return tuple(full)
+        except Exception as exc:  # noqa: BLE001 - recorded as one explicit gap per omega
+            return [(None, str(exc))] * omegas.size
+        return _evaluate(point, spec.quantities, omegas)
 
     if workers == 1:
         results = map(run_task, task_indices)
@@ -274,8 +263,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_task, task_indices))
 
-    for chunk in results:
-        for full, vals, err in chunk:
+    for task_idx, chunk in zip(task_indices, results):
+        for w_i, (vals, err) in enumerate(chunk):
+            full = task_idx if omega_axis is None else \
+                task_idx[:omega_axis] + (w_i,) + task_idx[omega_axis:]
             if err is not None:
                 gaps.append((full, err))
                 if fail_fast:

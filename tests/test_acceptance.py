@@ -33,7 +33,7 @@ def announce(criterion: int, ok: bool, detail: str) -> None:
 
 def fano(point: TransportPoint, omegas) -> np.ndarray:
     """Resolvent S_ee(w)/2I_e of one point on a frequency grid."""
-    return np.array([point.noise("e", "e", w, "fano") for w in omegas])
+    return point.noise("e", "e", np.asarray(omegas, dtype=float), "fano")
 
 
 def above_floor_peaks(omegas, fano_values):

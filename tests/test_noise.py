@@ -126,6 +126,138 @@ class TestResolventFactorCache:
         assert len(splu_calls) == grid.size
 
 
+def dense_noise(liouv, ss, i, j, omegas):
+    """Reference S(w)_{i,j} from dense solves of (i w + L) on the whole space."""
+    rho = vectorize(ss.rho_ss)
+    tr = trace_vector(liouv.dim_rho)
+    dense = liouv.matrix.toarray()
+    ci, cj = liouv.channel(i).part, liouv.channel(j).part
+
+    def q(x):
+        return x - rho * (tr @ x)
+
+    def t(a, b, w):
+        y = np.linalg.solve(1j * w * np.eye(dense.shape[0]) + dense, q(b @ rho))
+        return tr @ (a @ q(y))
+
+    flux = np.real(tr @ (ci @ rho)) if i == j else 0.0
+    return np.array([2.0 * ((-t(ci, cj, w) - t(cj, ci, w)).real + flux) for w in omegas])
+
+
+def leaking_dot():
+    """A 3-level dot whose Hamiltonian couples the empty state to L, so L
+    feeds the empty-occupied coherences from the charge-sector block."""
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1] = h[1, 0] = 0.3
+    h[1, 2] = h[2, 1] = 0.5
+    ket = np.eye(3, dtype=complex)
+    liouv = assemble_liouvillian(h, [
+        ("in", 0.1, np.outer(ket[1], ket[0]), False),
+        ("e", 0.05, np.outer(ket[0], ket[2]), True),
+    ])
+    return liouv, solve_steady_state(liouv)
+
+
+@pytest.fixture()
+def schur_cut(monkeypatch):
+    """Force every nonzero-frequency grid onto one path: "schur" or "lu"."""
+    def force(path):
+        monkeypatch.setattr(noise, "SCHUR_BREAK_EVEN", 0.0 if path == "schur" else np.inf)
+    return force
+
+
+FIG2_GRID = np.linspace(0.2, 1.8, 161)
+
+
+class TestFrequencyGrid:
+    @pytest.mark.parametrize("pair", [("e", "e"), ("b", "b"), ("e", "b")])
+    @pytest.mark.parametrize("grid", [np.array([-1.0, 0.37, 1.0, 1000.0]), FIG2_GRID],
+                             ids=["spot", "fig2-grid"])
+    def test_schur_and_lu_paths_agree(self, fig2_bundle, schur_cut, pair, grid):
+        # S_eb changes sign, so errors are measured against the largest |S| on the grid
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
+        schur_cut("schur")
+        schur = ResolventSolver(liouv, ss).noise(*pair, grid)
+        schur_cut("lu")
+        lu = ResolventSolver(liouv, ss).noise(*pair, grid)
+        assert np.max(np.abs(schur - lu)) <= 1e-12 * np.max(np.abs(lu))
+
+    def test_array_matches_scalar_calls(self, fig2_bundle):
+        solver = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss)
+        assert solver._use_schur(FIG2_GRID.size)
+        batched = fig2_bundle.noise("e", "e", FIG2_GRID, "fano")
+        single = np.array([fig2_bundle.noise("e", "e", w, "fano") for w in FIG2_GRID])
+        assert np.max(np.abs(batched - single)) <= 1e-12 * np.max(np.abs(single))
+        assert isinstance(fig2_bundle.noise("e", "e", 0.5), float)
+
+    def test_zero_frequency_in_grid_uses_shared_factor(self, fig2_bundle):
+        grid = np.array([0.0, 0.5, 0.0])
+        vals = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noise("e", "b", grid)
+        assert vals[0] == vals[2] == fig2_bundle.noise("e", "b", 0.0)
+
+    @pytest.mark.parametrize("make", ["fig2", "single_level", "leaking_dot"])
+    @pytest.mark.parametrize("path", ["schur", "lu"])
+    def test_matches_dense_whole_space_solve(self, fig2_bundle, schur_cut, make, path):
+        if make == "fig2":
+            liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
+        else:
+            liouv, ss = single_level(0.1, 0.025) if make == "single_level" else leaking_dot()
+        solver = ResolventSolver(liouv, ss)
+        # only the dot (x) Fock generator that keeps its sectors closed is reduced
+        assert (solver._block[0].shape[0] < liouv.dim_rho**2) == (make == "fig2")
+        schur_cut(path)
+        grid = np.array([-0.8, 0.3, 1.0, 2.5])
+        for pair in (("e", "e"), ("e", "b")) if make == "fig2" else (("e", "e"),):
+            got = solver.noise(*pair, grid)
+            ref = dense_noise(liouv, ss, *pair, grid)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_grid_below_cut_makes_no_frequency_lu(self, fig2_bundle, splu_calls):
+        ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noise("e", "b", FIG2_GRID)
+        assert len(splu_calls) == 0
+
+    def test_grid_above_cut_makes_one_lu_per_frequency(self, splu_calls):
+        point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=10), "jc")
+        splu_calls.clear()  # the steady-state factorization
+        solver = point.solver
+        assert not solver._use_schur(FIG2_GRID.size)
+        solver.noise("e", "b", FIG2_GRID)
+        assert len(splu_calls) == FIG2_GRID.size
+
+
+    def test_sweep_quantities_share_one_lu_per_frequency(self, schur_cut, splu_calls):
+        # S_ee, S_bb and S_eb of a point on the sparse-LU path: one factor per omega
+        schur_cut("lu")
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, n_fock=4),
+            axes=(SweepAxis(name="g", values=(0.1, 0.3)),
+                  SweepAxis(name="omega", start=0.4, stop=1.6, count=7)),
+            quantities=("S_ee", "S_bb", "S_eb"),
+        )
+        result = run_sweep(spec)
+        assert not result.gaps
+        # one steady-state factorization per point plus one per frequency
+        assert len(splu_calls) == 2 * (1 + 7)
+        point = TransportPoint(ModelParams(delta=0.5, g=0.3, n_fock=4))
+        for q, (pair, norm) in (("S_bb", (("b", "b"), "fano")), ("S_eb", (("e", "b"), "raw"))):
+            single = point.noise(*pair, result.axis_values[1], norm)
+            assert np.max(np.abs(result.data[q][1] - single)) <= 1e-12 * np.max(np.abs(single))
+
+    def test_pairs_share_channel_columns(self, fig2_bundle):
+        grid = np.concatenate([[0.0], FIG2_GRID])
+        solver = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss)
+        together = solver.noises([("e", "e"), ("b", "b"), ("e", "b")], grid)
+        for pair, got in zip((("e", "e"), ("b", "b"), ("e", "b")), together):
+            alone = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noise(*pair, grid)
+            assert got[0] == alone[0]  # omega = 0 through the same full-space solve
+            assert np.max(np.abs(got - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+    def test_apply_solves_zero_frequency_only(self, fig2_bundle):
+        solver = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss)
+        with pytest.raises(ValueError, match="omega = 0 only"):
+            solver.apply(0.5, solver.rho_vec)
+
+
 class TestSharedZeroFrequencyFactor:
     def test_zero_frequency_point_factors_once(self, splu_calls):
         spec = SweepSpec(
@@ -182,6 +314,25 @@ class TestMacdonald:
         vals = macdonald_evaluate(trace, grid)
         for w, v in zip(grid, vals):
             assert v == pytest.approx(macdonald_evaluate(trace, float(w)), abs=1e-15)
+
+    @pytest.mark.parametrize("pair", [("e", "e"), ("e", "b")])
+    def test_evaluate_matches_per_frequency_quadrature(self, fig2_bundle, pair):
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
+        trace = macdonald_correlation_trace(liouv, ss, *pair, t_max=800.0, dt=0.02,
+                                            tail_rtol=1.0)
+        grid = np.concatenate([[0.0, -0.7], np.linspace(0.2, 1.8, 161), [40.0]])
+        g = trace.f - trace.f_inf
+        n = trace.f.size
+        weights = np.zeros(n)  # composite Boole rule, one sine product per frequency
+        weights[0::4], weights[1::4], weights[2::4], weights[3::4] = 14.0, 32.0, 12.0, 32.0
+        weights[0] = weights[-1] = 7.0
+        weights *= 2 * 0.02 / 45
+        ref = np.array([2 * trace.f_inf + 2 * w * (weights @ (np.sin(w * trace.taus) * g))
+                        for w in grid])
+        got = macdonald_evaluate(trace, grid)
+        assert got[0] == 2 * trace.f_inf
+        # sums over 40,001 samples in another order: roundoff only
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("pair", [("e", "e"), ("e", "b")])
     @pytest.mark.parametrize("n_steps", [4, 40, 1000])  # b = ceil(sqrt N) divides 4 only

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from dqdnoise.model import ModelParams, build_hamiltonian
+from dqdnoise.model import ModelParams, build_hamiltonian, build_jc_hamiltonian
 from dqdnoise.superop import (
     assemble_liouvillian,
     build_liouvillian,
+    charge_sector,
     counting_liouvillian,
     devectorize,
     sandwich,
+    sector_leak,
+    slowest_decay_rate,
     spectrum,
     spre,
     spost,
@@ -251,6 +255,51 @@ class TestSpectrum:
     def test_cached_on_generator(self, fig2_bundle):
         liouv = fig2_bundle.liouv
         assert spectrum(liouv) is spectrum(liouv)
+
+    def test_slowest_decay_rate_takes_eigenvalues_only(self, fig2_params, monkeypatch):
+        liouv = build_liouvillian(build_hamiltonian(fig2_params), fig2_params)
+        expected = spectrum(build_liouvillian(build_hamiltonian(fig2_params),
+                                              fig2_params)).slowest_decay_rate()
+
+        def no_eigenvectors(*args, **kwargs):
+            raise AssertionError("eigenvectors computed")
+
+        monkeypatch.setattr(scipy.linalg, "eig", no_eigenvectors)
+        assert slowest_decay_rate(liouv) == pytest.approx(expected, rel=1e-10)
+        assert liouv._spectrum is None
+
+    def test_slowest_decay_rate_reuses_cached_spectrum(self, fig2_bundle, monkeypatch):
+        expected = spectrum(fig2_bundle.liouv).slowest_decay_rate()
+
+        def no_dense_solve(*args, **kwargs):
+            raise AssertionError("second dense eigenvalue solve")
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", no_dense_solve)
+        assert slowest_decay_rate(fig2_bundle.liouv) == expected
+
+
+class TestChargeSector:
+    @pytest.mark.parametrize("build,temperature", [
+        (build_hamiltonian, 0.0), (build_hamiltonian, 1.0), (build_jc_hamiltonian, 0.0)])
+    def test_transport_generator_is_closed(self, build, temperature):
+        p = ModelParams(delta=0.5, g=0.3, epsilon=0.2, temperature=temperature, n_fock=5)
+        liouv = build_liouvillian(build(p), p)
+        mask = charge_sector(liouv.dim_rho)
+        assert mask.sum() == 5 * (p.n_fock + 1) ** 2  # 5/9 of D^2
+        assert sector_leak(liouv, mask) == 0
+
+    def test_steady_state_lives_in_kept_block(self, fig2_bundle):
+        kept = devectorize(charge_sector(fig2_bundle.liouv.dim_rho))
+        assert not np.any(fig2_bundle.ss.rho_ss[~kept])
+
+    def test_coupling_empty_and_occupied_leaks(self):
+        h = np.zeros((3, 3), dtype=complex)
+        h[0, 1] = h[1, 0] = 0.3
+        liouv = assemble_liouvillian(h, [])
+        assert sector_leak(liouv, charge_sector(3)) > 0
+
+    def test_not_a_dot_generator(self):
+        assert charge_sector(2) is None
 
 
 class TestAssembleValidation:

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from dqdnoise import steady
+from dqdnoise import noise, steady
 from dqdnoise.errors import ConvergenceFailure, NumericalError
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import TransportPoint
@@ -113,6 +113,25 @@ class TestRunSweep:
         for q in spec.quantities:
             assert np.array_equal(r1.data[q], r4.data[q])
 
+    def test_omega_axis_deterministic_across_workers(self):
+        # 41 frequencies, one of them zero, on the Schur path of an n_fock = 4 block
+        omegas = np.linspace(0.0, 2.0, 41)
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, temperature=0.5, n_fock=4),
+            axes=(SweepAxis(name="omega", values=tuple(omegas)),
+                  SweepAxis(name="g", values=(0.1, 0.2, 0.3))),
+            quantities=("S_ee", "S_bb", "S_eb", "F_Q"),
+        )
+        assert TransportPoint(spec.base).solver._use_schur(omegas.size - 1)
+        r1 = run_sweep(spec, workers=1)
+        r2 = run_sweep(spec, workers=2)
+        assert not r1.gaps and not r2.gaps
+        for q in spec.quantities:
+            assert np.array_equal(r1.data[q], r2.data[q])
+        point = TransportPoint(ModelParams(delta=0.5, g=0.3, temperature=0.5, n_fock=4))
+        assert np.array_equal(r1.data["S_eb"][:, 2], point.noise("e", "b", omegas))
+        assert np.all(r1.data["F_Q"][:, 2] == point.report.fano_q)
+
     def test_2d_grid_shape_and_values(self):
         spec = SweepSpec(
             base=ModelParams(delta=0.5, g=0.2, n_fock=4),
@@ -148,6 +167,45 @@ class TestRunSweep:
         result = run_sweep(spec)
         assert len(result.gaps) == 2
         assert np.all(np.isnan(result.data["S_ee"]))
+
+    def test_batched_failure_is_one_gap_per_omega(self):
+        spec = SweepSpec(
+            base=ModelParams(delta=0.0, g=0.0, n_fock=2),
+            axes=(SweepAxis(name="epsilon", values=(0.0, 0.5)),
+                  SweepAxis(name="omega", start=0.5, stop=1.5, count=5)),
+            quantities=("S_ee",),
+        )
+        result = run_sweep(spec)
+        gapped = sorted(idx for idx, _ in result.gaps)
+        assert gapped == [(e, w) for e in range(2) for w in range(5)]
+        assert all("Fano-normalize" in msg for _, msg in result.gaps)
+        assert np.all(np.isnan(result.data["S_ee"]))
+
+    def test_failure_at_one_omega_gaps_that_omega_only(self, monkeypatch):
+        original = noise.ResolventSolver._raw_nonzero
+
+        def failing(self, pairs, chans, w):
+            if np.any(w == 1.0):
+                raise NumericalError("resolvent factorization singular at omega=1.0")
+            return original(self, pairs, chans, w)
+
+        monkeypatch.setattr(noise.ResolventSolver, "_raw_nonzero", failing)
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, n_fock=3),
+            axes=(SweepAxis(name="omega", values=(0.5, 1.0, 1.5)),
+                  SweepAxis(name="g", values=(0.1, 0.2))),
+            quantities=("S_ee", "F_Q"),
+        )
+        result = run_sweep(spec)
+        assert sorted(idx for idx, _ in result.gaps) == [(1, 0), (1, 1)]
+        assert all("omega=1.0" in msg for _, msg in result.gaps)
+        assert np.all(np.isnan(result.data["S_ee"][1]))
+        for w_i in (0, 2):
+            assert np.all(np.isfinite(result.data["S_ee"][w_i]))
+        point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=3))
+        assert result.data["S_ee"][0, 1] == pytest.approx(
+            point.noise("e", "e", 0.5, "fano"), rel=1e-12)
+        assert result.data["F_Q"][2, 1] == point.report.fano_q
 
     def test_fail_fast_raises(self):
         spec = SweepSpec(
