@@ -44,12 +44,6 @@ EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INVARIANT = 0, 2, 3, 4
 _PAIRS = {"ee": ("e", "e"), "bb": ("b", "b"), "eb": ("e", "b")}
 _METHODS = ("resolvent", "eigen", "macdonald")
 
-_MODEL_FIELDS = {
-    "epsilon": float, "delta": float, "g": float, "omega_b": float,
-    "gamma_L": float, "gamma_R": float, "gamma_b": float,
-    "temperature": float, "n_fock": int,
-}
-
 
 @dataclass
 class SpectrumSpec:
@@ -80,19 +74,35 @@ class RunConfig:
     macdonald_dt: float = 0.02
 
 
-def _parse_float(key, raw, line):
+# Parsers take a raw value (config text, JSON value, flag or env string) and
+# return the checked value or raise ValueError saying what was expected.
+def _number(raw, positive=False):
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} (line {line}): expected a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise ValueError(f"expected a finite number{' > 0' if positive else ''}, got {raw!r}")
+    return value
 
 
-def _parse_int(key, raw, line):
+def _integer(raw, minimum=None):
     try:
-        v = int(str(raw))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} (line {line}): expected an integer, got {raw!r}") from None
-    return v
+        value = int(str(raw))
+    except ValueError:
+        value = None
+    if value is None or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"expected an integer{bound}, got {raw!r}")
+    return value
+
+
+def _one_of(*allowed):
+    def parse(raw):
+        if str(raw) not in allowed:
+            raise ValueError(f"expected {'|'.join(allowed)}, got {raw!r}")
+        return str(raw)
+    return parse
 
 
 def _parse_list(raw):
@@ -101,7 +111,60 @@ def _parse_list(raw):
     return [tok.strip() for tok in str(raw).split(",") if tok.strip()]
 
 
-def _read_pairs(path: str) -> dict[str, tuple[object, int]]:
+def _methods(raw):
+    methods = tuple(_parse_list(raw))
+    if not methods or not set(methods) <= set(_METHODS):
+        raise ValueError(f"expected a comma list from {','.join(_METHODS)}, got {raw!r}")
+    return methods
+
+
+def _fock_cutoff(raw):
+    if str(raw) == "auto":
+        return "auto"
+    try:
+        return _integer(raw, 1)
+    except ValueError:
+        raise ValueError(f"expected auto or an integer >= 1, got {raw!r}") from None
+
+
+_MODEL_FIELDS = {
+    "epsilon": _number, "delta": _number, "g": _number, "omega_b": _number,
+    "gamma_L": _number, "gamma_R": _number, "gamma_b": _number,
+    "temperature": _number, "n_fock": _integer,
+}
+
+# The run settings: config key, the field it sets (of SpectrumSpec for the
+# spectrum.* keys, of RunConfig for the rest), its parser, and its flag.
+# A flag overrides DQDNOISE_WORKERS, which overrides the config file.
+_SETTINGS = (
+    ("output.path", "output_path", str, "--out"),
+    ("output.format", "output_format", _one_of("csv", "json"), "--format"),
+    ("methods", "methods", _methods, "--methods"),
+    ("check.level", "check_level", _one_of("fast", "full"), "--check"),
+    ("workers", "workers", lambda raw: _integer(raw, 1), "--workers"),
+    ("fock_cutoff", "fock_cutoff", _fock_cutoff, "--fock-cutoff"),
+    ("macdonald.t_max", "macdonald_t_max", lambda raw: _number(raw, positive=True), None),
+    ("macdonald.dt", "macdonald_dt", lambda raw: _number(raw, positive=True), None),
+    ("spectrum.pair", "pair", _one_of(*_PAIRS), None),
+    ("spectrum.omega_start", "omega_start", _number, None),
+    ("spectrum.omega_stop", "omega_stop", _number, None),
+    ("spectrum.omega_count", "omega_count", lambda raw: _integer(raw, 2), None),
+    ("spectrum.normalization", "normalization", _one_of("raw", "fano"), None),
+    ("spectrum.hamiltonian", "hamiltonian", _one_of("full", "jc"), None),
+)
+
+
+def _value(key: str, item: tuple[object, str], parse):
+    """``parse`` applied to one (raw value, origin) entry; a rejected value
+    becomes a ConfigError naming the key and where it was set."""
+    raw, origin = item
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key} ({origin}): {exc}") from None
+
+
+def _read_pairs(path: str) -> dict[str, tuple[object, str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -115,8 +178,8 @@ def _read_pairs(path: str) -> dict[str, tuple[object, int]]:
             raise ConfigError(f"config JSON parse error: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config JSON must be an object of dotted keys")
-        return {str(k): (v, 0) for k, v in data.items()}
-    pairs: dict[str, tuple[object, int]] = {}
+        return {str(k): (v, "JSON key") for k, v in data.items()}
+    pairs: dict[str, tuple[object, str]] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -127,7 +190,7 @@ def _read_pairs(path: str) -> dict[str, tuple[object, int]]:
         key = key.strip()
         if key in pairs:
             raise ConfigError(f"{key} (line {lineno}): duplicate key")
-        pairs[key] = (value.strip(), lineno)
+        pairs[key] = (value.strip(), f"line {lineno}")
     return pairs
 
 
@@ -138,49 +201,41 @@ def _build_axis(idx: int, pairs, consume) -> SweepAxis | None:
         return None
     name_raw = consume(prefix + "name")
     if name_raw is None:
-        key = keys[0]
-        raise ConfigError(f"{prefix}name (line {pairs[key][1]}): axis requires a name")
-    name, line = name_raw
+        raise ConfigError(f"{prefix}name ({pairs[keys[0]][1]}): axis requires a name")
+    name, origin = name_raw
     values_raw = consume(prefix + "values")
     kw = {"name": str(name)}
     if values_raw is not None:
-        vals = tuple(_parse_float(prefix + "values", v, values_raw[1])
-                     for v in _parse_list(values_raw[0]))
-        kw["values"] = vals
+        kw["values"] = tuple(_value(prefix + "values", (v, values_raw[1]), _number)
+                             for v in _parse_list(values_raw[0]))
     else:
-        for part in ("start", "stop"):
+        for part, parse in (("start", _number), ("stop", _number), ("count", _integer)):
             item = consume(prefix + part)
             if item is None:
-                raise ConfigError(f"{prefix}{part} (line {line}): required without explicit values")
-            kw[part] = _parse_float(prefix + part, item[0], item[1])
-        item = consume(prefix + "count")
-        if item is None:
-            raise ConfigError(f"{prefix}count (line {line}): required without explicit values")
-        kw["count"] = _parse_int(prefix + "count", item[0], item[1])
+                raise ConfigError(f"{prefix}{part} ({origin}): required without explicit values")
+            kw[part] = _value(prefix + part, item, parse)
     try:
         return SweepAxis(**kw)
     except ValueError as exc:
-        raise ConfigError(f"{prefix}* (line {line}): {exc}") from exc
+        raise ConfigError(f"{prefix}* ({origin}): {exc}") from exc
 
 
-def _config_from_pairs(pairs: dict[str, tuple[object, int]]) -> RunConfig:
+def _config_from_pairs(pairs: dict[str, tuple[object, str]]) -> RunConfig:
     remaining = dict(pairs)
 
     def consume(key):
         return remaining.pop(key, None)
 
     model_kw = {}
-    for name, typ in _MODEL_FIELDS.items():
+    for name, parse in _MODEL_FIELDS.items():
         item = consume(f"model.{name}")
-        if item is None:
-            continue
-        parser = _parse_int if typ is int else _parse_float
-        model_kw[name] = parser(f"model.{name}", item[0], item[1])
+        if item is not None:
+            model_kw[name] = _value(f"model.{name}", item, parse)
 
     preset_item = consume("sweep.preset")
     if preset_item is not None and model_kw:
         raise ConfigError(
-            f"sweep.preset (line {preset_item[1]}): conflicts with model.* keys; "
+            f"sweep.preset ({preset_item[1]}): conflicts with model.* keys; "
             "presets are the single source of truth for their parameters"
         )
 
@@ -191,106 +246,51 @@ def _config_from_pairs(pairs: dict[str, tuple[object, int]]) -> RunConfig:
 
     sweep_spec = None
     if preset_item is not None:
-        if axes or quantities_item:
+        if axes:
             raise ConfigError(
-                f"sweep.preset (line {preset_item[1]}): conflicts with manual sweep axes"
+                f"sweep.preset ({preset_item[1]}): conflicts with manual sweep axes"
             )
         try:
             sweep_spec = preset(str(preset_item[0]))
         except KeyError as exc:
-            raise ConfigError(f"sweep.preset (line {preset_item[1]}): {exc.args[0]}") from exc
+            raise ConfigError(f"sweep.preset ({preset_item[1]}): {exc.args[0]}") from exc
+    manual_sweep = sweep_spec is None and bool(axes)
+    for key, item in (("sweep.quantities", quantities_item),
+                      ("sweep.hamiltonian", hamiltonian_item)):
+        if item is not None and not manual_sweep:
+            raise ConfigError(
+                f"{key} ({item[1]}): only valid in a manual sweep (sweep.axis* keys, no preset)"
+            )
 
     try:
         model = ModelParams(**model_kw)
     except ValueError as exc:
         raise ConfigError(f"model.* : {exc}") from exc
 
-    if sweep_spec is None and axes:
+    if manual_sweep:
         if quantities_item is None:
             raise ConfigError("sweep.quantities: required for a manual sweep")
-        quantities = tuple(_parse_list(quantities_item[0]))
-        ham = str(hamiltonian_item[0]) if hamiltonian_item else "full"
+        ham = "full" if hamiltonian_item is None else \
+            _value("sweep.hamiltonian", hamiltonian_item, _one_of("full", "jc"))
         try:
             sweep_spec = SweepSpec(base=model, axes=tuple(axes),
-                                   quantities=quantities, hamiltonian=ham)
+                                   quantities=tuple(_parse_list(quantities_item[0])),
+                                   hamiltonian=ham)
         except ValueError as exc:
             raise ConfigError(f"sweep.* : {exc}") from exc
-    elif quantities_item is not None and sweep_spec is None:
-        raise ConfigError(
-            f"sweep.quantities (line {quantities_item[1]}): needs sweep axes or a preset"
-        )
 
-    spec_kw = {}
-    for name, typ, allowed in (
-        ("pair", str, tuple(_PAIRS)),
-        ("omega_start", float, None),
-        ("omega_stop", float, None),
-        ("omega_count", int, None),
-        ("normalization", str, ("raw", "fano")),
-        ("hamiltonian", str, ("full", "jc")),
-    ):
-        item = consume(f"spectrum.{name}")
-        if item is None:
-            continue
-        if typ is float:
-            spec_kw[name] = _parse_float(f"spectrum.{name}", item[0], item[1])
-        elif typ is int:
-            spec_kw[name] = _parse_int(f"spectrum.{name}", item[0], item[1])
-        else:
-            val = str(item[0])
-            if allowed and val not in allowed:
-                raise ConfigError(
-                    f"spectrum.{name} (line {item[1]}): expected one of {allowed}, got {val!r}"
-                )
-            spec_kw[name] = val
-    spectrum_spec = SpectrumSpec(**spec_kw)
-    if spectrum_spec.omega_count < 2:
-        raise ConfigError("spectrum.omega_count: counts >= 2 required")
-
-    cfg = RunConfig(model=model, sweep_spec=sweep_spec, spectrum=spectrum_spec)
-
-    item = consume("output.path")
-    if item is not None:
-        cfg.output_path = str(item[0])
-    item = consume("output.format")
-    if item is not None:
-        fmt = str(item[0])
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.format (line {item[1]}): expected csv|json, got {fmt!r}")
-        cfg.output_format = fmt
-    item = consume("methods")
-    if item is not None:
-        methods = tuple(_parse_list(item[0]))
-        bad = [m for m in methods if m not in _METHODS]
-        if bad:
-            raise ConfigError(f"methods (line {item[1]}): unknown methods {bad}")
-        cfg.methods = methods
-    item = consume("check.level")
-    if item is not None:
-        lvl = str(item[0])
-        if lvl not in ("fast", "full"):
-            raise ConfigError(f"check.level (line {item[1]}): expected fast|full")
-        cfg.check_level = lvl
-    item = consume("workers")
-    if item is not None:
-        cfg.workers = _parse_int("workers", item[0], item[1])
-        if cfg.workers < 1:
-            raise ConfigError(f"workers (line {item[1]}): must be >= 1")
-    item = consume("fock_cutoff")
-    if item is not None:
-        raw = str(item[0])
-        cfg.fock_cutoff = raw if raw == "auto" else _parse_int("fock_cutoff", raw, item[1])
-    item = consume("macdonald.t_max")
-    if item is not None:
-        cfg.macdonald_t_max = _parse_float("macdonald.t_max", item[0], item[1])
-    item = consume("macdonald.dt")
-    if item is not None:
-        cfg.macdonald_dt = _parse_float("macdonald.dt", item[0], item[1])
+    run_kw, spectrum_kw = {}, {}
+    for key, name, parse, _ in _SETTINGS:
+        item = consume(key)
+        if item is not None:
+            (spectrum_kw if key.startswith("spectrum.") else run_kw)[name] = \
+                _value(key, item, parse)
 
     if remaining:
         key = sorted(remaining)[0]
-        raise ConfigError(f"{key} (line {remaining[key][1]}): unknown key")
-    return cfg
+        raise ConfigError(f"{key} ({remaining[key][1]}): unknown key")
+    return RunConfig(model=model, sweep_spec=sweep_spec,
+                     spectrum=SpectrumSpec(**spectrum_kw), **run_kw)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -302,21 +302,12 @@ def serialize_config(cfg: RunConfig) -> str:
     """Canonical flat-key text form; parse_config(serialize(cfg)) == cfg."""
     lines = ["# dqdnoise config (units: hbar = k_B = e = 1)"]
     has_preset = cfg.sweep_spec is not None and cfg.sweep_spec.preset is not None
-    if not has_preset:  # presets are the single source of truth for model params
+    if has_preset:  # presets are the single source of truth for model params
+        lines.append(f"sweep.preset = {cfg.sweep_spec.preset}")
+    else:
         for name in _MODEL_FIELDS:
             lines.append(f"model.{name} = {_fmt(getattr(cfg.model, name))}")
-    sp = cfg.spectrum
-    lines += [
-        f"spectrum.pair = {sp.pair}",
-        f"spectrum.omega_start = {_fmt(sp.omega_start)}",
-        f"spectrum.omega_stop = {_fmt(sp.omega_stop)}",
-        f"spectrum.omega_count = {sp.omega_count}",
-        f"spectrum.normalization = {sp.normalization}",
-        f"spectrum.hamiltonian = {sp.hamiltonian}",
-    ]
-    if has_preset:
-        lines.append(f"sweep.preset = {cfg.sweep_spec.preset}")
-    elif cfg.sweep_spec is not None:
+    if cfg.sweep_spec is not None and not has_preset:
         for idx, axis in enumerate(cfg.sweep_spec.axes, start=1):
             lines.append(f"sweep.axis{idx}.name = {axis.name}")
             if axis.values is not None:
@@ -329,17 +320,12 @@ def serialize_config(cfg: RunConfig) -> str:
                 lines.append(f"sweep.axis{idx}.count = {axis.count}")
         lines.append("sweep.quantities = " + ",".join(cfg.sweep_spec.quantities))
         lines.append(f"sweep.hamiltonian = {cfg.sweep_spec.hamiltonian}")
-    if cfg.output_path is not None:
-        lines.append(f"output.path = {cfg.output_path}")
-    lines.append(f"output.format = {cfg.output_format}")
-    lines.append("methods = " + ",".join(cfg.methods))
-    lines.append(f"check.level = {cfg.check_level}")
-    lines.append(f"workers = {cfg.workers}")
-    if cfg.fock_cutoff is not None:
-        lines.append(f"fock_cutoff = {cfg.fock_cutoff}")
-    if cfg.macdonald_t_max is not None:
-        lines.append(f"macdonald.t_max = {_fmt(cfg.macdonald_t_max)}")
-    lines.append(f"macdonald.dt = {_fmt(cfg.macdonald_dt)}")
+    for key, name, _, _ in _SETTINGS:
+        value = getattr(cfg.spectrum if key.startswith("spectrum.") else cfg, name)
+        if isinstance(value, tuple):
+            value = ",".join(value)
+        if value is not None:
+            lines.append(f"{key} = {value if isinstance(value, str) else _fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -391,7 +377,7 @@ def _single_point(cfg: RunConfig, hamiltonian: str) -> TransportPoint:
     if cfg.fock_cutoff == "auto":
         params = replace(params, n_fock=fock_convergence(params, hamiltonian))
     elif cfg.fock_cutoff is not None:
-        params = replace(params, n_fock=int(cfg.fock_cutoff))
+        params = replace(params, n_fock=cfg.fock_cutoff)
     return TransportPoint(params, hamiltonian)
 
 
@@ -542,47 +528,26 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=desc)
         sp.add_argument("--config", metavar="PATH", help="config file (flat keys or JSON)")
         sp.add_argument("--preset", choices=PRESET_NAMES, help="figure preset name")
-        sp.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), dest="out_format")
-        sp.add_argument("--fock-cutoff", metavar="N|auto", dest="fock_cutoff")
-        sp.add_argument("--workers", type=int, metavar="N")
-        sp.add_argument("--methods", metavar="LIST",
-                        help="comma list from: " + ",".join(_METHODS))
-        sp.add_argument("--check", choices=("fast", "full"), dest="check_level")
+        for key, _, _, flag in _SETTINGS:
+            if flag:
+                sp.add_argument(flag, dest=key, help=f"sets {key}")
     return parser
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig()
+    """The config file's entries, overridden by DQDNOISE_WORKERS and then by
+    the flags, parsed and checked in one pass."""
+    pairs = _read_pairs(args.config) if args.config else {}
+    if "DQDNOISE_WORKERS" in os.environ:
+        pairs["workers"] = (os.environ["DQDNOISE_WORKERS"], "DQDNOISE_WORKERS")
+    for key, _, _, flag in _SETTINGS:
+        if flag and getattr(args, key) is not None:
+            pairs[key] = (getattr(args, key), flag)
+    cfg = _config_from_pairs(pairs)
     if args.preset:
         if cfg.sweep_spec is not None and cfg.sweep_spec.preset not in (None, args.preset):
             raise ConfigError("--preset conflicts with the config's sweep.preset")
         cfg.sweep_spec = preset(args.preset)
-    if args.out:
-        cfg.output_path = args.out
-    if args.out_format:
-        cfg.output_format = args.out_format
-    if args.fock_cutoff:
-        cfg.fock_cutoff = (args.fock_cutoff if args.fock_cutoff == "auto"
-                           else int(args.fock_cutoff))
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        cfg.workers = args.workers
-    elif "DQDNOISE_WORKERS" in os.environ:
-        raw = os.environ["DQDNOISE_WORKERS"]
-        try:
-            cfg.workers = max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"DQDNOISE_WORKERS: expected an integer, got {raw!r}") from None
-    if args.methods:
-        methods = tuple(t.strip() for t in args.methods.split(",") if t.strip())
-        bad = [m for m in methods if m not in _METHODS]
-        if bad:
-            raise ConfigError(f"--methods: unknown methods {bad}")
-        cfg.methods = methods
-    if args.check_level:
-        cfg.check_level = args.check_level
     return cfg
 
 

@@ -42,6 +42,9 @@ RESIDUAL_TOL = 1e-10
 POSITIVITY_TOL = -1e-9
 VACUUM_TOL = 1e-12
 CHARGE_DOT_DIM = 3
+#: largest D^2 whose failed solve is diagnosed by a dense eigvals of L
+#: (5 s at D^2 = 1521 with one BLAS thread, growing as D^6)
+DIAGNOSE_MAX_D2 = 1_600
 
 
 @dataclass
@@ -117,7 +120,7 @@ def trace_replaced_system(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarr
 
 
 def _diagnose_failure(liouv: Superoperator, residual: float) -> Exception:
-    if liouv.dim_rho**2 <= 10_000:
+    if liouv.dim_rho**2 <= DIAGNOSE_MAX_D2:
         alphas = np.linalg.eigvals(liouv.matrix.toarray())
         n_zero = int(np.sum(np.abs(alphas) <= 1e-8))
         if n_zero >= 2:

@@ -67,13 +67,33 @@ class TestParseConfig:
         assert parse_config(write(tmp_path, text)).model.delta == 0.25
 
     def test_round_trip(self, tmp_path):
-        text = ("model.delta = 0.5\nmodel.g = 0.3\nworkers = 2\n"
-                "sweep.axis1.name = g\nsweep.axis1.values = 0,0.1,0.2\n"
-                "sweep.quantities = I_e,F_Q\nmethods = resolvent,macdonald\n"
-                "output.format = json\n")
-        cfg = parse_config(write(tmp_path, text))
-        cfg2 = parse_config(write(tmp_path, serialize_config(cfg), "round.cfg"))
-        assert cfg2 == cfg
+        # every table setting away from its default, fock_cutoff both ways
+        for cutoff in ("auto", "7"):
+            text = ("model.delta = 0.5\nmodel.g = 0.3\nworkers = 2\n"
+                    "sweep.axis1.name = g\nsweep.axis1.values = 0,0.1,0.2\n"
+                    "sweep.quantities = I_e,F_Q\nsweep.hamiltonian = jc\n"
+                    "methods = resolvent,macdonald\noutput.format = json\n"
+                    "output.path = out/run.json\ncheck.level = full\n"
+                    f"fock_cutoff = {cutoff}\nmacdonald.t_max = 250.5\n"
+                    "macdonald.dt = 0.01\nspectrum.pair = eb\n"
+                    "spectrum.omega_start = 0.75\nspectrum.omega_stop = 1.25\n"
+                    "spectrum.omega_count = 41\nspectrum.normalization = raw\n"
+                    "spectrum.hamiltonian = jc\n")
+            cfg = parse_config(write(tmp_path, text))
+            cfg2 = parse_config(write(tmp_path, serialize_config(cfg), "round.cfg"))
+            assert cfg2 == cfg
+            for key, name, _, _ in cli._SETTINGS:
+                owner = cfg.spectrum if key.startswith("spectrum.") else cfg
+                default = cli.SpectrumSpec() if key.startswith("spectrum.") else cli.RunConfig()
+                assert getattr(owner, name) != getattr(default, name), key
+
+    @pytest.mark.parametrize("text", [
+        "sweep.preset = fig5a\nsweep.hamiltonian = jc\n",
+        "model.delta = 0.5\nsweep.hamiltonian = jc\n",
+    ], ids=["with-preset", "without-axes"])
+    def test_sweep_hamiltonian_needs_manual_axes(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=r"sweep.hamiltonian \(line 2\)"):
+            parse_config(write(tmp_path, text))
 
     def test_preset_round_trip(self, tmp_path):
         cfg = parse_config(write(tmp_path, "sweep.preset = fig6b\n"))
@@ -103,6 +123,33 @@ class TestExitCodes:
             lambda level: [CheckResult("forced", "unit-test", False, 1.0, 0.0)],
         )
         assert cli.main(["check", "--check", "fast"]) == EXIT_INVARIANT
+
+    @pytest.mark.parametrize("argv, config, env, key, origin", [
+        (["steady", "--fock-cutoff", "abc"], None, None, "fock_cutoff", "--fock-cutoff"),
+        (["steady", "--fock-cutoff", "0"], None, None, "fock_cutoff", "--fock-cutoff"),
+        (["steady"], "fock_cutoff = -3\n", None, "fock_cutoff", "line 2"),
+        (["sweep", "--preset", "fig2", "--fock-cutoff", "0"], None, None,
+         "fock_cutoff", "--fock-cutoff"),
+        (["spectrum", "--methods", "macdonald"], "macdonald.dt = -1\n", None,
+         "macdonald.dt", "line 2"),
+        (["spectrum", "--methods", "macdonald"], "macdonald.t_max = 0\n", None,
+         "macdonald.t_max", "line 2"),
+        (["steady"], None, "0", "workers", "DQDNOISE_WORKERS"),
+        (["steady"], '{"model.n_fock": 2, "workers": 0}', None, "workers", "JSON key"),
+    ], ids=["flag-cutoff-text", "flag-cutoff-0", "file-cutoff-negative",
+            "preset-sweep-cutoff-0", "file-dt-negative", "file-t_max-0", "env-workers-0",
+            "json-workers-0"])
+    def test_bad_setting_is_2(self, tmp_path, monkeypatch, capsys,
+                              argv, config, env, key, origin):
+        monkeypatch.delenv("DQDNOISE_WORKERS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("DQDNOISE_WORKERS", env)
+        if config is not None:
+            text = config if config.startswith("{") else "model.n_fock = 2\n" + config
+            argv = argv + ["--config", write(tmp_path, text)]
+        out = str(tmp_path / "out.txt")
+        assert cli.main(argv + ["--out", out]) == EXIT_CONFIG
+        assert f"{key} ({origin})" in capsys.readouterr().err
 
     def test_bad_method_flag(self, tmp_path):
         path = write(tmp_path, "model.delta = 0.5\n")

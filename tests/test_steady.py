@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dqdnoise.errors import DegenerateSteadyState
+from dqdnoise.errors import DegenerateSteadyState, NumericalError
 from dqdnoise.model import ModelParams, build_hamiltonian, build_operators, thermal_state
 from dqdnoise.noise import TransportPoint
 from dqdnoise.steady import (
+    DIAGNOSE_MAX_D2,
     currents,
     fano_number,
     min_quadrature_variance,
@@ -82,6 +83,18 @@ class TestSolve:
         liouv = build_liouvillian(build_hamiltonian(p), p)
         with pytest.raises(DegenerateSteadyState):
             solve_steady_state(liouv)
+
+    def test_failure_above_diagnosis_cap_skips_eigvals(self, monkeypatch):
+        # all rates zero, too large for the dense diagnosis: reported without eigvals
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        p = ModelParams(delta=0.5, gamma_L=0.0, gamma_R=0.0, gamma_b=0.0, n_fock=13)
+        liouv = build_liouvillian(build_hamiltonian(p), p)
+        assert liouv.dim_rho**2 > DIAGNOSE_MAX_D2
+        with pytest.raises(NumericalError):
+            solve_steady_state(liouv)
+        assert calls == []
 
 
 class TestCurrents:
