@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as la
 
 from .model import ModelParams, thermal_state
 from .noise import TransportPoint, compute_spectrum
@@ -22,6 +21,7 @@ from .superop import (
     charge_sector,
     counting_liouvillian,
     devectorize,
+    eigenvalues,
     sector_leak,
     thermal_occupation,
     trace_defect,
@@ -191,18 +191,21 @@ def _full_checks() -> list[CheckResult]:
         hi = point.noise("e", "e", 1000.0, "fano")
         out.append(_result("high-frequency-floor", ctx, abs(hi - 1.0), 1e-3))
 
-        # eigenvalue checks at a reduced documented cutoff
         eig_params = replace(params, n_fock=min(params.n_fock, _EIG_CHECK_CUTOFF))
-        alphas = la.eigvals(TransportPoint(eig_params, ham).liouv.matrix.toarray())
-        out.append(_result("eigenvalue-half-plane", f"{ctx} (N_b<={_EIG_CHECK_CUTOFF})",
-                           float(alphas.real.max()), 1e-10))
-        n_stationary = int(np.sum(np.abs(alphas) <= STATIONARY_TOL))
-        out.append(_result("unique-stationary-state", f"{ctx} (N_b<={_EIG_CHECK_CUTOFF})",
-                           abs(n_stationary - 1), 0.0))
-        conj_dev = _conjugate_pair_defect(alphas)
-        out.append(_result("conjugate-pair-symmetry", f"{ctx} (N_b<={_EIG_CHECK_CUTOFF})",
-                           conj_dev, 1e-10))
+        out += _eigenvalue_checks(TransportPoint(eig_params, ham).liouv,
+                                  f"{ctx} (N_b<={_EIG_CHECK_CUTOFF})")
     return out
+
+
+def _eigenvalue_checks(liouv, ctx: str) -> list[CheckResult]:
+    """Half-plane, unique stationary state and conjugate pairs of the
+    eigenvalues of every sector block; the coherence halves (0, X) and
+    (X, 0) are solved apart, so the pairing across them is tested."""
+    alphas = eigenvalues(liouv)
+    n_stationary = int(np.sum(np.abs(alphas) <= STATIONARY_TOL))
+    return [_result("eigenvalue-half-plane", ctx, float(alphas.real.max()), 1e-10),
+            _result("unique-stationary-state", ctx, abs(n_stationary - 1), 0.0),
+            _result("conjugate-pair-symmetry", ctx, _conjugate_pair_defect(alphas), 1e-10)]
 
 
 def _conjugate_pair_defect(alphas: np.ndarray) -> float:

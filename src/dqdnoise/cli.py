@@ -26,7 +26,7 @@ from .checks import run_checks
 from .errors import ConfigError, InvariantViolation, NumericalError
 from .model import ModelParams
 from .noise import TransportPoint, compute_spectrum
-from .superop import slowest_decay_rate
+from .superop import DENSE_EIG_MAX_D2, slowest_decay_rate
 from .sweep import (
     PRESET_NAMES,
     GridResult,
@@ -372,8 +372,15 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _single_point(cfg: RunConfig, hamiltonian: str) -> TransportPoint:
-    params = cfg.model
+def _preset(cfg: RunConfig) -> SweepSpec | None:
+    return cfg.sweep_spec if cfg.sweep_spec and cfg.sweep_spec.preset else None
+
+
+def _single_point(cfg: RunConfig) -> TransportPoint:
+    """A preset's base point and Hamiltonian, else model.* and spectrum.hamiltonian."""
+    spec = _preset(cfg)
+    params, hamiltonian = (spec.base, spec.hamiltonian) if spec else \
+        (cfg.model, cfg.spectrum.hamiltonian)
     if cfg.fock_cutoff == "auto":
         params = replace(params, n_fock=fock_convergence(params, hamiltonian))
     elif cfg.fock_cutoff is not None:
@@ -383,31 +390,22 @@ def _single_point(cfg: RunConfig, hamiltonian: str) -> TransportPoint:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     sp = cfg.spectrum
-    if cfg.sweep_spec is not None and cfg.sweep_spec.preset is not None:
-        base = cfg.sweep_spec
-        cfg = replace(cfg, model=base.base)
-        omega_axes = [a for a in base.axes if a.name == "omega"]
-        if omega_axes:
-            grid = omega_axes[0].grid()
-        else:
-            grid = np.linspace(sp.omega_start, sp.omega_stop, sp.omega_count)
-        hamiltonian = base.hamiltonian
-    else:
-        grid = np.linspace(sp.omega_start, sp.omega_stop, sp.omega_count)
-        hamiltonian = sp.hamiltonian
+    spec = _preset(cfg)
+    omega = [a.grid() for a in spec.axes if a.name == "omega"] if spec else []
+    grid = omega[0] if omega else np.linspace(sp.omega_start, sp.omega_stop, sp.omega_count)
     pair = _PAIRS[sp.pair]
     normalization = sp.normalization
     if pair[0] != pair[1] and normalization == "fano":
         normalization = "raw"
 
-    point = _single_point(cfg, hamiltonian)
+    point = _single_point(cfg)
     rows = []
     for method in cfg.methods:
         kwargs = {}
         if method == "macdonald":
             t_max = cfg.macdonald_t_max
             if t_max is None:
-                if point.liouv.dim_rho**2 > 10_000:
+                if point.liouv.dim_rho**2 > DENSE_EIG_MAX_D2:
                     raise ConfigError(
                         "macdonald.t_max required (system too large to "
                         "auto-derive the relaxation time)"
@@ -443,7 +441,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_steady(cfg: RunConfig) -> int:
-    point = _single_point(cfg, cfg.spectrum.hamiltonian)
+    point = _single_point(cfg)
     payload = {
         "schema": "dqdnoise.steady.v1",
         "params": {k: getattr(point.params, k) for k in _MODEL_FIELDS},
@@ -548,6 +546,11 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
         if cfg.sweep_spec is not None and cfg.sweep_spec.preset not in (None, args.preset):
             raise ConfigError("--preset conflicts with the config's sweep.preset")
         cfg.sweep_spec = preset(args.preset)
+    spec = _preset(cfg)
+    omega = spec is not None and any(a.name == "omega" for a in spec.axes)
+    for key, (_, origin) in pairs.items():
+        if spec and (key == "spectrum.hamiltonian" or omega and key.startswith("spectrum.omega_")):
+            raise ConfigError(f"{key} ({origin}): preset {spec.preset} supplies it")
     return cfg
 
 

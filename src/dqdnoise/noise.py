@@ -58,9 +58,8 @@ from .superop import (
     LiouvillianSpectrum,
     Superoperator,
     build_liouvillian,
-    charge_sector,
     counting_liouvillian,
-    sector_leak,
+    sector_blocks,
     spectrum,
     trace_vector,
     vectorize,
@@ -108,9 +107,8 @@ class ResolventSolver:
     P projects onto the stationary direction, Q = 1 - P onto its
     complement. At w = 0 the redundant trace-block row is replaced with
     the trace constraint, the system ``ss.factor`` already factors.
-    Nonzero frequencies are solved on the charge-sector block of L
-    (:func:`superop.charge_sector`; the whole L when it is not dot (x) Fock
-    or its blocks couple), one factorization per frequency for all pairs:
+    Nonzero frequencies are solved on the charge-sector block of L (the first
+    of :func:`superop.sector_blocks`), one factorization per frequency for all pairs:
     above the cut of :meth:`_use_schur` a triangular solve (i w + T) y = Z* b
     on one complex Schur form L_blk = Z T Z* (Laub, IEEE Trans. Autom.
     Control 26, 407 (1981)), below it a sparse LU. Not safe for concurrent
@@ -138,15 +136,13 @@ class ResolventSolver:
     @cached_property
     def _block(self):
         """(L_blk, rows Tr[L_c Q], columns Q L_c rho_ss of every channel c)."""
-        mask = charge_sector(self.liouv.dim_rho)
-        if mask is None or sector_leak(self.liouv, mask):
-            mask = np.ones(self.rho_vec.size, dtype=bool)
+        kept = sector_blocks(self.liouv)[0]
         rows, cols = {}, {}
         for cid, ch in self.liouv.channels.items():
             r = self.tr @ ch.part
-            rows[cid] = (r - (r @ self.rho_vec) * self.tr)[mask]
-            cols[cid] = self.q_apply(ch.part @ self.rho_vec)[mask]
-        return self.liouv.matrix[mask][:, mask].tocsc(), rows, cols
+            rows[cid] = (r - (r @ self.rho_vec) * self.tr)[kept]
+            cols[cid] = self.q_apply(ch.part @ self.rho_vec)[kept]
+        return self.liouv.matrix[kept][:, kept].tocsc(), rows, cols
 
     @cached_property
     def _schur(self):
@@ -349,7 +345,8 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
 
     Auxiliary states rho_i start at zero and obey
     d rho_i / dtau = L rho_i + L_i rho_ss while rho stays at the steady
-    state. Exact stepping: rho_i(t+dt) = E rho_i(t) + w_i with
+    state; the forcing, and so rho_i, stays in the charge-sector block of L
+    (:func:`superop.sector_blocks`). Exact stepping: rho_i(t+dt) = E rho_i(t) + w_i with
     E = exp(L dt) and w_i the step integral of the constant forcing,
     both obtained from one augmented matrix exponential. After k steps
     rho_i = sum_{m<k} E^m w_i, so f is a running sum of the scalars
@@ -363,7 +360,8 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     """
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
-    d2 = liouv.dim_rho**2
+    kept = sector_blocks(liouv)[0]
+    n = kept.size
     rho_vec = vectorize(ss.rho_ss)
     tr = trace_vector(liouv.dim_rho)
     ci = liouv.channel(i).part
@@ -372,29 +370,28 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     v_j = cj @ rho_vec
     flux_i = float(np.real(tr @ v_i))
     flux_j = float(np.real(tr @ v_j))
-    r_i = tr @ ci  # row functionals Tr[L_i . ]
-    r_j = tr @ cj
+    r_i = (tr @ ci)[kept]  # row functionals Tr[L_i . ]
+    r_j = (tr @ cj)[kept]
 
     n_steps = int(np.ceil(t_max / dt))
     n_steps += (-n_steps) % 4
     taus = np.arange(n_steps + 1) * dt
 
-    aug = np.zeros((d2 + 2, d2 + 2), dtype=complex)
-    aug[:d2, :d2] = liouv.matrix.toarray()
-    aug[:d2, d2] = v_i
-    aug[:d2, d2 + 1] = v_j
+    aug = np.zeros((n + 2, n + 2), dtype=complex)
+    aug[:n, :n] = liouv.matrix[kept][:, kept].toarray()
+    aug[:n, n:] = np.column_stack([v_i, v_j])[kept]
     eaug = la.expm(aug * dt)
-    e_step = eaug[:d2, :d2]
-    w_step = eaug[:d2, d2:]  # columns: int_0^dt e^{L s} v ds
+    e_step = eaug[:n, :n]
+    w_step = eaug[:n, n:]  # columns: int_0^dt e^{L s} v ds
 
     b = int(np.ceil(np.sqrt(n_steps)))
     a = -(-n_steps // b)
-    rows = np.empty((b, 2, d2), dtype=complex)  # baby steps [r_i E^p, r_j E^p]
+    rows = np.empty((b, 2, n), dtype=complex)  # baby steps [r_i E^p, r_j E^p]
     rows[0] = (r_i, r_j)
     for p in range(1, b):
         rows[p] = rows[p - 1] @ e_step
     giant = np.linalg.matrix_power(e_step, b)
-    cols = np.empty((a, d2, 2), dtype=complex)  # giant steps (E^b)^q [w_j, w_i]
+    cols = np.empty((a, n, 2), dtype=complex)  # giant steps (E^b)^q [w_j, w_i]
     cols[0] = w_step[:, ::-1]
     for q in range(1, a):
         cols[q] = giant @ cols[q - 1]

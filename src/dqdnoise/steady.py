@@ -21,7 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
-from .superop import Superoperator, devectorize, trace_vector, vectorize
+from .superop import (DENSE_EIG_MAX_D2, Superoperator, devectorize, eigenvalues,
+                      trace_vector, vectorize)
 
 __all__ = [
     "SteadyState",
@@ -42,9 +43,6 @@ RESIDUAL_TOL = 1e-10
 POSITIVITY_TOL = -1e-9
 VACUUM_TOL = 1e-12
 CHARGE_DOT_DIM = 3
-#: largest D^2 whose failed solve is diagnosed by a dense eigvals of L
-#: (5 s at D^2 = 1521 with one BLAS thread, growing as D^6)
-DIAGNOSE_MAX_D2 = 1_600
 
 
 @dataclass
@@ -120,8 +118,8 @@ def trace_replaced_system(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarr
 
 
 def _diagnose_failure(liouv: Superoperator, residual: float) -> Exception:
-    if liouv.dim_rho**2 <= DIAGNOSE_MAX_D2:
-        alphas = np.linalg.eigvals(liouv.matrix.toarray())
+    if liouv.dim_rho**2 <= DENSE_EIG_MAX_D2:
+        alphas = eigenvalues(liouv)
         n_zero = int(np.sum(np.abs(alphas) <= 1e-8))
         if n_zero >= 2:
             return DegenerateSteadyState(

@@ -46,15 +46,20 @@ __all__ = [
     "build_liouvillian",
     "counting_liouvillian",
     "spectrum",
+    "eigenvalues",
     "slowest_decay_rate",
     "charge_sector",
     "sector_leak",
+    "sector_blocks",
     "trace_defect",
 ]
 
 COUNTED_CHANNELS = ("e", "b")
 STATIONARY_TOL = 1e-8
 BIORTHOGONALITY_TOL = 1e-8
+#: largest D^2 at which a failed-solve diagnosis or an automatic MacDonald t_max
+#: takes a dense :func:`eigenvalues`: 5.4 s at D^2 = 2304 (n_fock 15, one BLAS thread)
+DENSE_EIG_MAX_D2 = 2_304
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -279,7 +284,8 @@ def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> Superoper
 
 
 def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
-    """Dense eigendecomposition of the generator.
+    """Dense eigendecomposition of the generator, one :func:`sector_blocks`
+    block at a time; a mode sits at its block's vec indices (V block diagonal).
 
     Raises MethodUnavailable if the eigenvector basis fails the
     biorthogonality tolerance (defective or severely ill-conditioned L);
@@ -287,19 +293,23 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
     """
     if liouv._spectrum is not None:
         return liouv._spectrum
-    dense = liouv.matrix.toarray()
-    alphas, v = la.eig(dense)
-    try:
-        vinv = la.inv(v)
-    except la.LinAlgError as exc:
-        raise MethodUnavailable(f"eigenvector basis is singular: {exc}") from exc
-    defect = np.max(np.abs(vinv @ v - np.eye(v.shape[0])))
-    if defect > BIORTHOGONALITY_TOL:
-        raise MethodUnavailable(
-            f"eigendecomposition failed biorthogonality check "
-            f"(defect {defect:.3e} > {BIORTHOGONALITY_TOL:g}); "
-            "eigen-expansion method unavailable for this generator"
-        )
+    d2 = liouv.dim_rho**2
+    alphas = np.empty(d2, dtype=complex)
+    v, vinv = np.zeros((d2, d2), dtype=complex), np.zeros((d2, d2), dtype=complex)
+    for idx in sector_blocks(liouv):
+        alphas[idx], vb = la.eig(liouv.matrix[idx][:, idx].toarray())
+        try:
+            vbinv = la.inv(vb)
+        except la.LinAlgError as exc:
+            raise MethodUnavailable(f"eigenvector basis is singular: {exc}") from exc
+        defect = np.max(np.abs(vbinv @ vb - np.eye(idx.size)))
+        if defect > BIORTHOGONALITY_TOL:
+            raise MethodUnavailable(
+                f"eigendecomposition failed biorthogonality check "
+                f"(defect {defect:.3e} > {BIORTHOGONALITY_TOL:g}); "
+                "eigen-expansion method unavailable for this generator"
+            )
+        v[np.ix_(idx, idx)], vinv[np.ix_(idx, idx)] = vb, vbinv
     zero_index = int(np.argmin(np.abs(alphas)))
     result = LiouvillianSpectrum(
         alphas=alphas, right_vectors=v, left_vectors=vinv, zero_index=zero_index
@@ -308,12 +318,18 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
     return result
 
 
+def eigenvalues(liouv: Superoperator) -> np.ndarray:
+    """Eigenvalues of the generator, one dense ``eigvals`` per :func:`sector_blocks` block."""
+    return np.concatenate([la.eigvals(liouv.matrix[idx][:, idx].toarray())
+                           for idx in sector_blocks(liouv)])
+
+
 def slowest_decay_rate(liouv: Superoperator) -> float:
     """|Re alpha| of the generator's slowest non-stationary mode, from the
     cached eigendecomposition if there is one, else from eigenvalues alone."""
     if liouv._spectrum is not None:
         return liouv._spectrum.slowest_decay_rate()
-    return _slowest_rate(la.eigvals(liouv.matrix.toarray()))
+    return _slowest_rate(eigenvalues(liouv))
 
 
 def charge_sector(dim_rho: int) -> np.ndarray | None:
@@ -328,14 +344,27 @@ def charge_sector(dim_rho: int) -> np.ndarray | None:
     return (occupied[:, None] == occupied[None, :]).ravel(order="F")
 
 
-def sector_leak(liouv: Superoperator, mask: np.ndarray) -> int:
-    """Nonzero entries of L and of its jump channels that couple the
-    masked block with the rest, both ways."""
+def sector_leak(liouv: Superoperator, labels: np.ndarray) -> int:
+    """Nonzero entries of L and of its jump channels that couple vec indices
+    of different ``labels`` (a block mask, or one block label per index)."""
     leak = 0
     for m in (liouv.matrix, *(ch.part for ch in liouv.channels.values())):
         coo = m.tocoo()
-        leak += int(np.count_nonzero((mask[coo.row] != mask[coo.col]) & (coo.data != 0)))
+        leak += int(np.count_nonzero((labels[coo.row] != labels[coo.col]) & (coo.data != 0)))
     return leak
+
+
+def sector_blocks(liouv: Superoperator) -> list[np.ndarray]:
+    """Vec indices of the blocks of L that no entry of L or of a channel
+    couples: the charge sector, then the coherences (0, X) and (X, 0); all
+    indices as one block when L is not dot (x) Fock or they leak."""
+    kept = charge_sector(liouv.dim_rho)
+    if kept is not None:
+        # 1 kept, 2 (0, X) above the diagonal of rho, 0 (X, 0) below it
+        labels = kept + 2 * vectorize(np.triu(devectorize(~kept), 1))
+        if not sector_leak(liouv, labels):
+            return [np.flatnonzero(labels == k) for k in (1, 2, 0)]
+    return [np.arange(liouv.dim_rho**2)]
 
 
 def trace_defect(liouv: Superoperator) -> float:

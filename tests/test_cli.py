@@ -1,8 +1,9 @@
 import json
 
 import pytest
+import scipy.linalg
 
-from dqdnoise import cli
+from dqdnoise import checks, cli
 from dqdnoise.checks import CheckResult
 from dqdnoise.cli import (
     EXIT_CONFIG,
@@ -13,6 +14,10 @@ from dqdnoise.cli import (
     serialize_config,
 )
 from dqdnoise.errors import ConfigError
+from dqdnoise.model import ModelParams
+from dqdnoise.noise import TransportPoint
+from dqdnoise.superop import DENSE_EIG_MAX_D2
+from dqdnoise.sweep import preset
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -136,9 +141,18 @@ class TestExitCodes:
          "macdonald.t_max", "line 2"),
         (["steady"], None, "0", "workers", "DQDNOISE_WORKERS"),
         (["steady"], '{"model.n_fock": 2, "workers": 0}', None, "workers", "JSON key"),
+        (["spectrum", "--preset", "fig2"], "spectrum.omega_start = 0.5\n", None,
+         "spectrum.omega_start", "line 2"),
+        (["spectrum", "--preset", "fig2"], "spectrum.omega_stop = 1.5\n", None,
+         "spectrum.omega_stop", "line 2"),
+        (["spectrum", "--preset", "fig2"], "spectrum.omega_count = 3\n", None,
+         "spectrum.omega_count", "line 2"),
+        (["spectrum", "--preset", "fig2"], "spectrum.hamiltonian = full\n", None,
+         "spectrum.hamiltonian", "line 2"),
     ], ids=["flag-cutoff-text", "flag-cutoff-0", "file-cutoff-negative",
             "preset-sweep-cutoff-0", "file-dt-negative", "file-t_max-0", "env-workers-0",
-            "json-workers-0"])
+            "json-workers-0", "preset-omega_start", "preset-omega_stop", "preset-omega_count",
+            "preset-hamiltonian"])
     def test_bad_setting_is_2(self, tmp_path, monkeypatch, capsys,
                               argv, config, env, key, origin):
         monkeypatch.delenv("DQDNOISE_WORKERS", raising=False)
@@ -150,6 +164,21 @@ class TestExitCodes:
         out = str(tmp_path / "out.txt")
         assert cli.main(argv + ["--out", out]) == EXIT_CONFIG
         assert f"{key} ({origin})" in capsys.readouterr().err
+
+    def test_macdonald_above_dense_cap_is_2_without_eigvals(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        eigvals = scipy.linalg.eigvals
+        monkeypatch.setattr(scipy.linalg, "eigvals",
+                            lambda *a, **k: calls.append(a[0].shape) or eigvals(*a, **k))
+        n_fock = 16
+        assert (3 * (n_fock + 1)) ** 2 > DENSE_EIG_MAX_D2
+        path = write(tmp_path, f"model.delta = 0.5\nmodel.n_fock = {n_fock}\n"
+                               "spectrum.omega_count = 2\n")
+        rc = cli.main(["spectrum", "--config", path, "--methods", "macdonald",
+                       "--out", str(tmp_path / "out.csv")])
+        assert rc == EXIT_CONFIG
+        assert "macdonald.t_max required" in capsys.readouterr().err
+        assert calls == []
 
     def test_bad_method_flag(self, tmp_path):
         path = write(tmp_path, "model.delta = 0.5\n")
@@ -224,6 +253,16 @@ class TestSteadyCommand:
         payload = json.loads(out.read_text())
         assert payload["params"]["delta"] == 0.5
 
+    def test_preset_supplies_model_and_hamiltonian(self, tmp_path):
+        out = tmp_path / "steady.json"
+        assert cli.main(["steady", "--preset", "fig4b", "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text())
+        spec = preset("fig4b")
+        assert payload["params"] == {k: getattr(spec.base, k)
+                                     for k in ModelParams.__dataclass_fields__}
+        expected = TransportPoint(spec.base, spec.hamiltonian).report.current_e
+        assert payload["report"]["current_e"] == expected
+
 
 class TestSweepCommand:
     def test_csv_output_and_worker_stability(self, tmp_path):
@@ -258,6 +297,18 @@ class TestSweepCommand:
 
 
 class TestCheckCommand:
+    def test_eigenvalue_checks_solve_every_block(self, monkeypatch):
+        sizes = []
+        eigvals = scipy.linalg.eigvals
+        monkeypatch.setattr(scipy.linalg, "eigvals",
+                            lambda a, *r, **k: sizes.append(a.shape[0]) or eigvals(a, *r, **k))
+        liouv = TransportPoint(ModelParams(delta=0.5, g=0.2, temperature=1.0, n_fock=4)).liouv
+        results = checks._eigenvalue_checks(liouv, "unit-test")
+        d2 = liouv.dim_rho**2
+        assert sum(sizes) == d2  # the kept block and both coherence halves
+        assert sorted(sizes) == [2 * d2 // 9, 2 * d2 // 9, 5 * d2 // 9]
+        assert [r.passed for r in results] == [True, True, True]
+
     def test_fast_suite_passes(self, capsys):
         assert cli.main(["check", "--check", "fast"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -20,7 +20,8 @@ from dqdnoise.noise import (
     noise_macdonald_oracle,
 )
 from dqdnoise.steady import currents, solve_steady_state, trace_replaced_system
-from dqdnoise.superop import assemble_liouvillian, spectrum, trace_vector, vectorize
+from dqdnoise.superop import (assemble_liouvillian, charge_sector, spectrum, trace_vector,
+                              vectorize)
 from dqdnoise.sweep import SweepAxis, SweepSpec, run_sweep
 
 
@@ -365,6 +366,15 @@ class TestMacdonald:
                             - 2.0 * k * dt * flux_i * flux_j)
         expected = np.array(expected)
         assert np.max(np.abs(trace.f - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    def test_expm_runs_on_the_charge_sector_block(self, fig2_bundle, monkeypatch):
+        shapes = []
+        expm = la.expm
+        monkeypatch.setattr(la, "expm", lambda a: shapes.append(a.shape) or expm(a))
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
+        macdonald_correlation_trace(liouv, ss, "e", "b", t_max=4.0, dt=0.25, tail_rtol=1.0)
+        n_kept = int(charge_sector(liouv.dim_rho).sum())
+        assert shapes == [(n_kept + 2, n_kept + 2)]
 
     def test_insufficient_t_max_raises(self, fig2_bundle):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss

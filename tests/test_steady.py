@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dqdnoise.errors import DegenerateSteadyState, NumericalError
 from dqdnoise.model import ModelParams, build_hamiltonian, build_operators, thermal_state
 from dqdnoise.noise import TransportPoint
 from dqdnoise.steady import (
-    DIAGNOSE_MAX_D2,
     currents,
     fano_number,
     min_quadrature_variance,
@@ -16,7 +16,8 @@ from dqdnoise.steady import (
     quadrature_variance,
     solve_steady_state,
 )
-from dqdnoise.superop import build_liouvillian, thermal_occupation, vectorize
+from dqdnoise.superop import (DENSE_EIG_MAX_D2, build_liouvillian, charge_sector,
+                              thermal_occupation, vectorize)
 
 
 def nullspace_steady_state(liouv):
@@ -77,21 +78,26 @@ class TestSolve:
         assert np.max(np.abs(ss.rho_ss - np.kron(rho_dot, rho_th))) < 1e-8
 
     def test_degenerate_stationary_subspace_detected(self):
-        # leads off: dot populations decouple, multiple stationary states
+        # leads off: dot populations decouple, multiple stationary states; the
+        # (0, X) and (X, 0) coherences of equal energy are zero modes too
         p = ModelParams(delta=0.0, g=0.0, gamma_L=0.0, gamma_R=0.0,
                         gamma_b=0.05, n_fock=2)
         liouv = build_liouvillian(build_hamiltonian(p), p)
-        with pytest.raises(DegenerateSteadyState):
+        n_zero = int(np.sum(np.abs(np.linalg.eigvals(liouv.matrix.toarray())) <= 1e-8))
+        mask = charge_sector(liouv.dim_rho)
+        kept = np.linalg.eigvals(liouv.matrix[mask][:, mask].toarray())
+        assert n_zero > int(np.sum(np.abs(kept) <= 1e-8))
+        with pytest.raises(DegenerateSteadyState, match=f"\\({n_zero} eigenvalues"):
             solve_steady_state(liouv)
 
     def test_failure_above_diagnosis_cap_skips_eigvals(self, monkeypatch):
         # all rates zero, too large for the dense diagnosis: reported without eigvals
         calls = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
-        p = ModelParams(delta=0.5, gamma_L=0.0, gamma_R=0.0, gamma_b=0.0, n_fock=13)
+        eigvals = scipy.linalg.eigvals
+        monkeypatch.setattr(scipy.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        p = ModelParams(delta=0.5, gamma_L=0.0, gamma_R=0.0, gamma_b=0.0, n_fock=16)
         liouv = build_liouvillian(build_hamiltonian(p), p)
-        assert liouv.dim_rho**2 > DIAGNOSE_MAX_D2
+        assert liouv.dim_rho**2 > DENSE_EIG_MAX_D2
         with pytest.raises(NumericalError):
             solve_steady_state(liouv)
         assert calls == []

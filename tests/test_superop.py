@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from dqdnoise.model import ModelParams, build_hamiltonian, build_jc_hamiltonian
 from dqdnoise.superop import (
@@ -10,6 +11,7 @@ from dqdnoise.superop import (
     counting_liouvillian,
     devectorize,
     sandwich,
+    sector_blocks,
     sector_leak,
     slowest_decay_rate,
     spectrum,
@@ -297,9 +299,39 @@ class TestChargeSector:
         h[0, 1] = h[1, 0] = 0.3
         liouv = assemble_liouvillian(h, [])
         assert sector_leak(liouv, charge_sector(3)) > 0
+        [block] = sector_blocks(liouv)
+        assert block.size == 9
 
     def test_not_a_dot_generator(self):
         assert charge_sector(2) is None
+
+    def test_three_blocks_partition_the_vec_indices(self, fig2_bundle):
+        blocks = sector_blocks(fig2_bundle.liouv)
+        d2 = fig2_bundle.liouv.dim_rho**2
+        assert [b.size * 9 for b in blocks] == [5 * d2, 2 * d2, 2 * d2]
+        assert np.array_equal(blocks[0], np.flatnonzero(charge_sector(fig2_bundle.liouv.dim_rho)))
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d2))
+
+    def test_not_dot_times_fock_is_one_block(self):
+        liouv = assemble_liouvillian(np.diag([0.0, 1.0]).astype(complex),
+                                     [("e", 0.1, np.array([[0, 1], [0, 0]], complex), True)])
+        assert liouv.dim_rho % 3 != 0
+        [block] = sector_blocks(liouv)
+        assert np.array_equal(block, np.arange(4))
+        assert spectrum(liouv).alphas.size == 4
+
+    @pytest.mark.parametrize("build,temperature,n_fock", [
+        (build_jc_hamiltonian, 0.0, 6), (build_hamiltonian, 1.0, 4)],
+        ids=["fig2-jc", "full-T1"])
+    def test_block_spectrum_is_the_whole_spectrum(self, build, temperature, n_fock):
+        p = ModelParams(delta=0.5, g=0.2, epsilon=0.1, temperature=temperature, n_fock=n_fock)
+        liouv = build_liouvillian(build(p), p)
+        blocks = spectrum(liouv).alphas
+        whole = scipy.linalg.eigvals(liouv.matrix.toarray())
+        dist = np.abs(blocks[:, None] - whole[None, :])
+        rows, cols = linear_sum_assignment(dist)  # multiset match
+        assert blocks.size == whole.size == liouv.dim_rho**2
+        assert np.max(dist[rows, cols]) <= 1e-10
 
 
 class TestAssembleValidation:
