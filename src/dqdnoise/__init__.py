@@ -46,7 +46,6 @@ from .noise import (
     ResolventSolver,
     TransportPoint,
     noise_eigen_expansion,
-    noise_macdonald_oracle,
     counting_fd_check,
     compute_spectrum,
     find_peaks,

@@ -220,11 +220,32 @@ def _build_axis(idx: int, pairs, consume) -> SweepAxis | None:
         raise ConfigError(f"{prefix}* ({origin}): {exc}") from exc
 
 
+def _preset_supplies(spec: SweepSpec, key: str) -> bool:
+    """Whether the preset ``spec`` fixes the setting of config key ``key``."""
+    return key.startswith(("model.", "sweep.")) or key == "spectrum.hamiltonian" or \
+        key.startswith("spectrum.omega_") and any(a.name == "omega" for a in spec.axes)
+
+
 def _config_from_pairs(pairs: dict[str, tuple[object, str]]) -> RunConfig:
     remaining = dict(pairs)
 
     def consume(key):
         return remaining.pop(key, None)
+
+    sweep_spec = None
+    preset_item = consume("sweep.preset")
+    if preset_item is not None:
+        try:
+            sweep_spec = preset(str(preset_item[0]))
+        except KeyError as exc:
+            raise ConfigError(f"sweep.preset ({preset_item[1]}): {exc.args[0]}") from exc
+        supplied = [f"{key} ({origin})" for key, (_, origin) in remaining.items()
+                    if _preset_supplies(sweep_spec, key)]
+        if supplied:
+            raise ConfigError(
+                f"{', '.join(supplied)}: set by sweep.preset ({preset_item[1]}); "
+                "presets are the single source of truth for their parameters"
+            )
 
     model_kw = {}
     for name, parse in _MODEL_FIELDS.items():
@@ -232,28 +253,10 @@ def _config_from_pairs(pairs: dict[str, tuple[object, str]]) -> RunConfig:
         if item is not None:
             model_kw[name] = _value(f"model.{name}", item, parse)
 
-    preset_item = consume("sweep.preset")
-    if preset_item is not None and model_kw:
-        raise ConfigError(
-            f"sweep.preset ({preset_item[1]}): conflicts with model.* keys; "
-            "presets are the single source of truth for their parameters"
-        )
-
     axes = [a for a in (_build_axis(1, remaining, consume), _build_axis(2, remaining, consume))
             if a is not None]
     quantities_item = consume("sweep.quantities")
     hamiltonian_item = consume("sweep.hamiltonian")
-
-    sweep_spec = None
-    if preset_item is not None:
-        if axes:
-            raise ConfigError(
-                f"sweep.preset ({preset_item[1]}): conflicts with manual sweep axes"
-            )
-        try:
-            sweep_spec = preset(str(preset_item[0]))
-        except KeyError as exc:
-            raise ConfigError(f"sweep.preset ({preset_item[1]}): {exc.args[0]}") from exc
     manual_sweep = sweep_spec is None and bool(axes)
     for key, item in (("sweep.quantities", quantities_item),
                       ("sweep.hamiltonian", hamiltonian_item)):
@@ -321,6 +324,8 @@ def serialize_config(cfg: RunConfig) -> str:
         lines.append("sweep.quantities = " + ",".join(cfg.sweep_spec.quantities))
         lines.append(f"sweep.hamiltonian = {cfg.sweep_spec.hamiltonian}")
     for key, name, _, _ in _SETTINGS:
+        if has_preset and _preset_supplies(cfg.sweep_spec, key):
+            continue
         value = getattr(cfg.spectrum if key.startswith("spectrum.") else cfg, name)
         if isinstance(value, tuple):
             value = ",".join(value)
@@ -541,17 +546,12 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     for key, _, _, flag in _SETTINGS:
         if flag and getattr(args, key) is not None:
             pairs[key] = (getattr(args, key), flag)
-    cfg = _config_from_pairs(pairs)
     if args.preset:
-        if cfg.sweep_spec is not None and cfg.sweep_spec.preset not in (None, args.preset):
-            raise ConfigError("--preset conflicts with the config's sweep.preset")
-        cfg.sweep_spec = preset(args.preset)
-    spec = _preset(cfg)
-    omega = spec is not None and any(a.name == "omega" for a in spec.axes)
-    for key, (_, origin) in pairs.items():
-        if spec and (key == "spectrum.hamiltonian" or omega and key.startswith("spectrum.omega_")):
-            raise ConfigError(f"{key} ({origin}): preset {spec.preset} supplies it")
-    return cfg
+        item = pairs.get("sweep.preset")
+        if item is not None and str(item[0]) != args.preset:
+            raise ConfigError(f"--preset conflicts with the config's sweep.preset ({item[1]})")
+        pairs["sweep.preset"] = (args.preset, "--preset")
+    return _config_from_pairs(pairs)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,12 +5,13 @@ resolvent (primary, ``ResolventSolver.noise``)
     S(w)/2 = Re{-Tr[L_i R(w) L_j rho_ss] - Tr[L_j R(w) L_i rho_ss]}
              + delta_ij Tr[L_i rho_ss],
     with R(w) = Q (i w + L)^{-1} Q, P = |rho_ss><1|, Q = 1 - P. A point's
-    nonzero frequencies, for every requested channel pair, are solved
-    together on the charge-sector block of L: by back-substitution on one
-    complex Schur form of the block for a large grid on a small block,
-    else by one sparse factorization per frequency. w = 0 solves the
-    trace-row-augmented system (pseudo-inverse restricted to range Q) with
-    the factorization the steady-state solve already made.
+    whole frequency axis, for every requested channel pair, is solved on
+    the charge-sector block of L that the steady state was solved on. w = 0
+    solves the trace-row-augmented block (pseudo-inverse restricted to
+    range Q) with the factorization the steady-state solve already made;
+    nonzero w by back-substitution on one complex Schur form of the block
+    for a large grid on a small block, else by one sparse factorization
+    per frequency.
 
 eigen (diagnostic)
     S(w)/2I = 1 - 2 sum_k c_k alpha_k / (w^2 + alpha_k^2) over the
@@ -59,7 +60,6 @@ from .superop import (
     Superoperator,
     build_liouvillian,
     counting_liouvillian,
-    sector_blocks,
     spectrum,
     trace_vector,
     vectorize,
@@ -72,7 +72,6 @@ __all__ = [
     "noise_eigen_expansion",
     "MacdonaldTrace",
     "macdonald_correlation_trace",
-    "noise_macdonald_oracle",
     "counting_fd_check",
     "compute_spectrum",
     "find_peaks",
@@ -102,75 +101,78 @@ SCHUR_MAX_DIM = 1280
 
 
 class ResolventSolver:
-    """Projected-resolvent applications R(w) x and the noise built on them.
+    """Projected-resolvent applications R(w) x and the noise built on them,
+    all on the steady state's charge-sector block ``ss.block`` (the first
+    of :func:`superop.sector_blocks`).
 
     P projects onto the stationary direction, Q = 1 - P onto its
-    complement. At w = 0 the redundant trace-block row is replaced with
-    the trace constraint, the system ``ss.factor`` already factors.
-    Nonzero frequencies are solved on the charge-sector block of L (the first
-    of :func:`superop.sector_blocks`), one factorization per frequency for all pairs:
-    above the cut of :meth:`_use_schur` a triangular solve (i w + T) y = Z* b
-    on one complex Schur form L_blk = Z T Z* (Laub, IEEE Trans. Autom.
-    Control 26, 407 (1981)), below it a sparse LU. Not safe for concurrent
-    use: the Schur path writes each frequency onto the diagonal of T.
+    complement. rho_ss, the trace functional and every channel's
+    L_c rho_ss and Tr[L_c .] live on the block, so Q keeps it and the
+    noise needs no other vec index. w = 0 solves the trace-replaced block
+    that ``ss.factor`` already factors (:meth:`apply`). Each nonzero
+    frequency takes one factorization for all pairs: above the cut of
+    :meth:`_use_schur` a triangular solve (i w + T) y = Z* b on one complex
+    Schur form L_blk = Z T Z* (Laub, IEEE Trans. Autom. Control 26, 407
+    (1981)), below it a sparse LU. Not safe for concurrent use: the Schur
+    path writes each frequency onto the diagonal of T.
     """
 
     def __init__(self, liouv: Superoperator, ss: SteadyState):
         self.liouv = liouv
         self.ss = ss
-        self.rho_vec = vectorize(ss.rho_ss)
-        self.tr = trace_vector(liouv.dim_rho)
+        self.rho = vectorize(ss.rho_ss)[ss.block]
+        self.tr = trace_vector(liouv.dim_rho)[ss.block]
 
-    def q_apply(self, x: np.ndarray) -> np.ndarray:
-        return x - self.rho_vec * (self.tr @ x)
+    def _q(self, x: np.ndarray) -> np.ndarray:
+        return x - self.rho * (self.tr @ x)
 
-    def apply(self, omega: float, x: np.ndarray) -> np.ndarray:
-        """R(0) x = Q L^{-1} Q x on the whole space, the range-Q solution.
-        Nonzero frequencies are solved only inside :meth:`noises`."""
-        if omega != 0.0:
-            raise ValueError(f"apply solves omega = 0 only, got {omega!r}")
-        rhs = self.q_apply(np.asarray(x, dtype=complex))
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """R(0) x = Q L^{-1} Q x of a block vector, the range-Q solution."""
+        rhs = self._q(np.asarray(x, dtype=complex))
         rhs[0] = 0.0  # trace constraint row: selects the range-Q solution
-        return self.q_apply(self.ss.factor.solve(rhs))
+        return self._q(self.ss.factor.solve(rhs))
+
+    def _channels(self, chans: list[str]) -> tuple[dict, dict]:
+        """(rows Tr[L_c Q], columns Q L_c rho_ss) of the channels c in ``chans``
+        on the block."""
+        rho, tr = vectorize(self.ss.rho_ss), trace_vector(self.liouv.dim_rho)
+        rows, cols = {}, {}
+        for c in chans:
+            part = self.liouv.channel(c).part
+            r = (tr @ part)[self.ss.block]
+            rows[c] = r - (r @ self.rho) * self.tr
+            cols[c] = self._q((part @ rho)[self.ss.block])
+        return rows, cols
 
     @cached_property
-    def _block(self):
-        """(L_blk, rows Tr[L_c Q], columns Q L_c rho_ss of every channel c)."""
-        kept = sector_blocks(self.liouv)[0]
-        rows, cols = {}, {}
-        for cid, ch in self.liouv.channels.items():
-            r = self.tr @ ch.part
-            rows[cid] = (r - (r @ self.rho_vec) * self.tr)[kept]
-            cols[cid] = self.q_apply(ch.part @ self.rho_vec)[kept]
-        return self.liouv.matrix[kept][:, kept].tocsc(), rows, cols
+    def _matrix(self) -> sp.csc_matrix:
+        """L on the block; only nonzero frequencies need it."""
+        return self.liouv.matrix[self.ss.block][:, self.ss.block].tocsc()
 
     @cached_property
     def _schur(self):
-        """(T, diag T, rows Z, Z* columns); Z is dropped once projected. The
-        minimal workspace keeps LAPACK off its blocked multishift QR, whose
-        BLAS-3 buffers add about 2 MB of peak memory at n = 245."""
-        matrix, rows, cols = self._block
-        n = matrix.shape[0]
-        t, z = la.schur(matrix.toarray(order="F"), output="complex", lwork=2 * n,
+        """(T, diag T, Z). The minimal workspace keeps LAPACK off its blocked
+        multishift QR, whose BLAS-3 buffers add about 2 MB of peak memory at
+        n = 245."""
+        n = self.ss.block.size
+        t, z = la.schur(self._matrix.toarray(order="F"), output="complex", lwork=2 * n,
                         overwrite_a=True, check_finite=False)
-        return (t, np.diag(t).copy(), {c: r @ z for c, r in rows.items()},
-                {c: (v.conj() @ z).conj() for c, v in cols.items()})
+        return t, np.diag(t).copy(), z
 
     def _use_schur(self, n_omega: int) -> bool:
         """n <= SCHUR_MAX_DIM and n_omega >= SCHUR_BREAK_EVEN n^1.5 for a block of
         dimension n: Schur costs O(n^3) once, a sparse LU O(n^1.5) per frequency."""
-        n = self._block[0].shape[0]
+        n = self.ss.block.size
         return n <= SCHUR_MAX_DIM and n_omega >= SCHUR_BREAK_EVEN * n**1.5
 
-    def _raw_nonzero(self, pairs: list[tuple[str, str]], chans: list[str],
-                     w: np.ndarray) -> np.ndarray:
-        """-t_ij - t_ji, t_ij = Tr[L_i R(w) L_j rho_ss], of every pair (rows) at
-        nonzero frequencies (columns); each frequency solves the columns of
-        ``chans`` with one factorization."""
-        matrix, rows, cols = self._block
-        n = matrix.shape[0]
-        if self._use_schur(w.size):
-            t, diag, rows, cols = self._schur
+    def _nonzero_solver(self, rows: dict, cols: dict, n_omega: int):
+        """omega -> (rows, {c: y_c}) with (i omega + L_blk) y_c = cols[c] for
+        nonzero omega; on the Schur path rows and y_c are in the Schur basis."""
+        n = self.ss.block.size
+        if self._use_schur(n_omega):
+            t, diag, z = self._schur
+            rows = {c: r @ z for c, r in rows.items()}
+            cols = {c: (v.conj() @ z).conj() for c, v in cols.items()}
 
             def solve(omega, b):
                 t.flat[::n + 1] = diag + 1j * omega
@@ -180,40 +182,35 @@ class ResolventSolver:
 
             def solve(omega, b):
                 try:
-                    return spla.splu((1j * omega) * eye + matrix).solve(b)
+                    return spla.splu((1j * omega) * eye + self._matrix).solve(b)
                 except RuntimeError as exc:
                     raise NumericalError(
                         f"resolvent factorization singular at omega={omega!r}: {exc}"
                     ) from exc
-
-        b = np.column_stack([cols[c] for c in chans])
-        out = np.empty((len(pairs), w.size), dtype=complex)
-        for k, omega in enumerate(w):
-            y = dict(zip(chans, solve(omega, b).T))
-            for p, (i, j) in enumerate(pairs):
-                out[p, k] = -(rows[i] @ y[j]) - rows[j] @ y[i]
-        return out
+        b = np.column_stack(list(cols.values()))
+        return lambda omega: (rows, dict(zip(cols, solve(omega, b).T)))
 
     def noises(self, pairs: list[tuple[str, str]], omega) -> list:
         """Symmetrized noise S(omega)_{i,j} in natural units (e = 1) of each
-        channel pair, at a frequency (floats) or on an array of frequencies."""
-        parts = {c: self.liouv.channel(c).part for pair in pairs for c in pair}
+        channel pair, at a frequency (floats) or on an array of frequencies.
+        w = 0 applies R(0) to each channel's column; each nonzero w solves
+        the columns of all channels with one factorization."""
+        chans = list(dict.fromkeys(c for pair in pairs for c in pair))
         w = np.atleast_1d(np.asarray(omega, dtype=float))
-        zero = w == 0.0
         raw = np.empty((len(pairs), w.size), dtype=complex)
-        if pairs and not np.all(zero):
-            raw[:, ~zero] = self._raw_nonzero(pairs, list(parts), w[~zero])
-        if np.any(zero):
-            y = {c: self.apply(0.0, part @ self.rho_vec) for c, part in parts.items()}
-            for p, (i, j) in enumerate(pairs):
-                t_ij = self.tr @ (parts[i] @ y[j])
-                t_ji = t_ij if i == j else self.tr @ (parts[j] @ y[i])
-                raw[p, zero] = raw0 = -t_ij - t_ji
-                if abs(raw0.imag) > REALITY_TOL * max(1.0, abs(raw0.real)):
-                    warnings.warn(
-                        f"zero-frequency noise has imaginary residue {raw0.imag:.3e}",
-                        stacklevel=2,
-                    )
+        if pairs:
+            rows, cols = self._channels(chans)
+            nonzero = self._nonzero_solver(rows, cols, np.count_nonzero(w)) if np.any(w) \
+                else None
+            for k, om in enumerate(w):
+                r, y = (rows, {c: self.apply(cols[c]) for c in chans}) if om == 0.0 \
+                    else nonzero(om)
+                for p, (i, j) in enumerate(pairs):
+                    raw[p, k] = -(r[i] @ y[j]) - r[j] @ y[i]
+        for raw0 in raw[:, w == 0.0].flat:
+            if abs(raw0.imag) > REALITY_TOL * max(1.0, abs(raw0.real)):
+                warnings.warn(f"zero-frequency noise has imaginary residue {raw0.imag:.3e}",
+                              stacklevel=2)
         # taking the real part symmetrizes over +-omega; away from omega = 0 the
         # discarded imaginary part is the genuine antisymmetric component
         delta = [channel_flux(self.ss, self.liouv, i) if i == j else 0.0 for i, j in pairs]
@@ -346,7 +343,7 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     Auxiliary states rho_i start at zero and obey
     d rho_i / dtau = L rho_i + L_i rho_ss while rho stays at the steady
     state; the forcing, and so rho_i, stays in the charge-sector block of L
-    (:func:`superop.sector_blocks`). Exact stepping: rho_i(t+dt) = E rho_i(t) + w_i with
+    (``ss.block``). Exact stepping: rho_i(t+dt) = E rho_i(t) + w_i with
     E = exp(L dt) and w_i the step integral of the constant forcing,
     both obtained from one augmented matrix exponential. After k steps
     rho_i = sum_{m<k} E^m w_i, so f is a running sum of the scalars
@@ -360,7 +357,7 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     """
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
-    kept = sector_blocks(liouv)[0]
+    kept = ss.block
     n = kept.size
     rho_vec = vectorize(ss.rho_ss)
     tr = trace_vector(liouv.dim_rho)
@@ -439,18 +436,6 @@ def macdonald_evaluate(trace: MacdonaldTrace, omega) -> float | np.ndarray:
     sums = np.einsum("wq,wq->w", giant, baby @ blocks.reshape(a, b).T)
     out = 2.0 * trace.f_inf + 2.0 * w * sums.imag
     return float(out[0]) if np.ndim(omega) == 0 else out
-
-
-def noise_macdonald_oracle(liouv: Superoperator, ss: SteadyState, i: str, j: str,
-                           omega, t_max: float, dt: float,
-                           tail_rtol: float = 3e-5) -> float | np.ndarray:
-    """Time-domain noise oracle; accepts a scalar or an array of frequencies.
-
-    ``t_max`` should cover all relaxation modes (>= 10 / |Re alpha_slowest|);
-    an unconverged tail raises with a suggested budget.
-    """
-    trace = macdonald_correlation_trace(liouv, ss, i, j, t_max, dt, tail_rtol)
-    return macdonald_evaluate(trace, omega)
 
 
 def _smallest_eigenvalue(m: sp.csc_matrix, v0: np.ndarray, w0: np.ndarray,

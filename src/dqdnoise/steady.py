@@ -1,14 +1,16 @@
 """Stationary density matrix and single-time observables.
 
-The solver replaces one row of the (singular) generator with the
-vectorized trace constraint and solves the resulting linear system
+The solver works on the charge-sector ("kept") block of the generator, the
+first of :func:`superop.sector_blocks`: it holds vec index 0 and every
+diagonal index, so the stationary state lives there. Row 0 of the block (a
+diagonal vec position, where the generator's one row dependency lives) is
+replaced with the vectorized trace constraint and the system is solved
 directly, with a couple of iterative-refinement passes on the cached
-factorization; the residual is always reported against the unmodified
-generator. The replaced row must belong to the trace block (a diagonal
-vec position), which is where the generator's one row dependency lives.
-The factorization is kept on the returned SteadyState, and the omega = 0
-projected resolvent solves with it instead of factoring the same matrix
-again.
+factorization. The state is scattered back into D x D with exact zeros in
+the dropped coherence blocks, and the residual is always reported against
+the whole unmodified generator. The factorization and the block's vec
+indices are kept on the returned SteadyState, and the omega = 0 projected
+resolvent solves with them instead of factoring the same matrix again.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
 from .superop import (DENSE_EIG_MAX_D2, Superoperator, devectorize, eigenvalues,
-                      trace_vector, vectorize)
+                      sector_blocks, trace_vector, vectorize)
 
 __all__ = [
     "SteadyState",
@@ -50,13 +52,14 @@ class SteadyState:
     """Normalized Hermitian stationary state with its solve diagnostics.
 
     ``factor`` is the sparse LU (``SuperLU``) of the trace-replaced
-    generator the state was solved with; the omega = 0 projected
-    resolvent reuses it.
+    charge-sector block the state was solved with, and ``block`` that
+    block's vec indices; the projected resolvent works on them.
     """
 
     rho_ss: np.ndarray
     residual: float
     factor: spla.SuperLU = field(repr=False, compare=False)
+    block: np.ndarray = field(repr=False, compare=False)
     method: str = "trace-lu"
 
     @property
@@ -102,17 +105,21 @@ class MomentReport:
         }
 
 
-def trace_replaced_system(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Generator with row 0 (a trace-block row) replaced by the trace constraint."""
-    d2 = liouv.dim_rho**2
+def trace_replaced_system(liouv: Superoperator,
+                          block: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The generator on the sorted vec indices ``block``, which hold index 0
+    and every diagonal index and which no entry couples to the rest, with
+    its row 0 (a trace-block row) replaced by the trace constraint."""
+    d = liouv.dim_rho
+    pos = np.full(d * d, -1)
+    pos[block] = np.arange(block.size)
     coo = liouv.matrix.tocoo()
-    keep = coo.row != 0
-    diag_idx = np.arange(liouv.dim_rho) * (liouv.dim_rho + 1)
-    rows = np.concatenate([coo.row[keep], np.zeros(liouv.dim_rho, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], diag_idx.astype(coo.col.dtype)])
-    data = np.concatenate([coo.data[keep], np.ones(liouv.dim_rho, dtype=complex)])
-    m = sp.csc_matrix((data, (rows, cols)), shape=(d2, d2))
-    b = np.zeros(d2, dtype=complex)
+    keep = pos[coo.row] > 0  # rows of the block but its first, vec index 0
+    rows = np.concatenate([pos[coo.row[keep]], np.zeros(d, dtype=int)])
+    cols = np.concatenate([pos[coo.col[keep]], pos[np.arange(d) * (d + 1)]])
+    data = np.concatenate([coo.data[keep], np.ones(d, dtype=complex)])
+    m = sp.csc_matrix((data, (rows, cols)), shape=(block.size, block.size))
+    b = np.zeros(block.size, dtype=complex)
     b[0] = 1.0
     return m, b
 
@@ -137,9 +144,11 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
     Raises DegenerateSteadyState when the stationary subspace is not
     one-dimensional and ConvergenceFailure when the residual against the
     unmodified generator stays above tolerance. The returned state keeps
-    the factorization of ``trace_replaced_system(liouv)``.
+    the charge-sector block and the factorization of
+    ``trace_replaced_system(liouv, block)``.
     """
-    m, b = trace_replaced_system(liouv)
+    block = sector_blocks(liouv)[0]
+    m, b = trace_replaced_system(liouv, block)
     try:
         lu = spla.splu(m)
     except RuntimeError as exc:
@@ -151,7 +160,9 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
             break
         x = x + lu.solve(r)
 
-    rho = devectorize(x)
+    vec = np.zeros(liouv.dim_rho**2, dtype=complex)
+    vec[block] = x
+    rho = devectorize(vec)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-300:
@@ -168,7 +179,7 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
             f"steady state has eigenvalue {min_eig:.3e} below {POSITIVITY_TOL:g}; "
             "the Fock cutoff is likely too small, increase n_fock"
         )
-    return SteadyState(rho_ss=rho, residual=residual, factor=lu)
+    return SteadyState(rho_ss=rho, residual=residual, factor=lu, block=block)
 
 
 def channel_flux(ss: SteadyState, liouv: Superoperator, cid: str) -> float:

@@ -349,8 +349,8 @@ def sector_leak(liouv: Superoperator, labels: np.ndarray) -> int:
     of different ``labels`` (a block mask, or one block label per index)."""
     leak = 0
     for m in (liouv.matrix, *(ch.part for ch in liouv.channels.values())):
-        coo = m.tocoo()
-        leak += int(np.count_nonzero((labels[coo.row] != labels[coo.col]) & (coo.data != 0)))
+        rows = np.repeat(labels, np.diff(m.indptr))
+        leak += int(np.count_nonzero((rows != labels[m.indices]) & (m.data != 0)))
     return leak
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NumericalError
+from .errors import ConvergenceFailure
 from .model import ModelParams
 from .noise import TransportPoint
 
@@ -199,7 +199,7 @@ def _evaluate(point: TransportPoint, names, omegas: np.ndarray) -> list:
     return [({q: vals[q][k] for q in names}, None) for k in range(omegas.size)]
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
+def run_sweep(spec: SweepSpec, workers: int = 1,
               cutoff: int | str | None = None) -> GridResult:
     """Evaluate a sweep grid.
 
@@ -269,8 +269,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1, fail_fast: bool = False,
                 task_idx[:omega_axis] + (w_i,) + task_idx[omega_axis:]
             if err is not None:
                 gaps.append((full, err))
-                if fail_fast:
-                    raise NumericalError(f"sweep point {full} failed: {err}")
                 continue
             for q, v in vals.items():
                 data[q][full] = v

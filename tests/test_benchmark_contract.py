@@ -1,9 +1,10 @@
 """The benchmark in ``perfbench/`` drives the package through fixed entry
 points (``cli.main``, ``steady.solve_steady_state``, ``steady.currents``,
 ``superop.build_liouvillian``, ``superop.spectrum``,
-``noise.ResolventSolver.apply``, ``noise.compute_spectrum``,
-``noise.counting_fd_check``, ``sweep.run_sweep``) and checks every output
-against ``perfbench/reference.json``. Its traced smoke run on every
+``noise.ResolventSolver.apply`` (the omega = 0 solve on the charge-sector
+block), ``noise.compute_spectrum``, ``noise.counting_fd_check``,
+``noise.macdonald_correlation_trace(liouv, ...)``, ``sweep.run_sweep``) and
+checks every output against ``perfbench/reference.json``. Its traced smoke run on every
 workload fails when one of those names moves or an output drifts."""
 
 import pathlib

@@ -101,9 +101,11 @@ class TestParseConfig:
             parse_config(write(tmp_path, text))
 
     def test_preset_round_trip(self, tmp_path):
-        cfg = parse_config(write(tmp_path, "sweep.preset = fig6b\n"))
-        cfg2 = parse_config(write(tmp_path, serialize_config(cfg), "round.cfg"))
-        assert cfg2.sweep_spec == cfg.sweep_spec
+        # fig4b has an omega axis, so its serialized form drops every spectrum.omega_* key
+        for name in ("fig6b", "fig4b"):
+            cfg = parse_config(write(tmp_path, f"sweep.preset = {name}\n"))
+            cfg2 = parse_config(write(tmp_path, serialize_config(cfg), "round.cfg"))
+            assert cfg2.sweep_spec == cfg.sweep_spec
 
 
 class TestExitCodes:
@@ -149,10 +151,18 @@ class TestExitCodes:
          "spectrum.omega_count", "line 2"),
         (["spectrum", "--preset", "fig2"], "spectrum.hamiltonian = full\n", None,
          "spectrum.hamiltonian", "line 2"),
+        (["steady", "--preset", "fig4b"], "model.delta = 0.3\nmodel.g = 0.25\n", None,
+         "model.g", "line 3"),
+        (["steady", "--preset", "fig4b"],
+         "sweep.axis1.name = g\nsweep.axis1.values = 0.1,0.2\nsweep.quantities = I_e\n",
+         None, "sweep.quantities", "line 4"),
+        (["steady", "--preset", "fig4b"], "sweep.preset = fig2\n", None,
+         "sweep.preset", "line 2"),
     ], ids=["flag-cutoff-text", "flag-cutoff-0", "file-cutoff-negative",
             "preset-sweep-cutoff-0", "file-dt-negative", "file-t_max-0", "env-workers-0",
             "json-workers-0", "preset-omega_start", "preset-omega_stop", "preset-omega_count",
-            "preset-hamiltonian"])
+            "preset-hamiltonian", "preset-flag-model", "preset-flag-manual-sweep",
+            "preset-flag-other-preset"])
     def test_bad_setting_is_2(self, tmp_path, monkeypatch, capsys,
                               argv, config, env, key, origin):
         monkeypatch.delenv("DQDNOISE_WORKERS", raising=False)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from dqdnoise import noise
+from dqdnoise import noise, steady, superop
 from dqdnoise.errors import ConvergenceFailure, MethodUnavailable, NumericalError
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import (
@@ -17,7 +17,6 @@ from dqdnoise.noise import (
     macdonald_correlation_trace,
     macdonald_evaluate,
     noise_eigen_expansion,
-    noise_macdonald_oracle,
 )
 from dqdnoise.steady import currents, solve_steady_state, trace_replaced_system
 from dqdnoise.superop import (assemble_liouvillian, charge_sector, spectrum, trace_vector,
@@ -61,15 +60,14 @@ class TestResolvent:
             sm = fig2_bundle.noise("e", "e", -w)
             assert abs(sp - sm) <= 1e-8
 
-    def test_projector_identities(self):
-        liouv, ss = single_level(0.1, 0.05)
-        solver = ResolventSolver(liouv, ss)
-        d2 = 4
-        p_mat = np.outer(solver.rho_vec, solver.tr)
-        q_mat = np.eye(d2) - p_mat
-        assert np.max(np.abs(p_mat @ p_mat - p_mat)) < 1e-10
-        assert np.max(np.abs(q_mat @ q_mat - q_mat)) < 1e-10
-        assert np.max(np.abs(p_mat @ q_mat)) < 1e-10
+    def test_projector_identities(self, fig2_bundle):
+        for liouv, ss in (single_level(0.1, 0.05), (fig2_bundle.liouv, fig2_bundle.ss)):
+            solver = ResolventSolver(liouv, ss)
+            p_mat = np.outer(solver.rho, solver.tr)  # on the block
+            q_mat = np.eye(ss.block.size) - p_mat
+            assert np.max(np.abs(p_mat @ p_mat - p_mat)) < 1e-10
+            assert np.max(np.abs(q_mat @ q_mat - q_mat)) < 1e-10
+            assert np.max(np.abs(p_mat @ q_mat)) < 1e-10
 
     def test_autocorrelation_positive(self, fig2_bundle):
         for w in (0.0, 0.5, 1.0):
@@ -128,10 +126,11 @@ class TestResolventFactorCache:
 
 
 def dense_noise(liouv, ss, i, j, omegas):
-    """Reference S(w)_{i,j} from dense solves of (i w + L) on the whole space."""
+    """Reference S(w)_{i,j} from dense solves of (i w + L - |rho><1|) on the
+    whole space: regular at w = 0, and equal to (i w + L) on range Q."""
     rho = vectorize(ss.rho_ss)
     tr = trace_vector(liouv.dim_rho)
-    dense = liouv.matrix.toarray()
+    dense = liouv.matrix.toarray() - np.outer(rho, tr)
     ci, cj = liouv.channel(i).part, liouv.channel(j).part
 
     def q(x):
@@ -205,9 +204,9 @@ class TestFrequencyGrid:
             liouv, ss = single_level(0.1, 0.025) if make == "single_level" else leaking_dot()
         solver = ResolventSolver(liouv, ss)
         # only the dot (x) Fock generator that keeps its sectors closed is reduced
-        assert (solver._block[0].shape[0] < liouv.dim_rho**2) == (make == "fig2")
+        assert (ss.block.size < liouv.dim_rho**2) == (make == "fig2")
         schur_cut(path)
-        grid = np.array([-0.8, 0.3, 1.0, 2.5])
+        grid = np.array([-0.8, 0.0, 0.3, 1.0, 2.5])
         for pair in (("e", "e"), ("e", "b")) if make == "fig2" else (("e", "e"),):
             got = solver.noise(*pair, grid)
             ref = dense_noise(liouv, ss, *pair, grid)
@@ -250,13 +249,38 @@ class TestFrequencyGrid:
         together = solver.noises([("e", "e"), ("b", "b"), ("e", "b")], grid)
         for pair, got in zip((("e", "e"), ("b", "b"), ("e", "b")), together):
             alone = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noise(*pair, grid)
-            assert got[0] == alone[0]  # omega = 0 through the same full-space solve
+            assert got[0] == alone[0]  # omega = 0 through the same R(0) applications
             assert np.max(np.abs(got - alone)) <= 1e-12 * np.max(np.abs(alone))
 
-    def test_apply_solves_zero_frequency_only(self, fig2_bundle):
-        solver = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss)
-        with pytest.raises(ValueError, match="omega = 0 only"):
-            solver.apply(0.5, solver.rho_vec)
+
+class TestChargeSectorBlock:
+    @pytest.mark.parametrize("make", ["fig2", "single_level", "leaking_dot"])
+    def test_steady_state_lives_on_block(self, fig2_bundle, make):
+        if make == "fig2":
+            liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
+        else:
+            liouv, ss = single_level(0.1, 0.025) if make == "single_level" else leaking_dot()
+        d2 = liouv.dim_rho**2
+        n = int(charge_sector(liouv.dim_rho).sum()) if make == "fig2" else d2
+        outside = np.ones(d2, dtype=bool)
+        outside[ss.block] = False
+        assert np.all(vectorize(ss.rho_ss)[outside] == 0.0)
+        assert ss.block.size == n and ss.factor.shape == (n, n)
+
+    def test_one_sector_split_per_point(self, fig2_params, monkeypatch):
+        calls = []
+        split = superop.sector_blocks
+
+        def counting(liouv):
+            calls.append(liouv)
+            return split(liouv)
+
+        for module in (superop, steady, noise):
+            if hasattr(module, "sector_blocks"):
+                monkeypatch.setattr(module, "sector_blocks", counting)
+        point = TransportPoint(fig2_params, "jc")
+        point.noises([(("e", "e"), "fano"), (("e", "b"), "raw")], np.linspace(0.0, 1.8, 10))
+        assert calls == [point.liouv]
 
 
 class TestSharedZeroFrequencyFactor:
@@ -273,20 +297,25 @@ class TestSharedZeroFrequencyFactor:
     def test_zero_frequency_apply_matches_fresh_factorization(self, fig2_bundle, rng):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         solver = ResolventSolver(liouv, ss)
-        d2 = liouv.dim_rho**2
-        x = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
-        rhs = solver.q_apply(x)
+        n = ss.block.size
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        def q(v):
+            return v - solver.rho * (solver.tr @ v)
+
+        rhs = q(x)
         rhs[0] = 0.0
-        fresh = spla.splu(trace_replaced_system(liouv)[0])
-        expected = solver.q_apply(fresh.solve(rhs))
-        assert np.array_equal(solver.apply(0.0, x), expected)
+        fresh = spla.splu(trace_replaced_system(liouv, ss.block)[0])
+        expected = q(fresh.solve(rhs))
+        assert np.array_equal(solver.apply(x), expected)
 
 
 class TestMacdonald:
     def test_single_level_matches_analytic(self):
         liouv, ss = single_level(0.1, 0.1)
         flux = currents(ss, liouv).e
-        val = noise_macdonald_oracle(liouv, ss, "e", "e", 0.0, t_max=1500.0, dt=0.05)
+        val = compute_spectrum(liouv, ss, ("e", "e"), [0.0], method="macdonald",
+                               normalization="raw", t_max=1500.0, dt=0.05).values[0]
         assert val / (2 * flux) == pytest.approx(0.5, abs=1e-7)
 
     def test_cross_pair_decoupled(self):
@@ -294,15 +323,15 @@ class TestMacdonald:
         point = TransportPoint(p)
         liouv, ss = point.liouv, point.ss
         rate = spectrum(liouv).slowest_decay_rate()
-        val = noise_macdonald_oracle(liouv, ss, "e", "b", 0.7,
-                                     t_max=12 / rate, dt=0.02)
+        val = compute_spectrum(liouv, ss, ("e", "b"), [0.7], method="macdonald",
+                               normalization="raw", t_max=12 / rate, dt=0.02).values[0]
         assert abs(val) <= 1e-6
 
     def test_matches_resolvent_fig2(self):
         point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=6))
         rate = spectrum(point.liouv).slowest_decay_rate()
-        mac = noise_macdonald_oracle(point.liouv, point.ss, "e", "e", 1.0,
-                                     t_max=12 / rate, dt=0.02)
+        mac = compute_spectrum(point.liouv, point.ss, ("e", "e"), [1.0], method="macdonald",
+                               normalization="raw", t_max=12 / rate, dt=0.02).values[0]
         res = point.noise("e", "e", 1.0)
         assert abs(mac - res) / abs(res) <= 1e-5
 

@@ -182,14 +182,19 @@ class TestRunSweep:
         assert np.all(np.isnan(result.data["S_ee"]))
 
     def test_failure_at_one_omega_gaps_that_omega_only(self, monkeypatch):
-        original = noise.ResolventSolver._raw_nonzero
+        original = noise.ResolventSolver._nonzero_solver
 
-        def failing(self, pairs, chans, w):
-            if np.any(w == 1.0):
-                raise NumericalError("resolvent factorization singular at omega=1.0")
-            return original(self, pairs, chans, w)
+        def failing(self, rows, cols, n_omega):
+            solve = original(self, rows, cols, n_omega)
 
-        monkeypatch.setattr(noise.ResolventSolver, "_raw_nonzero", failing)
+            def checked(omega):
+                if omega == 1.0:
+                    raise NumericalError("resolvent factorization singular at omega=1.0")
+                return solve(omega)
+
+            return checked
+
+        monkeypatch.setattr(noise.ResolventSolver, "_nonzero_solver", failing)
         spec = SweepSpec(
             base=ModelParams(delta=0.5, n_fock=3),
             axes=(SweepAxis(name="omega", values=(0.5, 1.0, 1.5)),
@@ -206,15 +211,6 @@ class TestRunSweep:
         assert result.data["S_ee"][0, 1] == pytest.approx(
             point.noise("e", "e", 0.5, "fano"), rel=1e-12)
         assert result.data["F_Q"][2, 1] == point.report.fano_q
-
-    def test_fail_fast_raises(self):
-        spec = SweepSpec(
-            base=ModelParams(delta=0.0, g=0.0, n_fock=2),
-            axes=(SweepAxis(name="epsilon", values=(0.0, 0.5)),),
-            quantities=("S_ee",),
-        )
-        with pytest.raises(NumericalError):
-            run_sweep(spec, fail_fast=True)
 
     def test_explicit_cutoff_respected(self):
         spec = SweepSpec(
