@@ -94,6 +94,7 @@ class ModelParams:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if int(self.n_fock) != self.n_fock or self.n_fock < 1:
             raise ValueError(f"n_fock must be an integer >= 1, got {self.n_fock}")
+        object.__setattr__(self, "n_fock", int(self.n_fock))  # 2.0 sizes arrays as 2
 
     def space(self) -> "HilbertSpace":
         return HilbertSpace(n_fock=self.n_fock)

@@ -283,15 +283,17 @@ def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | 
     """Normalized autocorrelation noise 1 - 2 sum_k c_k a_k / (w^2 + a_k^2).
 
     ``channel`` is the counted JumpChannel correlated with itself; its
-    coefficients c_k = (V^-1 L_i V)_kk are summed as written over the
-    complex conjugate-paired spectrum (the sum is then real up to
-    roundoff). The stationary eigenvalue is excluded; its coefficient is
-    the mean current and its term vanishes identically. Diagnostic
-    method: peak locations only, values are approximate away from the
-    validity conditions.
+    coefficients c_k = (V_b^-1 L_i V_b)_kk, block by block, are summed as
+    written over the complex conjugate-paired spectrum (the sum is then
+    real up to roundoff). The stationary eigenvalue is excluded; its
+    coefficient is the mean current and its term vanishes identically.
+    Diagnostic method: peak locations only, values are approximate away
+    from the validity conditions.
     """
     part = getattr(channel, "part", channel)
-    coeff = np.einsum("ij,ji->i", spec.left_vectors, part @ spec.right_vectors)
+    coeff = np.empty(spec.alphas.size, dtype=complex)
+    for idx, vb, vbinv in spec.blocks:
+        coeff[idx] = np.einsum("ij,ji->i", vbinv, part[idx][:, idx] @ vb)
     mask = np.ones(coeff.size, dtype=bool)
     mask[spec.zero_index] = False
     alphas = spec.alphas[mask]

@@ -125,6 +125,9 @@ def trace_replaced_system(liouv: Superoperator,
 
 
 def _diagnose_failure(liouv: Superoperator, residual: float) -> Exception:
+    if not np.all(np.isfinite(liouv.matrix.data)):
+        return NumericalError("generator has non-finite entries (inf or NaN): "
+                              "a model parameter overflows double precision")
     if liouv.dim_rho**2 <= DENSE_EIG_MAX_D2:
         alphas = eigenvalues(liouv)
         n_zero = int(np.sum(np.abs(alphas) <= 1e-8))
@@ -170,7 +173,7 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
     rho = rho / tr
 
     residual = float(np.max(np.abs(liouv.matrix @ vectorize(rho))))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:  # a NaN residual fails too
         raise _diagnose_failure(liouv, residual)
 
     min_eig = float(np.linalg.eigvalsh(rho).min())

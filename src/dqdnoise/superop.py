@@ -2,9 +2,10 @@
 
 Column-stacking vectorization is the fixed convention: vec(rho)[i + j*D]
 = rho[i, j], so vec(A rho B) = kron(B.T, A) vec(rho). The generator is
-split into a base part (coherent commutator plus all anticommutator
-halves of the dissipators) and labeled completely positive jump channels
-Gamma X rho X^dag, which carry the counting fields:
+split into the no-jump base -i(H_eff rho - rho H_eff^dag), H_eff = H -
+(i/2) sum Gamma X^dag X (Plenio & Knight, Rev. Mod. Phys. 70, 101 (1998)),
+and labeled completely positive jump channels Gamma X rho X^dag, which
+carry the counting fields:
 
   in     injection  Gamma_L s_L^dag rho s_L            (not counted)
   e      emission   Gamma_R s_R rho s_R^dag            (counted)
@@ -126,8 +127,8 @@ class JumpChannel:
 class Superoperator:
     """Generator acting on vectorized density matrices.
 
-    ``base`` holds the commutator and anticommutator pieces; the total
-    matrix is base plus the sum of all channel parts. Instances are
+    ``base`` is the no-jump generator of the effective Hamiltonian H_eff;
+    the total matrix is base plus the sum of all channel parts. Instances are
     treated as immutable after construction and are safe to share across
     worker threads; the assembled total and the eigendecomposition are
     cached on first use.
@@ -159,11 +160,12 @@ class Superoperator:
 
 @dataclass
 class LiouvillianSpectrum:
-    """Full eigendecomposition L = V diag(alphas) V^-1."""
+    """Eigendecomposition L = V diag(alphas) V^-1 with V block diagonal:
+    ``blocks`` holds (vec indices, V_b, V_b^-1) per :func:`sector_blocks`
+    block, and ``alphas`` the eigenvalues at their block's vec indices."""
 
     alphas: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray  # rows of V^-1, biorthogonal to the columns of V
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     zero_index: int
 
     @property
@@ -185,14 +187,6 @@ def _slowest_rate(alphas: np.ndarray) -> float:
     return slowest
 
 
-def _dissipator_parts(jump: np.ndarray, rate: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(sandwich, anticommutator) pieces of rate * D[jump]."""
-    gain = rate * sandwich(jump, jump.conj().T)
-    cdc = jump.conj().T @ jump
-    anti = (-0.5 * rate) * (spre(cdc) + spost(cdc))
-    return gain.tocsr(), anti.tocsr()
-
-
 def thermal_dissipator(a_op: np.ndarray, gamma_b: float, n_bar: float,
                        grouping: str = "lindblad") -> sp.csr_matrix:
     """Resonator damping superoperator at occupation n_bar.
@@ -206,9 +200,10 @@ def thermal_dissipator(a_op: np.ndarray, gamma_b: float, n_bar: float,
     """
     adag = a_op.conj().T
     if grouping == "lindblad":
-        gain_e, anti_e = _dissipator_parts(a_op, gamma_b * (1.0 + n_bar))
-        gain_a, anti_a = _dissipator_parts(adag, gamma_b * n_bar)
-        return (gain_e + anti_e + gain_a + anti_a).tocsr()
+        return assemble_liouvillian(np.zeros_like(a_op), [
+            ("b", gamma_b * (1.0 + n_bar), a_op, True),
+            ("b_abs", gamma_b * n_bar, adag, False),
+        ]).matrix
     if grouping == "printed":
         num = adag @ a_op
         decay = 0.5 * gamma_b * (2.0 * sandwich(a_op, adag) - spre(num) - spost(num))
@@ -221,22 +216,23 @@ def thermal_dissipator(a_op: np.ndarray, gamma_b: float, n_bar: float,
 
 def assemble_liouvillian(h: np.ndarray,
                          jumps: list[tuple[str, float, np.ndarray, bool]]) -> Superoperator:
-    """Build a generator from a Hamiltonian and (id, rate, jump_op, counted) terms."""
+    """Build a generator from a Hamiltonian and (id, rate, jump_op, counted) terms:
+    the no-jump base of H_eff = H - (i/2) sum rate X^dag X, one part rate X . X^dag each."""
     dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if dev > 1e-12:
         raise ValueError(f"Hamiltonian must be Hermitian (deviation {dev:g})")
-    d = h.shape[0]
-    base = (-1j * (spre(h) - spost(h))).tocsr()
+    h_eff = np.array(h, dtype=complex)
     channels: dict[str, JumpChannel] = {}
     for cid, rate, jump, counted in jumps:
         if cid in channels:
             raise ValueError(f"duplicate channel id {cid!r}")
         if rate < 0:
             raise ValueError(f"channel {cid!r} has negative rate {rate}")
-        gain, anti = _dissipator_parts(jump, rate)
-        base = (base + anti).tocsr()
-        channels[cid] = JumpChannel(id=cid, part=gain, counted=counted)
-    return Superoperator(dim_rho=d, base=base, channels=channels)
+        jdag = jump.conj().T
+        h_eff -= 0.5j * rate * (jdag @ jump)
+        channels[cid] = JumpChannel(id=cid, part=rate * sandwich(jump, jdag), counted=counted)
+    base = spre(-1j * h_eff) + spost(1j * h_eff.conj().T)
+    return Superoperator(dim_rho=h.shape[0], base=base, channels=channels)
 
 
 def build_liouvillian(h: np.ndarray, params: ModelParams,
@@ -285,7 +281,7 @@ def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> Superoper
 
 def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
     """Dense eigendecomposition of the generator, one :func:`sector_blocks`
-    block at a time; a mode sits at its block's vec indices (V block diagonal).
+    block at a time; a mode sits at its block's vec indices.
 
     Raises MethodUnavailable if the eigenvector basis fails the
     biorthogonality tolerance (defective or severely ill-conditioned L);
@@ -293,9 +289,8 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
     """
     if liouv._spectrum is not None:
         return liouv._spectrum
-    d2 = liouv.dim_rho**2
-    alphas = np.empty(d2, dtype=complex)
-    v, vinv = np.zeros((d2, d2), dtype=complex), np.zeros((d2, d2), dtype=complex)
+    alphas = np.empty(liouv.dim_rho**2, dtype=complex)
+    blocks = []
     for idx in sector_blocks(liouv):
         alphas[idx], vb = la.eig(liouv.matrix[idx][:, idx].toarray())
         try:
@@ -309,11 +304,9 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
                 f"(defect {defect:.3e} > {BIORTHOGONALITY_TOL:g}); "
                 "eigen-expansion method unavailable for this generator"
             )
-        v[np.ix_(idx, idx)], vinv[np.ix_(idx, idx)] = vb, vbinv
-    zero_index = int(np.argmin(np.abs(alphas)))
-    result = LiouvillianSpectrum(
-        alphas=alphas, right_vectors=v, left_vectors=vinv, zero_index=zero_index
-    )
+        blocks.append((idx, vb, vbinv))
+    result = LiouvillianSpectrum(alphas=alphas, blocks=blocks,
+                                 zero_index=int(np.argmin(np.abs(alphas))))
     liouv._spectrum = result
     return result
 

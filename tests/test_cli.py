@@ -124,6 +124,12 @@ class TestExitCodes:
         out = tmp_path / "steady.json"
         assert cli.main(["steady", "--config", path, "--out", str(out)]) == EXIT_NUMERICAL
 
+    def test_overflowing_generator_is_3(self, tmp_path, capsys):
+        path = write(tmp_path, "model.epsilon = 1e308\nmodel.n_fock = 2\n")
+        out = tmp_path / "steady.json"
+        assert cli.main(["steady", "--config", path, "--out", str(out)]) == EXIT_NUMERICAL
+        assert "non-finite" in capsys.readouterr().err
+
     def test_invariant_failure_is_4(self, monkeypatch):
         monkeypatch.setattr(
             cli, "run_checks",

@@ -37,11 +37,16 @@ class TestParams:
 
     @pytest.mark.parametrize("kw", [
         {"gamma_L": -0.1}, {"gamma_R": -1e-9}, {"gamma_b": -2.0},
-        {"omega_b": 0.0}, {"temperature": -0.5}, {"n_fock": 0},
+        {"omega_b": 0.0}, {"temperature": -0.5}, {"n_fock": 0}, {"n_fock": 2.5},
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             ModelParams(**kw)
+
+    def test_integral_float_n_fock_stored_as_int(self):
+        p = ModelParams(n_fock=2.0)
+        assert p.n_fock == 2 and type(p.n_fock) is int
+        assert build_operators(p.space()).a.shape == (9, 9)
 
 
 class TestHilbertSpace:

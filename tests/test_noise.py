@@ -457,6 +457,20 @@ class TestEigenExpansion:
             vals = noise_eigen_expansion(spec, liouv.channel("e"), grid)
         assert vals.shape == (50,)
 
+    @pytest.mark.parametrize("cid", ["e", "b"])
+    def test_blocks_match_whole_space_expansion(self, cid):
+        # the b channel's coefficients are nonzero in the coherence blocks too
+        p = ModelParams(delta=0.5, g=0.2, epsilon=0.1, temperature=1.0, n_fock=3)
+        liouv = TransportPoint(p).liouv
+        alphas, v = la.eig(liouv.matrix.toarray())
+        coeff = np.diag(np.linalg.inv(v) @ liouv.channel(cid).part @ v)
+        keep = np.arange(alphas.size) != np.argmin(np.abs(alphas))
+        grid = np.array([0.0, 0.3, 1.0, 1.7])
+        terms = coeff[keep] * alphas[keep] / (grid[:, None] ** 2 + alphas[keep] ** 2)
+        whole = 1.0 - 2.0 * np.sum(terms, axis=1).real
+        got = noise_eigen_expansion(spectrum(liouv), liouv.channel(cid), grid)
+        assert np.max(np.abs(got - whole)) <= 1e-8
+
     def test_locates_rabi_branch(self):
         # diagnostic role: a strong mode at the upper branch is resolved
         p = ModelParams(delta=0.5, g=0.4, n_fock=6)

@@ -90,6 +90,13 @@ class TestSolve:
         with pytest.raises(DegenerateSteadyState, match=f"\\({n_zero} eigenvalues"):
             solve_steady_state(liouv)
 
+    def test_overflowing_generator_is_named(self):
+        # finite input, but the generator overflows to inf/NaN entries
+        p = ModelParams(epsilon=1e308, n_fock=2)
+        liouv = build_liouvillian(build_hamiltonian(p), p)
+        with pytest.raises(NumericalError, match="non-finite"):
+            solve_steady_state(liouv)
+
     def test_failure_above_diagnosis_cap_skips_eigvals(self, monkeypatch):
         # all rates zero, too large for the dense diagnosis: reported without eigvals
         calls = []

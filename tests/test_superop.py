@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.optimize import linear_sum_assignment
 
-from dqdnoise.model import ModelParams, build_hamiltonian, build_jc_hamiltonian
+from dqdnoise.checks import _preset_point
+from dqdnoise.model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
 from dqdnoise.superop import (
     assemble_liouvillian,
     build_liouvillian,
@@ -23,6 +25,7 @@ from dqdnoise.superop import (
     trace_vector,
     vectorize,
 )
+from dqdnoise.sweep import PRESET_NAMES
 
 
 def random_hermitian(rng, d):
@@ -149,6 +152,46 @@ class TestBuildLiouvillian:
         assert abs(liouv.matrix - total.tocsr()).max() == 0.0
 
 
+class TestNoJumpAssembly:
+    """The no-jump form base = -i(H_eff . - . H_eff^dag) against the
+    commutator plus anticommutator-halves form of the same generator."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_commutator_reference(self, name):
+        params, ham = _preset_point(name)
+        h = (build_hamiltonian if ham == "full" else build_jc_hamiltonian)(params)
+        liouv = build_liouvillian(h, params)
+        ops = build_operators(params.space())
+        n_bar = thermal_occupation(params.omega_b, params.temperature)
+        jumps = {"in": (params.gamma_L, ops.s_L.conj().T), "e": (params.gamma_R, ops.s_R),
+                 "b": (params.gamma_b * (1.0 + n_bar), ops.a),
+                 "b_abs": (params.gamma_b * n_bar, ops.adag)}
+        ref = -1j * (spre(h) - spost(h))
+        for cid, (rate, c) in jumps.items():
+            cdc = c.conj().T @ c
+            ref = ref + (-0.5 * rate) * (spre(cdc) + spost(cdc))
+            part = (rate * sandwich(c, c.conj().T)).tocsr()
+            got = liouv.channels[cid].part
+            assert np.array_equal(got.indptr, part.indptr)
+            assert np.array_equal(got.indices, part.indices)
+            assert np.array_equal(got.data, part.data)  # bit-identical
+            ref = ref + part
+        ref = ref.tocsr()
+        assert (abs(liouv.channels["b_abs"].part).max() > 0) == (params.temperature > 0)
+        m = liouv.matrix
+        assert abs(m - ref).max() <= 1e-15 * abs(m).max()
+        ref.sort_indices()
+        assert np.array_equal(m.indptr, ref.indptr) and np.array_equal(m.indices, ref.indices)
+
+    def test_one_kron_per_channel_plus_two(self, fig2_params, monkeypatch):
+        calls = []
+        kron = scipy.sparse.kron
+        monkeypatch.setattr(scipy.sparse, "kron", lambda *a, **k: calls.append(1) or kron(*a, **k))
+        ops = build_operators(fig2_params.space())
+        build_liouvillian(build_jc_hamiltonian(fig2_params), fig2_params, ops)
+        assert len(calls) == 2 + 4
+
+
 class TestThermalGrouping:
     def test_printed_equals_lindblad_plus_identity_piece(self):
         """The literal thermal lines exceed the Lindblad grouping by
@@ -227,11 +270,10 @@ class TestSpectrum:
         assert spec.alphas.real.max() <= 1e-10
 
     def test_biorthogonality(self, fig2_bundle):
-        liouv = fig2_bundle.liouv
-        spec = spectrum(liouv)
-        d2 = liouv.dim_rho**2
-        defect = np.max(np.abs(spec.left_vectors @ spec.right_vectors - np.eye(d2)))
-        assert defect <= 1e-8
+        blocks = spectrum(fig2_bundle.liouv).blocks
+        assert len(blocks) == 3
+        for idx, vb, vbinv in blocks:
+            assert np.max(np.abs(vbinv @ vb - np.eye(idx.size))) <= 1e-8
 
     def test_conjugate_pair_symmetry(self, fig2_bundle):
         liouv = fig2_bundle.liouv
