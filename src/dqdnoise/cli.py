@@ -18,13 +18,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .checks import run_checks
 from .errors import ConfigError, InvariantViolation, NumericalError
-from .model import ModelParams
+from .model import HAMILTONIANS, ModelParams
 from .noise import TransportPoint, compute_spectrum
 from .superop import DENSE_EIG_MAX_D2, slowest_decay_rate
 from .sweep import (
@@ -32,8 +32,8 @@ from .sweep import (
     GridResult,
     SweepAxis,
     SweepSpec,
-    fock_convergence,
     preset,
+    resolve_cutoff,
     run_sweep,
 )
 
@@ -150,7 +150,7 @@ _SETTINGS = (
     ("spectrum.omega_stop", "omega_stop", _number, None),
     ("spectrum.omega_count", "omega_count", lambda raw: _integer(raw, 2), None),
     ("spectrum.normalization", "normalization", _one_of("raw", "fano"), None),
-    ("spectrum.hamiltonian", "hamiltonian", _one_of("full", "jc"), None),
+    ("spectrum.hamiltonian", "hamiltonian", _one_of(*HAMILTONIANS), None),
 )
 
 
@@ -274,7 +274,7 @@ def _config_from_pairs(pairs: dict[str, tuple[object, str]]) -> RunConfig:
         if quantities_item is None:
             raise ConfigError("sweep.quantities: required for a manual sweep")
         ham = "full" if hamiltonian_item is None else \
-            _value("sweep.hamiltonian", hamiltonian_item, _one_of("full", "jc"))
+            _value("sweep.hamiltonian", hamiltonian_item, _one_of(*HAMILTONIANS))
         try:
             sweep_spec = SweepSpec(base=model, axes=tuple(axes),
                                    quantities=tuple(_parse_list(quantities_item[0])),
@@ -382,15 +382,13 @@ def _preset(cfg: RunConfig) -> SweepSpec | None:
 
 
 def _single_point(cfg: RunConfig) -> TransportPoint:
-    """A preset's base point and Hamiltonian, else model.* and spectrum.hamiltonian."""
+    """A preset's base point and Hamiltonian, else model.* and spectrum.hamiltonian,
+    at the Fock cutoff :func:`sweep.resolve_cutoff` picks for that one point."""
     spec = _preset(cfg)
     params, hamiltonian = (spec.base, spec.hamiltonian) if spec else \
         (cfg.model, cfg.spectrum.hamiltonian)
-    if cfg.fock_cutoff == "auto":
-        params = replace(params, n_fock=fock_convergence(params, hamiltonian))
-    elif cfg.fock_cutoff is not None:
-        params = replace(params, n_fock=cfg.fock_cutoff)
-    return TransportPoint(params, hamiltonian)
+    n_fock, _ = resolve_cutoff(params, (), hamiltonian, cfg.fock_cutoff)
+    return TransportPoint(replace(params, n_fock=n_fock), hamiltonian)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -449,7 +447,7 @@ def cmd_steady(cfg: RunConfig) -> int:
     point = _single_point(cfg)
     payload = {
         "schema": "dqdnoise.steady.v1",
-        "params": {k: getattr(point.params, k) for k in _MODEL_FIELDS},
+        "params": asdict(point.params),
         "residual": point.ss.residual,
         "report": point.report.to_dict(),
     }

@@ -30,6 +30,7 @@ __all__ = [
     "build_operators",
     "build_hamiltonian",
     "build_jc_hamiltonian",
+    "HAMILTONIANS",
     "build_spin_hamiltonian",
     "jc_multiplet_energies",
     "resonance_branches",
@@ -275,6 +276,11 @@ def build_jc_hamiltonian(params: ModelParams, space: HilbertSpace | None = None,
         + params.delta * ops.sx
     )
     return _check_hermitian(h, "JC Hamiltonian")
+
+
+#: the transport Hamiltonians by name: "full" (the complete dot-resonator
+#: coupling) and "jc" (the rotating-wave form)
+HAMILTONIANS = {"full": build_hamiltonian, "jc": build_jc_hamiltonian}
 
 
 def build_spin_hamiltonian(sigma_gap: float, omega_b: float, lambda_coupling: float,

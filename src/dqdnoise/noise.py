@@ -47,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, MethodUnavailable, NumericalError
-from .model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
+from .model import HAMILTONIANS, ModelParams, build_operators
 from .steady import (
     MomentReport,
     SteadyState,
@@ -240,20 +240,20 @@ class TransportPoint:
     """One transport parameter point: generator, steady state, moment
     report and resolvent noise.
 
-    ``hamiltonian`` is "full" (the complete dot-resonator coupling) or
-    "jc" (the rotating-wave form). The generator and the steady state are
-    built on construction; the moment report and the resolvent solver
-    are built on first use and kept.
+    ``hamiltonian`` names an entry of ``model.HAMILTONIANS``. The generator
+    and the steady state are built on construction; the moment report and
+    the resolvent solver are built on first use and kept.
     """
 
     def __init__(self, params: ModelParams, hamiltonian: str = "full"):
-        if hamiltonian not in ("full", "jc"):
-            raise ValueError(f"hamiltonian must be 'full' or 'jc', got {hamiltonian!r}")
-        build = build_jc_hamiltonian if hamiltonian == "jc" else build_hamiltonian
+        if hamiltonian not in HAMILTONIANS:
+            raise ValueError(f"unknown hamiltonian {hamiltonian!r}; "
+                             f"expected one of {tuple(HAMILTONIANS)}")
         space = params.space()
         ops = build_operators(space)
         self.params = params
-        self.liouv = build_liouvillian(build(params, space, ops), params, ops)
+        self.liouv = build_liouvillian(HAMILTONIANS[hamiltonian](params, space, ops),
+                                       params, ops)
         self.ss = solve_steady_state(self.liouv)
 
     @cached_property
@@ -290,7 +290,7 @@ def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | 
     Diagnostic method: peak locations only, values are approximate away
     from the validity conditions.
     """
-    part = getattr(channel, "part", channel)
+    part = channel.part
     coeff = np.empty(spec.alphas.size, dtype=complex)
     for idx, vb, vbinv in spec.blocks:
         coeff[idx] = np.einsum("ij,ji->i", vbinv, part[idx][:, idx] @ vb)

@@ -15,7 +15,7 @@ resolvent solves with them instead of factoring the same matrix again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +60,6 @@ class SteadyState:
     residual: float
     factor: spla.SuperLU = field(repr=False, compare=False)
     block: np.ndarray = field(repr=False, compare=False)
-    method: str = "trace-lu"
 
     @property
     def dim(self) -> int:
@@ -90,19 +89,9 @@ class MomentReport:
     mean_a2: complex
 
     def to_dict(self) -> dict:
-        return {
-            "current_e": self.current_e,
-            "current_b": self.current_b,
-            "current_in": self.current_in,
-            "mean_n": self.mean_n,
-            "mean_n2": self.mean_n2,
-            "fano_q": self.fano_q,
-            "fano_vacuum": self.fano_vacuum,
-            "quad_phi_star": self.quad_phi_star,
-            "quad_min": self.quad_min,
-            "mean_a": [self.mean_a.real, self.mean_a.imag],
-            "mean_a2": [self.mean_a2.real, self.mean_a2.imag],
-        }
+        """The fields in order, a complex value as [re, im]."""
+        return {k: [v.real, v.imag] if isinstance(v, complex) else v
+                for k, v in asdict(self).items()}
 
 
 def trace_replaced_system(liouv: Superoperator,

@@ -9,20 +9,21 @@ placed by grid index, so output is deterministic and independent of the
 worker count. Per-point failures become explicit gap entries (NaN in
 the arrays, null in serialized output), never silent interpolation.
 
-Cutoff policy baked into the presets: T = 0 runs at N_b = 6, T <= omega_b
-at N_b = 15, hotter at N_b = 25 (thermal tails dominate the cutoff need);
-:func:`fock_convergence` provides the ladder check behind those choices.
+Each preset carries its own Fock cutoff ``n_fock``: fig2 and fig4 run at 6,
+fig3 and fig6 at 15, fig5a at 25, fig5b and fig5c at 8. :func:`resolve_cutoff`
+is the one place a run's cutoff is chosen; its "auto" mode runs the
+:func:`fock_convergence` ladder.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .model import ModelParams
+from .model import HAMILTONIANS, ModelParams
 from .noise import TransportPoint
 
 __all__ = [
@@ -35,7 +36,7 @@ __all__ = [
     "fock_convergence",
     "run_sweep",
     "preset",
-    "cutoff_policy",
+    "resolve_cutoff",
 ]
 
 AXIS_NAMES = ("omega", "g", "delta", "epsilon", "T")
@@ -85,9 +86,9 @@ class SweepAxis:
 class SweepSpec:
     """Base parameters plus up to two axes and the quantities to evaluate.
 
-    ``hamiltonian`` picks the coherent part of the master equation:
-    "full" (the complete dot-resonator coupling) or "jc" (the
-    rotating-wave form used for the spectroscopy figures).
+    ``hamiltonian`` picks the coherent part of the master equation by its
+    name in ``model.HAMILTONIANS``: "full" or "jc" (the rotating-wave form
+    used for the spectroscopy figures).
     """
 
     base: ModelParams
@@ -107,20 +108,18 @@ class SweepSpec:
                 raise ValueError(f"unknown quantity {q!r}; expected one of {sorted(QUANTITIES)}")
         if not self.quantities:
             raise ValueError("at least one quantity required")
-        if self.hamiltonian not in ("full", "jc"):
-            raise ValueError(f"hamiltonian must be 'full' or 'jc', got {self.hamiltonian!r}")
+        if self.hamiltonian not in HAMILTONIANS:
+            raise ValueError(f"unknown hamiltonian {self.hamiltonian!r}; "
+                             f"expected one of {tuple(HAMILTONIANS)}")
 
     def to_manifest(self) -> dict:
         """Stable serialized form (used for preset fidelity checks)."""
-        base = {k: getattr(self.base, k) for k in (
-            "epsilon", "delta", "g", "omega_b", "gamma_L", "gamma_R",
-            "gamma_b", "temperature", "n_fock")}
         axes = [
             {"name": a.name, "start": a.start, "stop": a.stop, "count": a.count,
              "values": list(a.values) if a.values is not None else None}
             for a in self.axes
         ]
-        return {"preset": self.preset, "base": base, "axes": axes,
+        return {"preset": self.preset, "base": asdict(self.base), "axes": axes,
                 "quantities": list(self.quantities), "hamiltonian": self.hamiltonian}
 
 
@@ -134,16 +133,6 @@ class GridResult:
     cutoff_used: int
     convergence_report: dict
     gaps: list[tuple[tuple[int, ...], str]] = field(default_factory=list)
-
-
-def cutoff_policy(temperature: float, omega_b: float = 1.0) -> int:
-    """Documented starting cutoff per bath temperature."""
-    t = temperature / omega_b
-    if t == 0.0:
-        return 6
-    if t <= 1.0:
-        return 15
-    return 25
 
 
 def fock_convergence(params: ModelParams, hamiltonian: str = "full",
@@ -172,6 +161,30 @@ def fock_convergence(params: ModelParams, hamiltonian: str = "full",
     raise ConvergenceFailure(
         f"Fock cutoff did not converge below N_b = {max_cutoff} (rtol {FOCK_RTOL:g})"
     )
+
+
+def resolve_cutoff(base: ModelParams, axes: tuple[SweepAxis, ...], hamiltonian: str,
+                   cutoff: int | str | None) -> tuple[int, dict]:
+    """The Fock cutoff of a run over ``axes`` around ``base``, and its report.
+
+    None keeps ``base.n_fock``, an int forces that value, and "auto" takes
+    the largest of ``base.n_fock`` and :func:`fock_convergence` at every
+    corner of the non-omega axes (a single point, ``axes=()``, is its own
+    one corner).
+    """
+    if cutoff != "auto":
+        n_fock = base.n_fock if cutoff is None else int(cutoff)
+        return n_fock, {"mode": "fixed", "cutoff": n_fock}
+    corners = [[]]
+    for axis in axes:
+        if axis.name != "omega":
+            g = axis.grid()
+            corners = [c + [(axis.name, v)] for c in corners
+                       for v in sorted({float(g.min()), float(g.max())})]
+    n_fock = max([base.n_fock] + [
+        fock_convergence(_axis_params(base, [n for n, _ in c], [v for _, v in c], base.n_fock),
+                         hamiltonian) for c in corners])
+    return n_fock, {"mode": "auto", "corners": len(corners), "cutoff": n_fock}
 
 
 def _axis_params(base: ModelParams, names: list[str], vals: list[float],
@@ -203,34 +216,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
               cutoff: int | str | None = None) -> GridResult:
     """Evaluate a sweep grid.
 
-    ``cutoff`` is the Fock cutoff to run at: None uses the spec's base
-    n_fock (presets carry their documented policy value), "auto" runs the
-    convergence ladder on the most demanding grid corners, an int forces
-    a value. Output is deterministic for a given spec regardless of
-    ``workers``.
+    ``cutoff`` picks the Fock cutoff through :func:`resolve_cutoff`: None
+    keeps the spec's base n_fock, an int forces a value, "auto" runs the
+    convergence ladder at the grid corners. Output is deterministic for a
+    given spec regardless of ``workers``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    report: dict = {"mode": "fixed"}
-    if cutoff is None:
-        n_fock = spec.base.n_fock
-    elif cutoff == "auto":
-        corners = [[]]
-        for axis in spec.axes:
-            if axis.name == "omega":
-                continue
-            g = axis.grid()
-            extremes = sorted({float(g.min()), float(g.max())})
-            corners = [c + [(axis.name, v)] for c in corners for v in extremes]
-        n_fock = spec.base.n_fock
-        for corner in corners:
-            p = _axis_params(spec.base, [n for n, _ in corner], [v for _, v in corner],
-                             spec.base.n_fock)
-            n_fock = max(n_fock, fock_convergence(p, spec.hamiltonian))
-        report = {"mode": "auto", "corners": len(corners)}
-    else:
-        n_fock = int(cutoff)
-    report["cutoff"] = n_fock
+    n_fock, report = resolve_cutoff(spec.base, spec.axes, spec.hamiltonian, cutoff)
 
     axis_values = tuple(a.grid() for a in spec.axes)
     shape = tuple(len(v) for v in axis_values)

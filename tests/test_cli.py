@@ -312,6 +312,21 @@ class TestSweepCommand:
         assert all(row.endswith(",") for row in rows)  # empty value markers
 
 
+class TestFockCutoffAuto:
+    def test_steady_and_one_point_sweep_agree(self, tmp_path):
+        # the ladder alone gives 5 here; "auto" never goes below model.n_fock
+        cfg = write(tmp_path, "model.delta = 0.5\nmodel.g = 0.2\nmodel.n_fock = 20\n"
+                              "sweep.axis1.name = omega\nsweep.axis1.values = 0,1\n"
+                              "sweep.quantities = I_e\nfock_cutoff = auto\n")
+        steady, grid = tmp_path / "steady.json", tmp_path / "grid.json"
+        assert cli.main(["steady", "--config", cfg, "--out", str(steady)]) == EXIT_OK
+        assert cli.main(["sweep", "--config", cfg, "--out", str(grid),
+                         "--format", "json"]) == EXIT_OK
+        sweep = json.loads(grid.read_text())
+        assert sweep["convergence_report"] == {"mode": "auto", "corners": 1, "cutoff": 20}
+        assert json.loads(steady.read_text())["params"]["n_fock"] == sweep["cutoff_used"] == 20
+
+
 class TestCheckCommand:
     def test_eigenvalue_checks_solve_every_block(self, monkeypatch):
         sizes = []

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from dqdnoise.sweep import (
     PRESET_NAMES,
     SweepAxis,
     SweepSpec,
-    cutoff_policy,
     fock_convergence,
     preset,
+    resolve_cutoff,
     run_sweep,
 )
 
@@ -64,10 +65,34 @@ class TestFockConvergence:
         with pytest.raises(ConvergenceFailure):
             fock_convergence(p, max_cutoff=4)
 
-    def test_policy_values(self):
-        assert cutoff_policy(0.0) == 6
-        assert cutoff_policy(1.0) == 15
-        assert cutoff_policy(2.0) == 25
+
+class TestResolveCutoff:
+    BASE = ModelParams(delta=0.5, g=0.2, n_fock=2)
+    OMEGA = SweepAxis(name="omega", values=(0.0, 1.0))
+
+    @pytest.mark.parametrize("cutoff, n_fock", [(None, 2), (7, 7)], ids=["none", "int"])
+    def test_fixed(self, cutoff, n_fock):
+        assert resolve_cutoff(self.BASE, (self.OMEGA,), "full", cutoff) == \
+            (n_fock, {"mode": "fixed", "cutoff": n_fock})
+
+    def test_auto_omega_axis_is_one_corner(self):
+        ladder = fock_convergence(self.BASE)
+        assert ladder > self.BASE.n_fock
+        for axes in ((), (self.OMEGA,)):
+            assert resolve_cutoff(self.BASE, axes, "full", "auto") == \
+                (ladder, {"mode": "auto", "corners": 1, "cutoff": ladder})
+
+    def test_auto_epsilon_axis_takes_both_ends(self):
+        axis = SweepAxis(name="epsilon", start=-1.0, stop=1.0, count=5)
+        ladders = [fock_convergence(replace(self.BASE, epsilon=e)) for e in (-1.0, 1.0)]
+        n_fock, report = resolve_cutoff(self.BASE, (axis, self.OMEGA), "full", "auto")
+        assert report == {"mode": "auto", "corners": 2, "cutoff": n_fock}
+        assert n_fock == max(ladders + [self.BASE.n_fock])
+
+    def test_auto_never_below_base(self):
+        base = replace(self.BASE, n_fock=20)
+        assert fock_convergence(base) < 20
+        assert resolve_cutoff(base, (), "full", "auto")[0] == 20
 
 
 class TestPresets:
