@@ -26,6 +26,7 @@ from .checks import run_checks
 from .errors import ConfigError, InvariantViolation, NumericalError
 from .model import HAMILTONIANS, ModelParams
 from .noise import TransportPoint, compute_spectrum
+from .steady import TRUNCATION_TOL, top_fock_population
 from .superop import DENSE_EIG_MAX_D2, slowest_decay_rate
 from .sweep import (
     PRESET_NAMES,
@@ -381,6 +382,18 @@ def _preset(cfg: RunConfig) -> SweepSpec | None:
     return cfg.sweep_spec if cfg.sweep_spec and cfg.sweep_spec.preset else None
 
 
+def _warn_truncation(top: np.ndarray) -> None:
+    """One stderr line when a point's top Fock level holds more than TRUNCATION_TOL."""
+    over = int(np.count_nonzero(top > TRUNCATION_TOL))
+    if over:
+        worst = int(np.nanargmax(top))
+        where = f" at grid index {[int(i) for i in np.unravel_index(worst, top.shape)]}" \
+            if top.ndim else ""
+        print(f"warning: {over} point(s) hold more than {TRUNCATION_TOL:g} of their population "
+              f"in the top Fock level (worst {top.flat[worst]:.3e}{where}); the Fock cutoff "
+              "is likely too small", file=sys.stderr)
+
+
 def _single_point(cfg: RunConfig) -> TransportPoint:
     """A preset's base point and Hamiltonian, else model.* and spectrum.hamiltonian,
     at the Fock cutoff :func:`sweep.resolve_cutoff` picks for that one point."""
@@ -388,7 +401,9 @@ def _single_point(cfg: RunConfig) -> TransportPoint:
     params, hamiltonian = (spec.base, spec.hamiltonian) if spec else \
         (cfg.model, cfg.spectrum.hamiltonian)
     n_fock, _ = resolve_cutoff(params, (), hamiltonian, cfg.fock_cutoff)
-    return TransportPoint(replace(params, n_fock=n_fock), hamiltonian)
+    point = TransportPoint(replace(params, n_fock=n_fock), hamiltonian)
+    _warn_truncation(np.array(top_fock_population(point.ss)))
+    return point
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -492,6 +507,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if result.gaps:
         print(f"warning: {len(result.gaps)} grid point(s) failed and were "
               "recorded as gaps", file=sys.stderr)
+    _warn_truncation(result.top_population)
     return EXIT_OK
 
 

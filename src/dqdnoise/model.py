@@ -31,6 +31,7 @@ __all__ = [
     "build_hamiltonian",
     "build_jc_hamiltonian",
     "HAMILTONIANS",
+    "hamiltonian_terms",
     "build_spin_hamiltonian",
     "jc_multiplet_energies",
     "resonance_branches",
@@ -242,6 +243,32 @@ def _check_hermitian(h: np.ndarray, label: str) -> np.ndarray:
     return _readonly(h)
 
 
+#: each transport Hamiltonian as (ModelParams field, operator) terms, the
+#: Hamiltonian being the sum of field value times operator
+_TERMS = {
+    "full": lambda ops: [("epsilon", ops.sz), ("delta", ops.sx),
+                         ("g", ops.sz @ (ops.a + ops.adag)), ("omega_b", ops.number)],
+    "jc": lambda ops: [("g", ops.sx_plus @ ops.a + ops.sx_minus @ ops.adag),
+                       ("omega_b", ops.number), ("delta", ops.sx)],
+}
+
+
+def hamiltonian_terms(hamiltonian: str, ops: OperatorSet) -> list[tuple[str, np.ndarray]]:
+    """(ModelParams field, operator) terms of the Hamiltonian named ``hamiltonian``
+    (a key of :data:`HAMILTONIANS`); it is linear in those fields."""
+    if hamiltonian not in _TERMS:
+        raise ValueError(f"unknown hamiltonian {hamiltonian!r}; "
+                         f"expected one of {tuple(_TERMS)}")
+    return _TERMS[hamiltonian](ops)
+
+
+def _from_terms(hamiltonian: str, params: ModelParams, space: HilbertSpace | None,
+                ops: OperatorSet | None, label: str) -> np.ndarray:
+    ops = ops or build_operators(space or params.space())
+    h = sum(getattr(params, name) * op for name, op in hamiltonian_terms(hamiltonian, ops))
+    return _check_hermitian(h, label)
+
+
 def build_hamiltonian(params: ModelParams, space: HilbertSpace | None = None,
                       ops: OperatorSet | None = None) -> np.ndarray:
     """Full Hamiltonian eps*sz + Delta*sx + g*sz*(a + a^dag) + omega_b*n.
@@ -249,15 +276,7 @@ def build_hamiltonian(params: ModelParams, space: HilbertSpace | None = None,
     Acts as zero on the empty-dot charge sector apart from the free
     resonator term.
     """
-    space = space or params.space()
-    ops = ops or build_operators(space)
-    h = (
-        params.epsilon * ops.sz
-        + params.delta * ops.sx
-        + params.g * ops.sz @ (ops.a + ops.adag)
-        + params.omega_b * ops.number
-    )
-    return _check_hermitian(h, "Hamiltonian")
+    return _from_terms("full", params, space, ops, "Hamiltonian")
 
 
 def build_jc_hamiltonian(params: ModelParams, space: HilbertSpace | None = None,
@@ -268,14 +287,7 @@ def build_jc_hamiltonian(params: ModelParams, space: HilbertSpace | None = None,
     the construction). Block diagonal in the multiplet structure: each
     excitation manifold couples |n, 1_x> only to |n+1, 0_x>.
     """
-    space = space or params.space()
-    ops = ops or build_operators(space)
-    h = (
-        params.g * (ops.sx_plus @ ops.a + ops.sx_minus @ ops.adag)
-        + params.omega_b * ops.number
-        + params.delta * ops.sx
-    )
-    return _check_hermitian(h, "JC Hamiltonian")
+    return _from_terms("jc", params, space, ops, "JC Hamiltonian")
 
 
 #: the transport Hamiltonians by name: "full" (the complete dot-resonator

@@ -47,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, MethodUnavailable, NumericalError
-from .model import HAMILTONIANS, ModelParams, build_operators
+from .model import ModelParams
 from .steady import (
     MomentReport,
     SteadyState,
@@ -56,9 +56,9 @@ from .steady import (
     solve_steady_state,
 )
 from .superop import (
+    GeneratorPlan,
     LiouvillianSpectrum,
     Superoperator,
-    build_liouvillian,
     counting_liouvillian,
     spectrum,
     trace_vector,
@@ -241,19 +241,21 @@ class TransportPoint:
     report and resolvent noise.
 
     ``hamiltonian`` names an entry of ``model.HAMILTONIANS``. The generator
-    and the steady state are built on construction; the moment report and
-    the resolvent solver are built on first use and kept.
+    comes from ``plan``, a :class:`superop.GeneratorPlan` for
+    (``params.n_fock``, ``hamiltonian``) that a run shares among its points;
+    without one the point builds its own. The generator and the steady
+    state are built on construction; the moment report and the resolvent
+    solver are built on first use and kept.
     """
 
-    def __init__(self, params: ModelParams, hamiltonian: str = "full"):
-        if hamiltonian not in HAMILTONIANS:
-            raise ValueError(f"unknown hamiltonian {hamiltonian!r}; "
-                             f"expected one of {tuple(HAMILTONIANS)}")
-        space = params.space()
-        ops = build_operators(space)
+    def __init__(self, params: ModelParams, hamiltonian: str = "full",
+                 plan: GeneratorPlan | None = None):
+        plan = plan or GeneratorPlan(params.n_fock, hamiltonian)
+        if plan.hamiltonian != hamiltonian:
+            raise ValueError(f"plan is for hamiltonian {plan.hamiltonian!r}, "
+                             f"not {hamiltonian!r}")
         self.params = params
-        self.liouv = build_liouvillian(HAMILTONIANS[hamiltonian](params, space, ops),
-                                       params, ops)
+        self.liouv = plan.generator(params)
         self.ss = solve_steady_state(self.liouv)
 
     @cached_property

@@ -6,11 +6,15 @@ diagonal index, so the stationary state lives there. Row 0 of the block (a
 diagonal vec position, where the generator's one row dependency lives) is
 replaced with the vectorized trace constraint and the system is solved
 directly, with a couple of iterative-refinement passes on the cached
-factorization. The state is scattered back into D x D with exact zeros in
-the dropped coherence blocks, and the residual is always reported against
-the whole unmodified generator. The factorization and the block's vec
-indices are kept on the returned SteadyState, and the omega = 0 projected
-resolvent solves with them instead of factoring the same matrix again.
+factorization. The block and that system are read from the generator
+(:func:`superop.sector_blocks`, :func:`superop.steady_system`): a
+generator from a ``superop.GeneratorPlan`` comes with both from its plan,
+any other forms them on first use. The state is scattered back into
+D x D with exact zeros in the dropped coherence blocks, and the residual
+is always reported against the whole unmodified generator. The
+factorization and the block's vec indices are kept on the returned
+SteadyState, and the omega = 0 projected resolvent solves with them
+instead of factoring the same matrix again.
 """
 
 from __future__ import annotations
@@ -19,22 +23,21 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
 from .superop import (DENSE_EIG_MAX_D2, Superoperator, devectorize, eigenvalues,
-                      sector_blocks, trace_vector, vectorize)
+                      sector_blocks, steady_system, trace_vector, vectorize)
 
 __all__ = [
     "SteadyState",
     "Currents",
     "MomentReport",
     "solve_steady_state",
-    "trace_replaced_system",
     "channel_flux",
     "currents",
     "mode_moments",
+    "top_fock_population",
     "fano_number",
     "quadrature_variance",
     "min_quadrature_variance",
@@ -45,6 +48,9 @@ RESIDUAL_TOL = 1e-10
 POSITIVITY_TOL = -1e-9
 VACUUM_TOL = 1e-12
 CHARGE_DOT_DIM = 3
+#: top-Fock-level population above which a state counts as truncated: 2.4e-4
+#: there moves S_ee(0) by 3% (fig5b, n_fock 8), 1.5e-6 by 1e-12 (fig5a)
+TRUNCATION_TOL = 1e-5
 
 
 @dataclass
@@ -94,29 +100,7 @@ class MomentReport:
                 for k, v in asdict(self).items()}
 
 
-def trace_replaced_system(liouv: Superoperator,
-                          block: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The generator on the sorted vec indices ``block``, which hold index 0
-    and every diagonal index and which no entry couples to the rest, with
-    its row 0 (a trace-block row) replaced by the trace constraint."""
-    d = liouv.dim_rho
-    pos = np.full(d * d, -1)
-    pos[block] = np.arange(block.size)
-    coo = liouv.matrix.tocoo()
-    keep = pos[coo.row] > 0  # rows of the block but its first, vec index 0
-    rows = np.concatenate([pos[coo.row[keep]], np.zeros(d, dtype=int)])
-    cols = np.concatenate([pos[coo.col[keep]], pos[np.arange(d) * (d + 1)]])
-    data = np.concatenate([coo.data[keep], np.ones(d, dtype=complex)])
-    m = sp.csc_matrix((data, (rows, cols)), shape=(block.size, block.size))
-    b = np.zeros(block.size, dtype=complex)
-    b[0] = 1.0
-    return m, b
-
-
 def _diagnose_failure(liouv: Superoperator, residual: float) -> Exception:
-    if not np.all(np.isfinite(liouv.matrix.data)):
-        return NumericalError("generator has non-finite entries (inf or NaN): "
-                              "a model parameter overflows double precision")
     if liouv.dim_rho**2 <= DENSE_EIG_MAX_D2:
         alphas = eigenvalues(liouv)
         n_zero = int(np.sum(np.abs(alphas) <= 1e-8))
@@ -133,14 +117,20 @@ def _diagnose_failure(liouv: Superoperator, residual: float) -> Exception:
 def solve_steady_state(liouv: Superoperator) -> SteadyState:
     """Solve L[rho] = 0, Tr rho = 1 and return the Hermitized, normalized state.
 
-    Raises DegenerateSteadyState when the stationary subspace is not
+    Raises NumericalError for a generator with inf or NaN entries,
+    DegenerateSteadyState when the stationary subspace is not
     one-dimensional and ConvergenceFailure when the residual against the
     unmodified generator stays above tolerance. The returned state keeps
     the charge-sector block and the factorization of
-    ``trace_replaced_system(liouv, block)``.
+    :func:`superop.steady_system`, both read from the generator.
     """
+    if not np.all(np.isfinite(liouv.matrix.data)):
+        raise NumericalError("generator has non-finite entries (inf or NaN): "
+                             "a model parameter overflows double precision")
     block = sector_blocks(liouv)[0]
-    m, b = trace_replaced_system(liouv, block)
+    m = steady_system(liouv)
+    b = np.zeros(block.size, dtype=complex)
+    b[0] = 1.0
     try:
         lu = spla.splu(m)
     except RuntimeError as exc:
@@ -196,6 +186,22 @@ def currents(ss: SteadyState, liouv: Superoperator) -> Currents:
     return Currents(e=vals["e"], b=vals["b"], inflow=vals["in"])
 
 
+def _resonator_state(ss: SteadyState) -> np.ndarray:
+    """The resonator's reduced state rho_b, the dot traced out."""
+    nf, rest = divmod(ss.dim, CHARGE_DOT_DIM)
+    if rest or nf < 2:
+        raise ValueError(f"dimension {ss.dim} is not a 3-level dot (x) Fock space")
+    return np.trace(ss.rho_ss.reshape(CHARGE_DOT_DIM, nf, CHARGE_DOT_DIM, nf),
+                    axis1=0, axis2=2)
+
+
+def top_fock_population(ss: SteadyState) -> float:
+    """Population of the top Fock level n_fock in ``ss``, from the reduced
+    resonator state of :func:`mode_moments`; above ``TRUNCATION_TOL`` the
+    cutoff visibly moves the results."""
+    return float(_resonator_state(ss)[-1, -1].real)
+
+
 def mode_moments(ss: SteadyState) -> tuple[complex, complex, float, float]:
     """Resonator moments (<a>, <a^2>, <n>, <n^2>) of ``ss``.
 
@@ -203,12 +209,8 @@ def mode_moments(ss: SteadyState) -> tuple[complex, complex, float, float]:
     dot traced out): <n^k> = sum n^k rho_b[n, n], <a> = sum sqrt(n)
     rho_b[n, n-1], <a^2> = sum sqrt(n (n-1)) rho_b[n, n-2].
     """
-    nf, rest = divmod(ss.dim, CHARGE_DOT_DIM)
-    if rest or nf < 2:
-        raise ValueError(f"dimension {ss.dim} is not a 3-level dot (x) Fock space")
-    rho_b = np.trace(ss.rho_ss.reshape(CHARGE_DOT_DIM, nf, CHARGE_DOT_DIM, nf),
-                     axis1=0, axis2=2)
-    n = np.arange(nf)
+    rho_b = _resonator_state(ss)
+    n = np.arange(rho_b.shape[0])
     pop = rho_b.diagonal().real
     mean_a = complex(np.sqrt(n[1:]) @ rho_b.diagonal(-1))
     mean_a2 = complex(np.sqrt(n[2:] * n[1:-1]) @ rho_b.diagonal(-2))

@@ -17,6 +17,11 @@ n_bar-absorption Lindblad grouping, which is trace preserving; the
 literal printed grouping (anticommutators taken with a^dag a on both
 thermal lines) is available from :func:`thermal_dissipator` for the
 regrouping diagnostic, and differs by gamma_b n_bar/2 {a a^dag - a^dag a, rho}.
+
+Every command takes its transport generators from a :class:`GeneratorPlan`,
+built once per run, which forms each point's generator on one fixed sparse
+pattern without kron products; :func:`build_liouvillian` is the kron
+assembly it is tested against.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import MethodUnavailable
-from .model import ModelParams, OperatorSet, build_operators
+from .model import HilbertSpace, ModelParams, OperatorSet, build_operators, hamiltonian_terms
 
 __all__ = [
     "JumpChannel",
     "Superoperator",
+    "GeneratorPlan",
     "LiouvillianSpectrum",
     "vectorize",
     "devectorize",
@@ -52,6 +58,8 @@ __all__ = [
     "charge_sector",
     "sector_leak",
     "sector_blocks",
+    "trace_replaced_system",
+    "steady_system",
     "trace_defect",
 ]
 
@@ -128,16 +136,20 @@ class Superoperator:
     """Generator acting on vectorized density matrices.
 
     ``base`` is the no-jump generator of the effective Hamiltonian H_eff;
-    the total matrix is base plus the sum of all channel parts. Instances are
-    treated as immutable after construction and are safe to share across
-    worker threads; the assembled total and the eigendecomposition are
-    cached on first use.
+    the total matrix is base plus the channel parts, added in channel order.
+    Instances are treated as immutable after construction and are safe to
+    share across worker threads. The total, the :func:`sector_blocks`, the
+    :func:`steady_system` and the eigendecomposition are formed on first use
+    and kept; a generator from :meth:`GeneratorPlan.generator` comes with the
+    first three already filled in.
     """
 
     dim_rho: int
     base: sp.csr_matrix
     channels: dict[str, JumpChannel]
     _matrix: sp.csr_matrix | None = field(default=None, repr=False)
+    _blocks: list[np.ndarray] | None = field(default=None, repr=False)
+    _system: sp.csc_matrix | None = field(default=None, repr=False)
     _spectrum: "LiouvillianSpectrum | None" = field(default=None, repr=False)
 
     @property
@@ -235,10 +247,24 @@ def assemble_liouvillian(h: np.ndarray,
     return Superoperator(dim_rho=h.shape[0], base=base, channels=channels)
 
 
+def _transport_jumps(ops: OperatorSet) -> list[tuple[str, np.ndarray, bool]]:
+    """(id, jump operator, counted) of the four transport channels, in channel order."""
+    return [("in", ops.s_L.conj().T, False), ("e", ops.s_R, True),
+            ("b", ops.a, True), ("b_abs", ops.adag, False)]
+
+
+def _transport_rates(params: ModelParams) -> list[float]:
+    """The rates of the :func:`_transport_jumps` channels at ``params``."""
+    n_bar = thermal_occupation(params.omega_b, params.temperature)
+    return [params.gamma_L, params.gamma_R,
+            params.gamma_b * (1.0 + n_bar), params.gamma_b * n_bar]
+
+
 def build_liouvillian(h: np.ndarray, params: ModelParams,
                       ops: OperatorSet | None = None) -> Superoperator:
     """Transport Liouvillian: -i[H, .] plus lead injection/emission and
-    thermal resonator damping, with the four labeled jump channels."""
+    thermal resonator damping, with the four labeled jump channels, by kron
+    assembly (the reference that :class:`GeneratorPlan` is checked against)."""
     space = params.space()
     if h.shape != (space.dim, space.dim):
         raise ValueError(
@@ -246,16 +272,102 @@ def build_liouvillian(h: np.ndarray, params: ModelParams,
             f"from n_fock={params.n_fock}"
         )
     ops = ops or build_operators(space)
-    n_bar = thermal_occupation(params.omega_b, params.temperature)
-    return assemble_liouvillian(
-        h,
-        [
-            ("in", params.gamma_L, ops.s_L.conj().T, False),
-            ("e", params.gamma_R, ops.s_R, True),
-            ("b", params.gamma_b * (1.0 + n_bar), ops.a, True),
-            ("b_abs", params.gamma_b * n_bar, ops.adag, False),
-        ],
-    )
+    return assemble_liouvillian(h, [
+        (cid, rate, jump, counted)
+        for (cid, jump, counted), rate in zip(_transport_jumps(ops), _transport_rates(params))
+    ])
+
+
+class GeneratorPlan:
+    """Every transport generator of one (n_fock, hamiltonian) on one sorted
+    CSR pattern.
+
+    L is linear in the Hamiltonian's ModelParams fields and in each
+    channel's rate, the affine form QuTiP builds its generators in
+    (Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)). The
+    plan keeps the Hamiltonian's terms and each channel's X^dag X as D x D
+    operators, each channel's sandwich X . X^dag, the union pattern of L
+    with int32 maps into it from M = -i H_eff (``base`` = spre(M) +
+    spost(M^dag) repeats M's entries along the diagonal blocks) and from
+    each sandwich, that pattern's :func:`sector_blocks` (a zero coefficient
+    only removes entries, so they hold at every point) and the gather map
+    from L's data to :func:`steady_system`. A point's generator then takes
+    a few scaled additions of D x D and data arrays: no kron, no dense
+    product, no sparse addition. Read-only after construction, so worker
+    threads share one plan.
+    """
+
+    def __init__(self, n_fock: int, hamiltonian: str = "full"):
+        ops = build_operators(HilbertSpace(n_fock=n_fock))
+        d = ops.space.dim
+        d2 = d * d
+        self.n_fock, self.hamiltonian, self.dim_rho = n_fock, hamiltonian, d
+        self._terms = hamiltonian_terms(hamiltonian, ops)
+        jumps = _transport_jumps(ops)
+        self._channels = [(cid, counted) for cid, _, counted in jumps]
+        self._decays = [c.conj().T @ c for _, c, _ in jumps]
+        self._parts = [sandwich(c, c.conj().T) for _, c, _ in jumps]
+        # spre(M) holds M[i, j] at (k d + i, k d + j), spost(M^dag) M^dag[j, i] at
+        # (i d + k, j d + k), for every k and every (i, j) that some term reaches
+        i, j = np.nonzero(sum(abs(x) for x in [x for _, x in self._terms] + self._decays))
+        k = np.arange(d)[:, None]
+        pre = ((k * d + i) * d2 + k * d + j).ravel()
+        post = ((i * d + k) * d2 + j * d + k).ravel()
+        self._sources = [np.broadcast_to(i * d + j, (d, i.size)).ravel(),
+                         np.broadcast_to(j * d + i, (d, i.size)).ravel()]
+        keys = [pre, post] + [np.repeat(np.arange(d2), np.diff(m.indptr)) * d2 + m.indices
+                              for m in self._parts]
+        union = np.sort(np.concatenate(keys))
+        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+        self._indptr = np.searchsorted(union, np.arange(d2 + 1) * d2).astype(np.int32)
+        self._indices = (union % d2).astype(np.int32)
+        self._where = [np.searchsorted(union, key).astype(np.int32) for key in keys]
+        # L's pattern with data 2 + position: the steady system built from it holds 2 +
+        # the position of each entry's source, and 1 for the trace row's ones, which
+        # generator() keeps at position -1 of its data array
+        coded = Superoperator(d, sp.csr_matrix((np.arange(2.0, union.size + 2), self._indices,
+                                                self._indptr), shape=(d2, d2)), {})
+        self.blocks = _sector_split(coded)
+        gather = trace_replaced_system(coded, self.blocks[0])[0]
+        self._gather = gather.data.real.astype(np.intp) - 2
+        self._system_pattern = (gather.indices, gather.indptr)
+        for a in (self._indptr, self._indices, self._gather, *self.blocks, *self._where,
+                  *self._sources, *self._system_pattern, *self._decays,
+                  *(m for p in self._parts for m in (p.data, p.indices, p.indptr))):
+            a.setflags(write=False)
+
+    def generator(self, params: ModelParams) -> Superoperator:
+        """The transport Liouvillian at ``params``, with its total, sector
+        blocks and steady system filled in. H_eff, each channel part and the
+        order of every addition are those of :func:`build_liouvillian`."""
+        if params.n_fock != self.n_fock:
+            raise ValueError(f"params.n_fock {params.n_fock} does not match the plan's "
+                             f"{self.n_fock}")
+        rates = _transport_rates(params)
+        data = np.zeros(self._indices.size + 1, dtype=complex)
+        (pre, post), parts = self._where[:2], self._where[2:]
+        with np.errstate(over="ignore", invalid="ignore"):  # the steady solve names inf/NaN
+            h_eff = sum(getattr(params, name) * x for name, x in self._terms)
+            for rate, decay in zip(rates, self._decays):
+                h_eff = h_eff - 0.5j * rate * decay
+            data[pre] = (-1j * h_eff).ravel()[self._sources[0]]
+            data[post] += (1j * h_eff.conj().T).ravel()[self._sources[1]]
+        shape = (self.dim_rho**2,) * 2
+        base = sp.csr_matrix((data[:-1].copy(), self._indices, self._indptr), shape=shape)
+        channels = {}
+        for (cid, counted), rate, where, m in zip(self._channels, rates, parts, self._parts):
+            part = rate * m
+            data[where] += part.data  # the total in channel order, as Superoperator.matrix adds it
+            channels[cid] = JumpChannel(id=cid, part=part, counted=counted)
+        data[-1] = 1.0  # the trace row's ones in the steady system
+        n = self.blocks[0].size
+        system = sp.csc_matrix((data[self._gather], *self._system_pattern), shape=(n, n),
+                               copy=True)
+        matrix = sp.csr_matrix((data[:-1], self._indices, self._indptr), shape=shape, copy=True)
+        for m in (system, matrix):
+            m.eliminate_zeros()  # a zero coefficient's entries would cost SuperLU as much as any
+        return Superoperator(dim_rho=self.dim_rho, base=base, channels=channels,
+                             _matrix=matrix, _blocks=self.blocks, _system=system)
 
 
 def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> Superoperator:
@@ -350,7 +462,14 @@ def sector_leak(liouv: Superoperator, labels: np.ndarray) -> int:
 def sector_blocks(liouv: Superoperator) -> list[np.ndarray]:
     """Vec indices of the blocks of L that no entry of L or of a channel
     couples: the charge sector, then the coherences (0, X) and (X, 0); all
-    indices as one block when L is not dot (x) Fock or they leak."""
+    indices as one block when L is not dot (x) Fock or they leak. Formed on
+    first use and kept on the generator."""
+    if liouv._blocks is None:
+        liouv._blocks = _sector_split(liouv)
+    return liouv._blocks
+
+
+def _sector_split(liouv: Superoperator) -> list[np.ndarray]:
     kept = charge_sector(liouv.dim_rho)
     if kept is not None:
         # 1 kept, 2 (0, X) above the diagonal of rho, 0 (X, 0) below it
@@ -358,6 +477,34 @@ def sector_blocks(liouv: Superoperator) -> list[np.ndarray]:
         if not sector_leak(liouv, labels):
             return [np.flatnonzero(labels == k) for k in (1, 2, 0)]
     return [np.arange(liouv.dim_rho**2)]
+
+
+def trace_replaced_system(liouv: Superoperator,
+                          block: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The generator on the sorted vec indices ``block``, which hold index 0
+    and every diagonal index and which no entry couples to the rest, with
+    its row 0 (a trace-block row) replaced by the trace constraint, and the
+    right-hand side e_0 of the steady-state solve."""
+    d = liouv.dim_rho
+    pos = np.full(d * d, -1)
+    pos[block] = np.arange(block.size)
+    coo = liouv.matrix.tocoo()
+    keep = pos[coo.row] > 0  # rows of the block but its first, vec index 0
+    rows = np.concatenate([pos[coo.row[keep]], np.zeros(d, dtype=int)])
+    cols = np.concatenate([pos[coo.col[keep]], pos[np.arange(d) * (d + 1)]])
+    data = np.concatenate([coo.data[keep], np.ones(d, dtype=complex)])
+    m = sp.csc_matrix((data, (rows, cols)), shape=(block.size, block.size))
+    b = np.zeros(block.size, dtype=complex)
+    b[0] = 1.0
+    return m, b
+
+
+def steady_system(liouv: Superoperator) -> sp.csc_matrix:
+    """``trace_replaced_system(liouv, sector_blocks(liouv)[0])``'s matrix, the one
+    the steady state is solved with; formed on first use and kept on the generator."""
+    if liouv._system is None:
+        liouv._system = trace_replaced_system(liouv, sector_blocks(liouv)[0])[0]
+    return liouv._system
 
 
 def trace_defect(liouv: Superoperator) -> float:

@@ -4,10 +4,13 @@ Axes may vary the noise frequency ("omega") or any of the model knobs
 ("g", "delta", "epsilon", "T"). Grid points are independent; when one
 axis is the noise frequency, work factorizes over the other axis: each
 point builds its steady state once and solves its noise quantities on its
-whole frequency axis in one call. Results are
-placed by grid index, so output is deterministic and independent of the
-worker count. Per-point failures become explicit gap entries (NaN in
-the arrays, null in serialized output), never silent interpolation.
+whole frequency axis in one call. Every point of a run takes its generator
+from one ``superop.GeneratorPlan``, built before the workers start, and
+reports the top-Fock-level population of its steady state
+(``GridResult.top_population``). Results are placed by grid index, so
+output is deterministic and independent of the worker count. Per-point
+failures become explicit gap entries (NaN in the arrays, null in
+serialized output), never silent interpolation.
 
 Each preset carries its own Fock cutoff ``n_fock``: fig2 and fig4 run at 6,
 fig3 and fig6 at 15, fig5a at 25, fig5b and fig5c at 8. :func:`resolve_cutoff`
@@ -25,6 +28,8 @@ import numpy as np
 from .errors import ConvergenceFailure
 from .model import HAMILTONIANS, ModelParams
 from .noise import TransportPoint
+from .steady import top_fock_population
+from .superop import GeneratorPlan
 
 __all__ = [
     "SweepAxis",
@@ -132,6 +137,9 @@ class GridResult:
     data: dict[str, np.ndarray]
     cutoff_used: int
     convergence_report: dict
+    #: top-Fock-level population of each point's steady state, indexed over
+    #: the non-omega axes (a 0-d array for an omega-only sweep); NaN at a gap
+    top_population: np.ndarray
     gaps: list[tuple[tuple[int, ...], str]] = field(default_factory=list)
 
 
@@ -218,12 +226,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
 
     ``cutoff`` picks the Fock cutoff through :func:`resolve_cutoff`: None
     keeps the spec's base n_fock, an int forces a value, "auto" runs the
-    convergence ladder at the grid corners. Output is deterministic for a
-    given spec regardless of ``workers``.
+    convergence ladder at the grid corners. Every point takes its generator
+    from one :class:`superop.GeneratorPlan`, built here before any worker
+    starts and only read by them. Output is deterministic for a given spec
+    regardless of ``workers``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_fock, report = resolve_cutoff(spec.base, spec.axes, spec.hamiltonian, cutoff)
+    plan = GeneratorPlan(n_fock, spec.hamiltonian)
 
     axis_values = tuple(a.grid() for a in spec.axes)
     shape = tuple(len(v) for v in axis_values)
@@ -239,15 +250,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
         idx for idx in np.ndindex(*(shape[k] for k in param_axes))
     ]
     omegas = axis_values[omega_axis] if omega_axis is not None else np.zeros(1)
+    top = np.full(tuple(shape[k] for k in param_axes), np.nan)
 
     def run_task(task_idx):
         pnames = [names[k] for k in param_axes]
         pvals = [float(axis_values[k][i]) for k, i in zip(param_axes, task_idx)]
         try:
             point = TransportPoint(_axis_params(spec.base, pnames, pvals, n_fock),
-                                   spec.hamiltonian)
+                                   spec.hamiltonian, plan)
         except Exception as exc:  # noqa: BLE001 - recorded as one explicit gap per omega
             return [(None, str(exc))] * omegas.size
+        top[task_idx] = top_fock_population(point.ss)
         return _evaluate(point, spec.quantities, omegas)
 
     if workers == 1:
@@ -267,7 +280,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
                 data[q][full] = v
 
     return GridResult(spec=spec, axis_values=axis_values, data=data,
-                      cutoff_used=n_fock, convergence_report=report, gaps=gaps)
+                      cutoff_used=n_fock, convergence_report=report, gaps=gaps,
+                      top_population=top)
 
 
 def _fig2_base(**kw) -> ModelParams:

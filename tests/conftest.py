@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dqdnoise import noise
+from dqdnoise import superop
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import TransportPoint
 
@@ -25,13 +25,13 @@ def rng():
 
 @pytest.fixture()
 def operator_builds(monkeypatch):
-    """Spaces passed to ``build_operators`` by ``TransportPoint`` while the test runs."""
+    """Spaces passed to ``build_operators`` by ``GeneratorPlan`` while the test runs."""
     calls = []
-    build = noise.build_operators
+    build = superop.build_operators
 
     def counting(space):
         calls.append(space)
         return build(space)
 
-    monkeypatch.setattr(noise, "build_operators", counting)
+    monkeypatch.setattr(superop, "build_operators", counting)
     return calls

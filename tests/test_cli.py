@@ -327,6 +327,37 @@ class TestFockCutoffAuto:
         assert json.loads(steady.read_text())["params"]["n_fock"] == sweep["cutoff_used"] == 20
 
 
+class TestTruncationWarning:
+    FIG5 = ("model.delta = 0.1\nmodel.gamma_L = 0.1\nmodel.gamma_R = 0.001\n"
+            "model.gamma_b = 0.01\n")
+
+    def run(self, tmp_path, capsys, command, text):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write(tmp_path, self.FIG5 + text),
+                         "--out", str(out)]) == EXIT_OK
+        return capsys.readouterr().err
+
+    def test_fig5b_point_warns(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "steady",
+                       "model.epsilon = 2\nmodel.g = 0.4\nmodel.n_fock = 8\n")
+        assert err.count("warning") == 1
+        assert "warning: 1 point(s) hold more than 1e-05 of their population in the top " \
+               "Fock level (worst 2.432e-04)" in err
+
+    def test_fig5a_point_is_quiet(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "steady",
+                       "model.g = 0.0008\nmodel.temperature = 2\nmodel.n_fock = 25\n")
+        assert "top Fock" not in err
+
+    def test_sweep_counts_points_and_names_the_worst(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "sweep",
+                       "model.n_fock = 8\nsweep.axis1.name = epsilon\n"
+                       "sweep.axis1.values = 0,1,2\nsweep.axis2.name = g\n"
+                       "sweep.axis2.values = 0,0.4\nsweep.quantities = I_e\n")
+        assert "warning: 2 point(s) hold more than 1e-05" in err
+        assert "(worst 2.432e-04 at grid index [2, 1])" in err
+
+
 class TestCheckCommand:
     def test_eigenvalue_checks_solve_every_block(self, monkeypatch):
         sizes = []

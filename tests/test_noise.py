@@ -18,9 +18,9 @@ from dqdnoise.noise import (
     macdonald_evaluate,
     noise_eigen_expansion,
 )
-from dqdnoise.steady import currents, solve_steady_state, trace_replaced_system
-from dqdnoise.superop import (assemble_liouvillian, charge_sector, spectrum, trace_vector,
-                              vectorize)
+from dqdnoise.steady import currents, solve_steady_state
+from dqdnoise.superop import (assemble_liouvillian, charge_sector, spectrum,
+                              trace_replaced_system, trace_vector, vectorize)
 from dqdnoise.sweep import SweepAxis, SweepSpec, run_sweep
 
 
@@ -78,6 +78,10 @@ class TestTransportPoint:
     def test_rejects_unknown_hamiltonian(self):
         with pytest.raises(ValueError, match="hamiltonian"):
             TransportPoint(ModelParams(n_fock=2), "rwa")
+
+    def test_rejects_plan_of_another_hamiltonian(self):
+        with pytest.raises(ValueError, match="plan is for hamiltonian 'full'"):
+            TransportPoint(ModelParams(n_fock=2), "jc", superop.GeneratorPlan(2, "full"))
 
     def test_builds_and_solves_once_and_caches(self, fig2_params, operator_builds,
                                                monkeypatch):

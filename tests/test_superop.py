@@ -5,8 +5,10 @@ import scipy.sparse
 from scipy.optimize import linear_sum_assignment
 
 from dqdnoise.checks import _preset_point
-from dqdnoise.model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
+from dqdnoise.model import (HAMILTONIANS, ModelParams, build_hamiltonian, build_jc_hamiltonian,
+                            build_operators)
 from dqdnoise.superop import (
+    GeneratorPlan,
     assemble_liouvillian,
     build_liouvillian,
     charge_sector,
@@ -19,9 +21,11 @@ from dqdnoise.superop import (
     spectrum,
     spre,
     spost,
+    steady_system,
     thermal_dissipator,
     thermal_occupation,
     trace_defect,
+    trace_replaced_system,
     trace_vector,
     vectorize,
 )
@@ -190,6 +194,50 @@ class TestNoJumpAssembly:
         ops = build_operators(fig2_params.space())
         build_liouvillian(build_jc_hamiltonian(fig2_params), fig2_params, ops)
         assert len(calls) == 2 + 4
+
+
+class TestGeneratorPlan:
+    """The plan's generators against kron assembly (``build_liouvillian``)."""
+
+    POINTS = [_preset_point(name) for name in PRESET_NAMES] + [
+        (ModelParams(epsilon=0.5, delta=0.1, g=0.0, gamma_L=0.1, gamma_R=0.001,
+                     gamma_b=0.01, temperature=0.0, n_fock=8), "full")]
+
+    @pytest.mark.parametrize("params, ham", POINTS, ids=[*PRESET_NAMES, "g0-T0"])
+    def test_matches_kron_assembly(self, params, ham):
+        ref = build_liouvillian(HAMILTONIANS[ham](params), params)
+        plan = GeneratorPlan(params.n_fock, ham)
+        liouv = plan.generator(params)
+        assert liouv._blocks is plan.blocks and liouv._system is not None  # filled in
+        # the same H_eff and additions as kron assembly: equal values, not only close ones
+        assert abs(liouv.matrix - ref.matrix).max() == 0.0
+        assert abs(liouv.base - ref.base).max() == 0.0
+        assert list(liouv.channels) == list(ref.channels)
+        for cid, ch in liouv.channels.items():
+            part = ref.channels[cid].part
+            assert ch.counted == ref.channels[cid].counted
+            assert np.array_equal(ch.part.indptr, part.indptr)
+            assert np.array_equal(ch.part.indices, part.indices)
+            assert np.array_equal(ch.part.data, part.data)  # bit-identical
+        total = liouv.base
+        for ch in liouv.channels.values():
+            total = total + ch.part
+        assert abs(liouv.matrix - total).max() == 0.0
+        blocks = sector_blocks(ref)
+        assert len(blocks) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(sector_blocks(liouv), blocks))
+        # the gathered steady system: L on the kept block, row 0 the trace row
+        block, system = blocks[0], steady_system(liouv)
+        on_block = liouv.matrix[block][:, block].tocsr()
+        trace_row = scipy.sparse.csr_matrix(trace_vector(params.space().dim)[block])
+        assert abs(system - scipy.sparse.vstack([trace_row, on_block[1:]])).max() == 0.0
+        assert abs(system - trace_replaced_system(ref, block)[0]).max() == 0.0
+
+    def test_rejects_other_cutoff_and_unknown_hamiltonian(self):
+        with pytest.raises(ValueError, match="n_fock"):
+            GeneratorPlan(3).generator(ModelParams(n_fock=4))
+        with pytest.raises(ValueError, match="hamiltonian"):
+            GeneratorPlan(3, "rwa")
 
 
 class TestThermalGrouping:

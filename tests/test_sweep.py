@@ -1,11 +1,12 @@
 import json
 import pathlib
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dqdnoise import noise, steady
+from dqdnoise import noise, steady, superop
 from dqdnoise.errors import ConvergenceFailure, NumericalError
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import TransportPoint
@@ -265,7 +266,7 @@ class TestRunSweep:
         result = run_sweep(spec, cutoff="auto")
         assert result.convergence_report["corners"] == 2
 
-    def test_moment_quantities_build_operators_once_per_point(self, operator_builds):
+    def test_moment_quantities_build_operators_once_per_run(self, operator_builds):
         spec = SweepSpec(
             base=ModelParams(delta=0.5, temperature=0.5, n_fock=4),
             axes=(SweepAxis(name="g", values=(0.05, 0.1, 0.15, 0.2)),),
@@ -273,7 +274,47 @@ class TestRunSweep:
         )
         result = run_sweep(spec)
         assert not result.gaps
-        assert len(operator_builds) == 4
+        assert len(operator_builds) == 1
+
+    def test_one_generator_plan_per_run(self, monkeypatch):
+        plans = []
+        init = superop.GeneratorPlan.__init__
+
+        def counting(self, *args, **kwargs):
+            plans.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(superop.GeneratorPlan, "__init__", counting)
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, n_fock=3),
+            axes=(SweepAxis(name="g", values=(0.0, 0.1, 0.2)),
+                  SweepAxis(name="T", values=(0.0, 0.5))),
+            quantities=("S_ee", "F_Q"),
+        )
+        counts = []
+        for workers in (1, 2):
+            run_sweep(spec, workers=workers)
+            counts.append(len(plans))
+        assert counts == [1, 2]  # one per call, none kept from the call before
+        assert plans == [(3, "full")] * 2
+
+    def test_shared_plan_under_thread_switching(self):
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, temperature=0.5, n_fock=3),
+            axes=(SweepAxis(name="epsilon", start=-1.0, stop=1.0, count=8),
+                  SweepAxis(name="g", values=(0.1, 0.3))),
+            quantities=("S_ee", "F_Q"),
+        )
+        serial = run_sweep(spec, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = run_sweep(spec, workers=4)  # more threads than cores, one plan
+        finally:
+            sys.setswitchinterval(interval)
+        for q in spec.quantities:
+            assert np.array_equal(serial.data[q], shared.data[q])
+        assert np.array_equal(serial.top_population, shared.top_population)
 
     def test_moments_computed_once_per_point_on_omega_axis(self, monkeypatch):
         calls = []
