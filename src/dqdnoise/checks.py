@@ -17,6 +17,7 @@ from .noise import TransportPoint, compute_spectrum
 from .steady import solve_steady_state
 from .superop import (
     STATIONARY_TOL,
+    GeneratorPlan,
     assemble_liouvillian,
     charge_sector,
     counting_liouvillian,
@@ -161,16 +162,17 @@ def _full_checks() -> list[CheckResult]:
                            abs(np.trace(lrho)), 1e-10))
 
         # channel completeness: base + sum(parts) reassembles the total exactly
+        parts = [ch.part for ch in liouv.channels.values()]
         total = liouv.base
-        for ch in liouv.channels.values():
-            total = total + ch.part
+        for part in parts:
+            total = total + part
         out.append(_result("channel-completeness", ctx,
                            float(abs(liouv.matrix - total.tocsr()).max()), 0.0))
 
         # counting-field linearity: second difference in s_e vanishes
         h_s = 0.25
-        m_plus = counting_liouvillian(liouv, {"e": 1 + h_s}).matrix
-        m_minus = counting_liouvillian(liouv, {"e": 1 - h_s}).matrix
+        m_plus = counting_liouvillian(liouv, {"e": 1 + h_s})
+        m_minus = counting_liouvillian(liouv, {"e": 1 - h_s})
         second = m_plus + m_minus - 2 * liouv.matrix
         scale = max(1.0, abs(liouv.matrix).max())
         out.append(_result("counting-linearity", ctx,
@@ -178,7 +180,7 @@ def _full_checks() -> list[CheckResult]:
 
         # the charge-sector block the resolvent solves on is closed under L
         out.append(_result("charge-sector-closure", ctx,
-                           sector_leak(liouv, charge_sector(d)), 0.0))
+                           sector_leak([liouv.matrix, *parts], charge_sector(d)), 0.0))
 
         out.append(_result("steady-residual", ctx, ss.residual, 1e-10))
         out.append(_result("steady-positivity", ctx,
@@ -192,7 +194,7 @@ def _full_checks() -> list[CheckResult]:
         out.append(_result("high-frequency-floor", ctx, abs(hi - 1.0), 1e-3))
 
         eig_params = replace(params, n_fock=min(params.n_fock, _EIG_CHECK_CUTOFF))
-        out += _eigenvalue_checks(TransportPoint(eig_params, ham).liouv,
+        out += _eigenvalue_checks(GeneratorPlan(eig_params.n_fock, ham).generator(eig_params),
                                   f"{ctx} (N_b<={_EIG_CHECK_CUTOFF})")
     return out
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .checks import run_checks
-from .errors import ConfigError, InvariantViolation, NumericalError
+from .errors import ConfigError, NumericalError
 from .model import HAMILTONIANS, ModelParams
 from .noise import TransportPoint, compute_spectrum
 from .steady import TRUNCATION_TOL, top_fock_population
@@ -577,9 +577,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InvariantViolation as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -19,7 +19,3 @@ class ConvergenceFailure(NumericalError):
 
 class MethodUnavailable(NumericalError):
     """Requested diagnostic method cannot run on this generator."""
-
-
-class InvariantViolation(RuntimeError):
-    """A self-check invariant failed (exit code 4)."""

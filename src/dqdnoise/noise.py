@@ -103,7 +103,7 @@ SCHUR_MAX_DIM = 1280
 class ResolventSolver:
     """Projected-resolvent applications R(w) x and the noise built on them,
     all on the steady state's charge-sector block ``ss.block`` (the first
-    of :func:`superop.sector_blocks`).
+    of the generator's ``blocks``).
 
     P projects onto the stationary direction, Q = 1 - P onto its
     complement. rho_ss, the trace functional and every channel's
@@ -462,62 +462,60 @@ def _smallest_eigenvalue(m: sp.csc_matrix, v0: np.ndarray, w0: np.ndarray,
 
 
 def counting_fd_check(liouv: Superoperator, ss: SteadyState, i: str, j: str,
-                      h: float = 5e-3, include_delta: bool = True,
-                      _retried: bool = False) -> float:
+                      h: float = 5e-3, include_delta: bool = True) -> float:
     """Zero-frequency noise from counting-field finite differences.
 
     Differentiates the stationary eigenvalue lambda0(s) of the deformed
     generator M(s) around s = 1 with Richardson-corrected central
     stencils: S(0) = 2 (d2 lambda0/ds_i ds_j + delta_ij d lambda0/ds_i).
     ``include_delta=False`` drops the first-derivative shot-noise floor
-    (whose value is the mean current, 2 I_i in these units). Validation
-    role only; agrees with the resolvent value at omega = 0.
+    (whose value is the mean current, 2 I_i in these units). When the
+    correction moves the plain stencil by more than 10%, the step is raised
+    to 4h once, and ConvergenceFailure is raised if it still does.
+    Validation role only; agrees with the resolvent value at omega = 0.
     """
     v0 = vectorize(ss.rho_ss)
     w0 = trace_vector(liouv.dim_rho)
 
     def lam(si: float, sj: float | None = None) -> float:
         s = {i: si} if (i == j or sj is None) else {i: si, j: sj}
-        m = counting_liouvillian(liouv, s).matrix.tocsc()
+        m = counting_liouvillian(liouv, s).tocsc()
         val = _smallest_eigenvalue(m, v0, w0)
         if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
             warnings.warn(f"counting eigenvalue has imaginary part {val.imag:.3e}",
                           stacklevel=3)
         return val.real
 
-    if i == j:
-        lp1, lm1 = lam(1 + h), lam(1 - h)
-        lp2, lm2 = lam(1 + 2 * h), lam(1 - 2 * h)
-        d2_h = (lp1 + lm1) / h**2  # lambda0(1) = 0 exactly
-        d2_2h = (lp2 + lm2) / (2 * h) ** 2
-        d2 = (4.0 * d2_h - d2_2h) / 3.0
-        d1_h = (lp1 - lm1) / (2 * h)
-        d1_2h = (lp2 - lm2) / (4 * h)
-        d1 = (4.0 * d1_h - d1_2h) / 3.0
-        delta_term = d1 if include_delta else 0.0
-        value = 2.0 * (d2 + delta_term)
-        rough = 2.0 * (d2_h + (d1_h if include_delta else 0.0))
-    else:
-        def cross(step: float) -> float:
-            return (
-                lam(1 + step, 1 + step) - lam(1 + step, 1 - step)
-                - lam(1 - step, 1 + step) + lam(1 - step, 1 - step)
-            ) / (4 * step**2)
+    def cross(dh: float) -> float:
+        return (
+            lam(1 + dh, 1 + dh) - lam(1 + dh, 1 - dh)
+            - lam(1 - dh, 1 + dh) + lam(1 - dh, 1 - dh)
+        ) / (4 * dh**2)
 
-        d_h, d_2h = cross(h), cross(2 * h)
-        value = 2.0 * (4.0 * d_h - d_2h) / 3.0
-        rough = 2.0 * d_h
-
-    scale = max(abs(value), 1e-12)
-    if abs(value - rough) > 0.1 * scale:
-        if _retried:
-            raise ConvergenceFailure(
-                f"counting finite difference ill-conditioned at h={h:g} "
-                f"(plain {rough:.6e} vs corrected {value:.6e})"
-            )
-        return counting_fd_check(liouv, ss, i, j, h=4 * h,
-                                 include_delta=include_delta, _retried=True)
-    return value
+    for step in (h, 4 * h):
+        if i == j:
+            lp1, lm1 = lam(1 + step), lam(1 - step)
+            lp2, lm2 = lam(1 + 2 * step), lam(1 - 2 * step)
+            d2_h = (lp1 + lm1) / step**2  # lambda0(1) = 0 exactly
+            d2_2h = (lp2 + lm2) / (2 * step) ** 2
+            d2 = (4.0 * d2_h - d2_2h) / 3.0
+            d1_h = (lp1 - lm1) / (2 * step)
+            d1_2h = (lp2 - lm2) / (4 * step)
+            d1 = (4.0 * d1_h - d1_2h) / 3.0
+            delta_term = d1 if include_delta else 0.0
+            value = 2.0 * (d2 + delta_term)
+            rough = 2.0 * (d2_h + (d1_h if include_delta else 0.0))
+        else:
+            d_h, d_2h = cross(step), cross(2 * step)
+            value = 2.0 * (4.0 * d_h - d_2h) / 3.0
+            rough = 2.0 * d_h
+        scale = max(abs(value), 1e-12)
+        if not abs(value - rough) > 0.1 * scale:
+            return value
+    raise ConvergenceFailure(
+        f"counting finite difference ill-conditioned at h={step:g} "
+        f"(plain {rough:.6e} vs corrected {value:.6e})"
+    )
 
 
 def compute_spectrum(liouv: Superoperator, ss: SteadyState, pair: tuple[str, str],

@@ -1,15 +1,13 @@
 """Stationary density matrix and single-time observables.
 
 The solver works on the charge-sector ("kept") block of the generator, the
-first of :func:`superop.sector_blocks`: it holds vec index 0 and every
-diagonal index, so the stationary state lives there. Row 0 of the block (a
-diagonal vec position, where the generator's one row dependency lives) is
-replaced with the vectorized trace constraint and the system is solved
-directly, with a couple of iterative-refinement passes on the cached
-factorization. The block and that system are read from the generator
-(:func:`superop.sector_blocks`, :func:`superop.steady_system`): a
-generator from a ``superop.GeneratorPlan`` comes with both from its plan,
-any other forms them on first use. The state is scattered back into
+first of its ``blocks``: it holds vec index 0 and every diagonal index, so
+the stationary state lives there. Row 0 of the block (a diagonal vec
+position, where the generator's one row dependency lives) is replaced with
+the vectorized trace constraint and the system is solved directly, with a
+couple of iterative-refinement passes on the cached factorization. The
+block and that system (``superop.Superoperator.system``) are fields of the
+generator, set by whichever builder made it. The state is scattered back into
 D x D with exact zeros in the dropped coherence blocks, and the residual
 is always reported against the whole unmodified generator. The
 factorization and the block's vec indices are kept on the returned
@@ -27,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
 from .superop import (DENSE_EIG_MAX_D2, Superoperator, devectorize, eigenvalues,
-                      sector_blocks, steady_system, trace_vector, vectorize)
+                      trace_vector, vectorize)
 
 __all__ = [
     "SteadyState",
@@ -121,14 +119,13 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
     DegenerateSteadyState when the stationary subspace is not
     one-dimensional and ConvergenceFailure when the residual against the
     unmodified generator stays above tolerance. The returned state keeps
-    the charge-sector block and the factorization of
-    :func:`superop.steady_system`, both read from the generator.
+    the charge-sector block and the factorization of the generator's
+    ``system``.
     """
     if not np.all(np.isfinite(liouv.matrix.data)):
         raise NumericalError("generator has non-finite entries (inf or NaN): "
                              "a model parameter overflows double precision")
-    block = sector_blocks(liouv)[0]
-    m = steady_system(liouv)
+    block, m = liouv.blocks[0], liouv.system
     b = np.zeros(block.size, dtype=complex)
     b[0] = 1.0
     try:

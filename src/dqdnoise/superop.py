@@ -18,8 +18,10 @@ literal printed grouping (anticommutators taken with a^dag a on both
 thermal lines) is available from :func:`thermal_dissipator` for the
 regrouping diagnostic, and differs by gamma_b n_bar/2 {a a^dag - a^dag a, rho}.
 
-Every command takes its transport generators from a :class:`GeneratorPlan`,
-built once per run, which forms each point's generator on one fixed sparse
+A :class:`Superoperator` is built complete: its total, its sector blocks
+and its steady system are plain fields that every builder fills. Every
+command takes its transport generators from a :class:`GeneratorPlan`, built
+once per run, which forms each point's generator on one fixed sparse
 pattern without kron products; :func:`build_liouvillian` is the kron
 assembly it is tested against.
 """
@@ -57,13 +59,10 @@ __all__ = [
     "slowest_decay_rate",
     "charge_sector",
     "sector_leak",
-    "sector_blocks",
     "trace_replaced_system",
-    "steady_system",
     "trace_defect",
 ]
 
-COUNTED_CHANNELS = ("e", "b")
 STATIONARY_TOL = 1e-8
 BIORTHOGONALITY_TOL = 1e-8
 #: largest D^2 at which a failed-solve diagnosis or an automatic MacDonald t_max
@@ -133,33 +132,28 @@ class JumpChannel:
 
 @dataclass
 class Superoperator:
-    """Generator acting on vectorized density matrices.
+    """Generator acting on vectorized density matrices, built complete.
 
-    ``base`` is the no-jump generator of the effective Hamiltonian H_eff;
-    the total matrix is base plus the channel parts, added in channel order.
-    Instances are treated as immutable after construction and are safe to
-    share across worker threads. The total, the :func:`sector_blocks`, the
-    :func:`steady_system` and the eigendecomposition are formed on first use
-    and kept; a generator from :meth:`GeneratorPlan.generator` comes with the
-    first three already filled in.
+    ``base`` is the no-jump generator of the effective Hamiltonian H_eff and
+    ``matrix`` the total, base plus the channel parts added in channel
+    order. ``blocks`` holds the vec indices of the blocks that no entry of
+    L or of a channel couples: the charge sector, then the coherences
+    (0, X) and (X, 0); all indices as one block when L is not dot (x) Fock
+    or they leak. ``system`` is :func:`trace_replaced_system` on the first
+    block, the matrix the steady state is solved with. Both builders,
+    :func:`assemble_liouvillian` and :meth:`GeneratorPlan.generator`, set
+    every field; only the eigendecomposition is formed on first use and
+    kept. Instances are treated as immutable after construction and are
+    safe to share across worker threads.
     """
 
     dim_rho: int
     base: sp.csr_matrix
     channels: dict[str, JumpChannel]
-    _matrix: sp.csr_matrix | None = field(default=None, repr=False)
-    _blocks: list[np.ndarray] | None = field(default=None, repr=False)
-    _system: sp.csc_matrix | None = field(default=None, repr=False)
+    matrix: sp.csr_matrix = field(repr=False)
+    blocks: list[np.ndarray] = field(repr=False)
+    system: sp.csc_matrix = field(repr=False)
     _spectrum: "LiouvillianSpectrum | None" = field(default=None, repr=False)
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        if self._matrix is None:
-            total = self.base
-            for ch in self.channels.values():
-                total = total + ch.part
-            self._matrix = total.tocsr()
-        return self._matrix
 
     def channel(self, channel_id: str) -> JumpChannel:
         try:
@@ -173,8 +167,8 @@ class Superoperator:
 @dataclass
 class LiouvillianSpectrum:
     """Eigendecomposition L = V diag(alphas) V^-1 with V block diagonal:
-    ``blocks`` holds (vec indices, V_b, V_b^-1) per :func:`sector_blocks`
-    block, and ``alphas`` the eigenvalues at their block's vec indices."""
+    ``blocks`` holds (vec indices, V_b, V_b^-1) per sector block of
+    :class:`Superoperator`, and ``alphas`` the eigenvalues at their block's vec indices."""
 
     alphas: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -229,7 +223,8 @@ def thermal_dissipator(a_op: np.ndarray, gamma_b: float, n_bar: float,
 def assemble_liouvillian(h: np.ndarray,
                          jumps: list[tuple[str, float, np.ndarray, bool]]) -> Superoperator:
     """Build a generator from a Hamiltonian and (id, rate, jump_op, counted) terms:
-    the no-jump base of H_eff = H - (i/2) sum rate X^dag X, one part rate X . X^dag each."""
+    the no-jump base of H_eff = H - (i/2) sum rate X^dag X, one part rate X . X^dag
+    each, by kron; then the total, the sector blocks and the steady system."""
     dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if dev > 1e-12:
         raise ValueError(f"Hamiltonian must be Hermitian (deviation {dev:g})")
@@ -244,7 +239,11 @@ def assemble_liouvillian(h: np.ndarray,
         h_eff -= 0.5j * rate * (jdag @ jump)
         channels[cid] = JumpChannel(id=cid, part=rate * sandwich(jump, jdag), counted=counted)
     base = spre(-1j * h_eff) + spost(1j * h_eff.conj().T)
-    return Superoperator(dim_rho=h.shape[0], base=base, channels=channels)
+    parts = [ch.part for ch in channels.values()]
+    matrix = sum(parts, base).tocsr()  # base + parts, added in channel order
+    blocks = _sector_split(h.shape[0], [matrix, *parts])
+    return Superoperator(dim_rho=h.shape[0], base=base, channels=channels, matrix=matrix,
+                         blocks=blocks, system=trace_replaced_system(matrix, blocks[0]))
 
 
 def _transport_jumps(ops: OperatorSet) -> list[tuple[str, np.ndarray, bool]]:
@@ -289,9 +288,9 @@ class GeneratorPlan:
     operators, each channel's sandwich X . X^dag, the union pattern of L
     with int32 maps into it from M = -i H_eff (``base`` = spre(M) +
     spost(M^dag) repeats M's entries along the diagonal blocks) and from
-    each sandwich, that pattern's :func:`sector_blocks` (a zero coefficient
-    only removes entries, so they hold at every point) and the gather map
-    from L's data to :func:`steady_system`. A point's generator then takes
+    each sandwich, that pattern's sector blocks (a zero coefficient only
+    removes entries, so they hold at every point) and the gather map from
+    L's data to its :func:`trace_replaced_system`. A point's generator then takes
     a few scaled additions of D x D and data arrays: no kron, no dense
     product, no sparse addition. Read-only after construction, so worker
     threads share one plan.
@@ -325,10 +324,10 @@ class GeneratorPlan:
         # L's pattern with data 2 + position: the steady system built from it holds 2 +
         # the position of each entry's source, and 1 for the trace row's ones, which
         # generator() keeps at position -1 of its data array
-        coded = Superoperator(d, sp.csr_matrix((np.arange(2.0, union.size + 2), self._indices,
-                                                self._indptr), shape=(d2, d2)), {})
-        self.blocks = _sector_split(coded)
-        gather = trace_replaced_system(coded, self.blocks[0])[0]
+        coded = sp.csr_matrix((np.arange(2.0, union.size + 2), self._indices, self._indptr),
+                              shape=(d2, d2))
+        self.blocks = _sector_split(d, [coded])
+        gather = trace_replaced_system(coded, self.blocks[0])
         self._gather = gather.data.real.astype(np.intp) - 2
         self._system_pattern = (gather.indices, gather.indptr)
         for a in (self._indptr, self._indices, self._gather, *self.blocks, *self._where,
@@ -357,7 +356,7 @@ class GeneratorPlan:
         channels = {}
         for (cid, counted), rate, where, m in zip(self._channels, rates, parts, self._parts):
             part = rate * m
-            data[where] += part.data  # the total in channel order, as Superoperator.matrix adds it
+            data[where] += part.data  # the total in channel order, as assemble_liouvillian adds it
             channels[cid] = JumpChannel(id=cid, part=part, counted=counted)
         data[-1] = 1.0  # the trace row's ones in the steady system
         n = self.blocks[0].size
@@ -367,11 +366,12 @@ class GeneratorPlan:
         for m in (system, matrix):
             m.eliminate_zeros()  # a zero coefficient's entries would cost SuperLU as much as any
         return Superoperator(dim_rho=self.dim_rho, base=base, channels=channels,
-                             _matrix=matrix, _blocks=self.blocks, _system=system)
+                             matrix=matrix, blocks=self.blocks, system=system)
 
 
-def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> Superoperator:
-    """Counting-field deformation M(s) = base + sum_i s_i * channel_i.
+def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> sp.csr_matrix:
+    """Counting-field deformation M(s) = base + sum_i s_i * channel_i, summed
+    in channel order.
 
     Multipliers may be given for the counted channels only; uncounted
     channels stay at 1. M(1, ..., 1) equals the undeformed generator
@@ -384,16 +384,13 @@ def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> Superoper
             f"multipliers for unknown or uncounted channels: {sorted(unknown)}; "
             f"counted channels are {sorted(counted)}"
         )
-    channels = {
-        cid: JumpChannel(id=cid, part=float(s.get(cid, 1.0)) * ch.part, counted=ch.counted)
-        for cid, ch in liouv.channels.items()
-    }
-    return Superoperator(dim_rho=liouv.dim_rho, base=liouv.base, channels=channels)
+    return sum((float(s.get(cid, 1.0)) * ch.part for cid, ch in liouv.channels.items()),
+               liouv.base).tocsr()
 
 
 def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
-    """Dense eigendecomposition of the generator, one :func:`sector_blocks`
-    block at a time; a mode sits at its block's vec indices.
+    """Dense eigendecomposition of the generator, one of its sector ``blocks``
+    at a time; a mode sits at its block's vec indices.
 
     Raises MethodUnavailable if the eigenvector basis fails the
     biorthogonality tolerance (defective or severely ill-conditioned L);
@@ -403,7 +400,7 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
         return liouv._spectrum
     alphas = np.empty(liouv.dim_rho**2, dtype=complex)
     blocks = []
-    for idx in sector_blocks(liouv):
+    for idx in liouv.blocks:
         alphas[idx], vb = la.eig(liouv.matrix[idx][:, idx].toarray())
         try:
             vbinv = la.inv(vb)
@@ -424,9 +421,9 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
 
 
 def eigenvalues(liouv: Superoperator) -> np.ndarray:
-    """Eigenvalues of the generator, one dense ``eigvals`` per :func:`sector_blocks` block."""
+    """Eigenvalues of the generator, one dense ``eigvals`` per sector block."""
     return np.concatenate([la.eigvals(liouv.matrix[idx][:, idx].toarray())
-                           for idx in sector_blocks(liouv)])
+                           for idx in liouv.blocks])
 
 
 def slowest_decay_rate(liouv: Superoperator) -> float:
@@ -449,62 +446,42 @@ def charge_sector(dim_rho: int) -> np.ndarray | None:
     return (occupied[:, None] == occupied[None, :]).ravel(order="F")
 
 
-def sector_leak(liouv: Superoperator, labels: np.ndarray) -> int:
-    """Nonzero entries of L and of its jump channels that couple vec indices
-    of different ``labels`` (a block mask, or one block label per index)."""
+def sector_leak(matrices: list[sp.csr_matrix], labels: np.ndarray) -> int:
+    """Nonzero entries of the CSR ``matrices`` that couple vec indices of
+    different ``labels`` (a block mask, or one block label per index)."""
     leak = 0
-    for m in (liouv.matrix, *(ch.part for ch in liouv.channels.values())):
+    for m in matrices:
         rows = np.repeat(labels, np.diff(m.indptr))
         leak += int(np.count_nonzero((rows != labels[m.indices]) & (m.data != 0)))
     return leak
 
 
-def sector_blocks(liouv: Superoperator) -> list[np.ndarray]:
-    """Vec indices of the blocks of L that no entry of L or of a channel
-    couples: the charge sector, then the coherences (0, X) and (X, 0); all
-    indices as one block when L is not dot (x) Fock or they leak. Formed on
-    first use and kept on the generator."""
-    if liouv._blocks is None:
-        liouv._blocks = _sector_split(liouv)
-    return liouv._blocks
-
-
-def _sector_split(liouv: Superoperator) -> list[np.ndarray]:
-    kept = charge_sector(liouv.dim_rho)
+def _sector_split(dim_rho: int, matrices: list[sp.csr_matrix]) -> list[np.ndarray]:
+    """:class:`Superoperator`'s ``blocks`` for a generator whose entries, and
+    its channels', are those of ``matrices``."""
+    kept = charge_sector(dim_rho)
     if kept is not None:
         # 1 kept, 2 (0, X) above the diagonal of rho, 0 (X, 0) below it
         labels = kept + 2 * vectorize(np.triu(devectorize(~kept), 1))
-        if not sector_leak(liouv, labels):
+        if not sector_leak(matrices, labels):
             return [np.flatnonzero(labels == k) for k in (1, 2, 0)]
-    return [np.arange(liouv.dim_rho**2)]
+    return [np.arange(dim_rho**2)]
 
 
-def trace_replaced_system(liouv: Superoperator,
-                          block: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
-    """The generator on the sorted vec indices ``block``, which hold index 0
-    and every diagonal index and which no entry couples to the rest, with
-    its row 0 (a trace-block row) replaced by the trace constraint, and the
-    right-hand side e_0 of the steady-state solve."""
-    d = liouv.dim_rho
+def trace_replaced_system(matrix: sp.csr_matrix, block: np.ndarray) -> sp.csc_matrix:
+    """The generator ``matrix`` on the sorted vec indices ``block``, which hold
+    index 0 and every diagonal index and which no entry couples to the rest,
+    with its row 0 (a trace-block row) replaced by the trace constraint: the
+    matrix of the steady-state solve, whose right-hand side is e_0."""
+    d = math.isqrt(matrix.shape[0])
     pos = np.full(d * d, -1)
     pos[block] = np.arange(block.size)
-    coo = liouv.matrix.tocoo()
+    coo = matrix.tocoo()
     keep = pos[coo.row] > 0  # rows of the block but its first, vec index 0
     rows = np.concatenate([pos[coo.row[keep]], np.zeros(d, dtype=int)])
     cols = np.concatenate([pos[coo.col[keep]], pos[np.arange(d) * (d + 1)]])
     data = np.concatenate([coo.data[keep], np.ones(d, dtype=complex)])
-    m = sp.csc_matrix((data, (rows, cols)), shape=(block.size, block.size))
-    b = np.zeros(block.size, dtype=complex)
-    b[0] = 1.0
-    return m, b
-
-
-def steady_system(liouv: Superoperator) -> sp.csc_matrix:
-    """``trace_replaced_system(liouv, sector_blocks(liouv)[0])``'s matrix, the one
-    the steady state is solved with; formed on first use and kept on the generator."""
-    if liouv._system is None:
-        liouv._system = trace_replaced_system(liouv, sector_blocks(liouv)[0])[0]
-    return liouv._system
+    return sp.csc_matrix((data, (rows, cols)), shape=(block.size, block.size))
 
 
 def trace_defect(liouv: Superoperator) -> float:

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from dqdnoise import noise, steady, superop
+from dqdnoise import noise, superop
 from dqdnoise.errors import ConvergenceFailure, MethodUnavailable, NumericalError
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import (
@@ -272,19 +272,20 @@ class TestChargeSectorBlock:
         assert ss.block.size == n and ss.factor.shape == (n, n)
 
     def test_one_sector_split_per_point(self, fig2_params, monkeypatch):
+        """A plan-built point takes its blocks from the plan's one split."""
+        plan = superop.GeneratorPlan(fig2_params.n_fock, "jc")
         calls = []
-        split = superop.sector_blocks
+        split = superop._sector_split
 
-        def counting(liouv):
-            calls.append(liouv)
-            return split(liouv)
+        def counting(*args):
+            calls.append(args)
+            return split(*args)
 
-        for module in (superop, steady, noise):
-            if hasattr(module, "sector_blocks"):
-                monkeypatch.setattr(module, "sector_blocks", counting)
-        point = TransportPoint(fig2_params, "jc")
+        monkeypatch.setattr(superop, "_sector_split", counting)
+        point = TransportPoint(fig2_params, "jc", plan)
         point.noises([(("e", "e"), "fano"), (("e", "b"), "raw")], np.linspace(0.0, 1.8, 10))
-        assert calls == [point.liouv]
+        assert calls == []
+        assert point.liouv.blocks is plan.blocks and point.ss.block is plan.blocks[0]
 
 
 class TestSharedZeroFrequencyFactor:
@@ -309,7 +310,7 @@ class TestSharedZeroFrequencyFactor:
 
         rhs = q(x)
         rhs[0] = 0.0
-        fresh = spla.splu(trace_replaced_system(liouv, ss.block)[0])
+        fresh = spla.splu(trace_replaced_system(liouv.matrix, ss.block))
         expected = q(fresh.solve(rhs))
         assert np.array_equal(solver.apply(x), expected)
 

@@ -1,3 +1,5 @@
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,19 +11,18 @@ from dqdnoise.model import (HAMILTONIANS, ModelParams, build_hamiltonian, build_
                             build_operators)
 from dqdnoise.superop import (
     GeneratorPlan,
+    Superoperator,
     assemble_liouvillian,
     build_liouvillian,
     charge_sector,
     counting_liouvillian,
     devectorize,
     sandwich,
-    sector_blocks,
     sector_leak,
     slowest_decay_rate,
     spectrum,
     spre,
     spost,
-    steady_system,
     thermal_dissipator,
     thermal_occupation,
     trace_defect,
@@ -35,6 +36,11 @@ from dqdnoise.sweep import PRESET_NAMES
 def random_hermitian(rng, d):
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return 0.5 * (x + x.conj().T)
+
+
+def leak(liouv, labels):
+    """sector_leak over the total and every channel part of ``liouv``."""
+    return sector_leak([liouv.matrix, *(ch.part for ch in liouv.channels.values())], labels)
 
 
 def random_density(rng, d):
@@ -208,7 +214,7 @@ class TestGeneratorPlan:
         ref = build_liouvillian(HAMILTONIANS[ham](params), params)
         plan = GeneratorPlan(params.n_fock, ham)
         liouv = plan.generator(params)
-        assert liouv._blocks is plan.blocks and liouv._system is not None  # filled in
+        assert liouv.blocks is plan.blocks
         # the same H_eff and additions as kron assembly: equal values, not only close ones
         assert abs(liouv.matrix - ref.matrix).max() == 0.0
         assert abs(liouv.base - ref.base).max() == 0.0
@@ -223,15 +229,31 @@ class TestGeneratorPlan:
         for ch in liouv.channels.values():
             total = total + ch.part
         assert abs(liouv.matrix - total).max() == 0.0
-        blocks = sector_blocks(ref)
+        blocks = ref.blocks
         assert len(blocks) == 3
-        assert all(np.array_equal(a, b) for a, b in zip(sector_blocks(liouv), blocks))
+        assert all(np.array_equal(a, b) for a, b in zip(liouv.blocks, blocks))
         # the gathered steady system: L on the kept block, row 0 the trace row
-        block, system = blocks[0], steady_system(liouv)
+        block, system = blocks[0], liouv.system
         on_block = liouv.matrix[block][:, block].tocsr()
         trace_row = scipy.sparse.csr_matrix(trace_vector(params.space().dim)[block])
         assert abs(system - scipy.sparse.vstack([trace_row, on_block[1:]])).max() == 0.0
-        assert abs(system - trace_replaced_system(ref, block)[0]).max() == 0.0
+        assert abs(system - ref.system).max() == 0.0
+        assert abs(ref.system - trace_replaced_system(ref.matrix, block)).max() == 0.0
+
+    def test_both_builders_fill_every_field(self, fig2_params):
+        """Total, blocks and steady system are set by the builder, not on first
+        use: only the eigendecomposition memo has a default."""
+        assert [f.name for f in fields(Superoperator)
+                if f.default is not MISSING] == ["_spectrum"]
+        ref = build_liouvillian(build_jc_hamiltonian(fig2_params), fig2_params)
+        liouv = GeneratorPlan(fig2_params.n_fock, "jc").generator(fig2_params)
+        for g in (ref, liouv):
+            assert isinstance(g.matrix, scipy.sparse.csr_matrix)
+            assert isinstance(g.system, scipy.sparse.csc_matrix)
+            assert len(g.blocks) == 3
+        assert abs(liouv.matrix - ref.matrix).max() == 0.0
+        assert abs(liouv.system - ref.system).max() == 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(liouv.blocks, ref.blocks))
 
     def test_rejects_other_cutoff_and_unknown_hamiltonian(self):
         with pytest.raises(ValueError, match="n_fock"):
@@ -281,7 +303,8 @@ class TestCounting:
     def test_unit_multipliers_reproduce_generator(self, fig2_bundle):
         liouv = fig2_bundle.liouv
         m = counting_liouvillian(liouv, {"e": 1.0, "b": 1.0})
-        assert abs(m.matrix - liouv.matrix).max() == 0.0
+        assert isinstance(m, scipy.sparse.csr_matrix)
+        assert abs(m - liouv.matrix).max() == 0.0
 
     def test_unknown_channel_rejected(self, fig2_bundle):
         liouv = fig2_bundle.liouv
@@ -296,15 +319,15 @@ class TestCounting:
         m = counting_liouvillian(liouv, {"e": 0.0})
         tr = trace_vector(liouv.dim_rho)
         rho_vec = vectorize(ss.rho_ss)
-        leak = (tr @ (m.matrix @ rho_vec)).real
+        leak = (tr @ (m @ rho_vec)).real
         flux = (tr @ (liouv.channels["e"].part @ rho_vec)).real
         assert leak == pytest.approx(-flux, abs=1e-14)
 
     def test_linearity_in_multiplier(self, fig2_bundle):
         liouv = fig2_bundle.liouv
         h = 0.3
-        second = (counting_liouvillian(liouv, {"e": 1 + h}).matrix
-                  + counting_liouvillian(liouv, {"e": 1 - h}).matrix
+        second = (counting_liouvillian(liouv, {"e": 1 + h})
+                  + counting_liouvillian(liouv, {"e": 1 - h})
                   - 2 * liouv.matrix)
         scale = abs(liouv.matrix).max()
         assert abs(second).max() <= 1e-14 * scale
@@ -378,7 +401,7 @@ class TestChargeSector:
         liouv = build_liouvillian(build(p), p)
         mask = charge_sector(liouv.dim_rho)
         assert mask.sum() == 5 * (p.n_fock + 1) ** 2  # 5/9 of D^2
-        assert sector_leak(liouv, mask) == 0
+        assert leak(liouv, mask) == 0
 
     def test_steady_state_lives_in_kept_block(self, fig2_bundle):
         kept = devectorize(charge_sector(fig2_bundle.liouv.dim_rho))
@@ -388,15 +411,15 @@ class TestChargeSector:
         h = np.zeros((3, 3), dtype=complex)
         h[0, 1] = h[1, 0] = 0.3
         liouv = assemble_liouvillian(h, [])
-        assert sector_leak(liouv, charge_sector(3)) > 0
-        [block] = sector_blocks(liouv)
+        assert leak(liouv, charge_sector(3)) > 0
+        [block] = liouv.blocks
         assert block.size == 9
 
     def test_not_a_dot_generator(self):
         assert charge_sector(2) is None
 
     def test_three_blocks_partition_the_vec_indices(self, fig2_bundle):
-        blocks = sector_blocks(fig2_bundle.liouv)
+        blocks = fig2_bundle.liouv.blocks
         d2 = fig2_bundle.liouv.dim_rho**2
         assert [b.size * 9 for b in blocks] == [5 * d2, 2 * d2, 2 * d2]
         assert np.array_equal(blocks[0], np.flatnonzero(charge_sector(fig2_bundle.liouv.dim_rho)))
@@ -406,7 +429,7 @@ class TestChargeSector:
         liouv = assemble_liouvillian(np.diag([0.0, 1.0]).astype(complex),
                                      [("e", 0.1, np.array([[0, 1], [0, 0]], complex), True)])
         assert liouv.dim_rho % 3 != 0
-        [block] = sector_blocks(liouv)
+        [block] = liouv.blocks
         assert np.array_equal(block, np.arange(4))
         assert spectrum(liouv).alphas.size == 4
 

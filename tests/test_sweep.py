@@ -183,6 +183,14 @@ class TestRunSweep:
         s0 = TransportPoint(ModelParams(delta=0.5, g=0.1, n_fock=4)).noise("e", "e", 0.0, "fano")
         assert result.data["S_ee"][0] == pytest.approx(s0, rel=1e-12)
 
+    def test_fig6a_zero_coupling_is_one_expected_gap(self):
+        # at g = 0, T = 0 the resonator is never excited: I_b = 0 has no Fano factor
+        spec = SweepSpec(base=preset("fig6a").base,
+                         axes=(SweepAxis(name="g", values=(0.0, 0.1)),), quantities=("S_bb",))
+        result = run_sweep(spec)
+        assert result.gaps == [((0,), "cannot Fano-normalize: channel 'b' flux is 0")]
+        assert np.isnan(result.data["S_bb"][0]) and np.isfinite(result.data["S_bb"][1])
+
     def test_failed_points_become_gaps(self):
         # Delta = g = 0 blocks transport; Fano normalization of S_ee fails
         spec = SweepSpec(
