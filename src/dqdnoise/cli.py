@@ -471,14 +471,9 @@ def cmd_steady(cfg: RunConfig) -> int:
 
 
 def _grid_rows(result: GridResult):
-    axes = result.spec.axes
-    if len(axes) == 1:
-        for i, v in enumerate(result.axis_values[0]):
-            yield (v,), tuple(result.data[q][i] for q in result.spec.quantities)
-    else:
-        for i, v1 in enumerate(result.axis_values[0]):
-            for j, v2 in enumerate(result.axis_values[1]):
-                yield (v1, v2), tuple(result.data[q][i, j] for q in result.spec.quantities)
+    for idx in np.ndindex(tuple(len(v) for v in result.axis_values)):
+        yield (tuple(v[i] for v, i in zip(result.axis_values, idx)),
+               tuple(result.data[q][idx] for q in result.spec.quantities))
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

@@ -243,9 +243,10 @@ def _check_hermitian(h: np.ndarray, label: str) -> np.ndarray:
     return _readonly(h)
 
 
-#: each transport Hamiltonian as (ModelParams field, operator) terms, the
-#: Hamiltonian being the sum of field value times operator
-_TERMS = {
+#: the transport Hamiltonians by name, "full" (the complete dot-resonator
+#: coupling) and "jc" (the rotating-wave form), each as (ModelParams field,
+#: operator) terms, the Hamiltonian being the sum of field value times operator
+HAMILTONIANS = {
     "full": lambda ops: [("epsilon", ops.sz), ("delta", ops.sx),
                          ("g", ops.sz @ (ops.a + ops.adag)), ("omega_b", ops.number)],
     "jc": lambda ops: [("g", ops.sx_plus @ ops.a + ops.sx_minus @ ops.adag),
@@ -256,10 +257,10 @@ _TERMS = {
 def hamiltonian_terms(hamiltonian: str, ops: OperatorSet) -> list[tuple[str, np.ndarray]]:
     """(ModelParams field, operator) terms of the Hamiltonian named ``hamiltonian``
     (a key of :data:`HAMILTONIANS`); it is linear in those fields."""
-    if hamiltonian not in _TERMS:
+    if hamiltonian not in HAMILTONIANS:
         raise ValueError(f"unknown hamiltonian {hamiltonian!r}; "
-                         f"expected one of {tuple(_TERMS)}")
-    return _TERMS[hamiltonian](ops)
+                         f"expected one of {tuple(HAMILTONIANS)}")
+    return HAMILTONIANS[hamiltonian](ops)
 
 
 def _from_terms(hamiltonian: str, params: ModelParams, space: HilbertSpace | None,
@@ -288,11 +289,6 @@ def build_jc_hamiltonian(params: ModelParams, space: HilbertSpace | None = None,
     excitation manifold couples |n, 1_x> only to |n+1, 0_x>.
     """
     return _from_terms("jc", params, space, ops, "JC Hamiltonian")
-
-
-#: the transport Hamiltonians by name: "full" (the complete dot-resonator
-#: coupling) and "jc" (the rotating-wave form)
-HAMILTONIANS = {"full": build_hamiltonian, "jc": build_jc_hamiltonian}
 
 
 def build_spin_hamiltonian(sigma_gap: float, omega_b: float, lambda_coupling: float,

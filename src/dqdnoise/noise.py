@@ -102,8 +102,8 @@ SCHUR_MAX_DIM = 1280
 
 class ResolventSolver:
     """Projected-resolvent applications R(w) x and the noise built on them,
-    all on the steady state's charge-sector block ``ss.block`` (the first
-    of the generator's ``blocks``).
+    all on the generator's charge-sector block ``liouv.blocks[0]``, the one
+    the steady state was solved on.
 
     P projects onto the stationary direction, Q = 1 - P onto its
     complement. rho_ss, the trace functional and every channel's
@@ -120,8 +120,9 @@ class ResolventSolver:
     def __init__(self, liouv: Superoperator, ss: SteadyState):
         self.liouv = liouv
         self.ss = ss
-        self.rho = vectorize(ss.rho_ss)[ss.block]
-        self.tr = trace_vector(liouv.dim_rho)[ss.block]
+        block = liouv.blocks[0]
+        self.rho = vectorize(ss.rho_ss)[block]
+        self.tr = trace_vector(liouv.dim_rho)[block]
 
     def _q(self, x: np.ndarray) -> np.ndarray:
         return x - self.rho * (self.tr @ x)
@@ -136,25 +137,27 @@ class ResolventSolver:
         """(rows Tr[L_c Q], columns Q L_c rho_ss) of the channels c in ``chans``
         on the block."""
         rho, tr = vectorize(self.ss.rho_ss), trace_vector(self.liouv.dim_rho)
+        block = self.liouv.blocks[0]
         rows, cols = {}, {}
         for c in chans:
             part = self.liouv.channel(c).part
-            r = (tr @ part)[self.ss.block]
+            r = (tr @ part)[block]
             rows[c] = r - (r @ self.rho) * self.tr
-            cols[c] = self._q((part @ rho)[self.ss.block])
+            cols[c] = self._q((part @ rho)[block])
         return rows, cols
 
     @cached_property
     def _matrix(self) -> sp.csc_matrix:
         """L on the block; only nonzero frequencies need it."""
-        return self.liouv.matrix[self.ss.block][:, self.ss.block].tocsc()
+        block = self.liouv.blocks[0]
+        return self.liouv.matrix[block][:, block].tocsc()
 
     @cached_property
     def _schur(self):
         """(T, diag T, Z). The minimal workspace keeps LAPACK off its blocked
         multishift QR, whose BLAS-3 buffers add about 2 MB of peak memory at
         n = 245."""
-        n = self.ss.block.size
+        n = self.liouv.blocks[0].size
         t, z = la.schur(self._matrix.toarray(order="F"), output="complex", lwork=2 * n,
                         overwrite_a=True, check_finite=False)
         return t, np.diag(t).copy(), z
@@ -162,13 +165,13 @@ class ResolventSolver:
     def _use_schur(self, n_omega: int) -> bool:
         """n <= SCHUR_MAX_DIM and n_omega >= SCHUR_BREAK_EVEN n^1.5 for a block of
         dimension n: Schur costs O(n^3) once, a sparse LU O(n^1.5) per frequency."""
-        n = self.ss.block.size
+        n = self.liouv.blocks[0].size
         return n <= SCHUR_MAX_DIM and n_omega >= SCHUR_BREAK_EVEN * n**1.5
 
     def _nonzero_solver(self, rows: dict, cols: dict, n_omega: int):
         """omega -> (rows, {c: y_c}) with (i omega + L_blk) y_c = cols[c] for
         nonzero omega; on the Schur path rows and y_c are in the Schur basis."""
-        n = self.ss.block.size
+        n = self.liouv.blocks[0].size
         if self._use_schur(n_omega):
             t, diag, z = self._schur
             rows = {c: r @ z for c, r in rows.items()}
@@ -347,7 +350,7 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     Auxiliary states rho_i start at zero and obey
     d rho_i / dtau = L rho_i + L_i rho_ss while rho stays at the steady
     state; the forcing, and so rho_i, stays in the charge-sector block of L
-    (``ss.block``). Exact stepping: rho_i(t+dt) = E rho_i(t) + w_i with
+    (``liouv.blocks[0]``). Exact stepping: rho_i(t+dt) = E rho_i(t) + w_i with
     E = exp(L dt) and w_i the step integral of the constant forcing,
     both obtained from one augmented matrix exponential. After k steps
     rho_i = sum_{m<k} E^m w_i, so f is a running sum of the scalars
@@ -361,7 +364,7 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     """
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
-    kept = ss.block
+    kept = liouv.blocks[0]
     n = kept.size
     rho_vec = vectorize(ss.rho_ss)
     tr = trace_vector(liouv.dim_rho)

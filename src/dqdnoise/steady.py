@@ -10,8 +10,8 @@ block and that system (``superop.Superoperator.system``) are fields of the
 generator, set by whichever builder made it. The state is scattered back into
 D x D with exact zeros in the dropped coherence blocks, and the residual
 is always reported against the whole unmodified generator. The
-factorization and the block's vec indices are kept on the returned
-SteadyState, and the omega = 0 projected resolvent solves with them
+factorization is kept on the returned SteadyState, and the omega = 0
+projected resolvent solves with it on the generator's ``blocks[0]``
 instead of factoring the same matrix again.
 """
 
@@ -24,8 +24,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
-from .superop import (DENSE_EIG_MAX_D2, Superoperator, devectorize, eigenvalues,
-                      trace_vector, vectorize)
+from .superop import (DENSE_EIG_MAX_D2, STATIONARY_TOL, Superoperator, devectorize,
+                      eigenvalues, trace_vector, vectorize)
 
 __all__ = [
     "SteadyState",
@@ -55,15 +55,14 @@ TRUNCATION_TOL = 1e-5
 class SteadyState:
     """Normalized Hermitian stationary state with its solve diagnostics.
 
-    ``factor`` is the sparse LU (``SuperLU``) of the trace-replaced
-    charge-sector block the state was solved with, and ``block`` that
-    block's vec indices; the projected resolvent works on them.
+    ``factor`` is the sparse LU (``SuperLU``) of the generator's ``system``,
+    the trace-replaced charge-sector block ``blocks[0]`` the state was solved
+    on; the omega = 0 projected resolvent solves with it.
     """
 
     rho_ss: np.ndarray
     residual: float
     factor: spla.SuperLU = field(repr=False, compare=False)
-    block: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -101,10 +100,11 @@ class MomentReport:
 def _diagnose_failure(liouv: Superoperator, residual: float) -> Exception:
     if liouv.dim_rho**2 <= DENSE_EIG_MAX_D2:
         alphas = eigenvalues(liouv)
-        n_zero = int(np.sum(np.abs(alphas) <= 1e-8))
+        n_zero = int(np.sum(np.abs(alphas) <= STATIONARY_TOL))
         if n_zero >= 2:
             return DegenerateSteadyState(
-                f"stationary subspace is degenerate ({n_zero} eigenvalues below 1e-8); "
+                f"stationary subspace is degenerate ({n_zero} eigenvalues below "
+                f"{STATIONARY_TOL:g}); "
                 "the trace-constrained solve is not well posed"
             )
     return ConvergenceFailure(
@@ -119,8 +119,7 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
     DegenerateSteadyState when the stationary subspace is not
     one-dimensional and ConvergenceFailure when the residual against the
     unmodified generator stays above tolerance. The returned state keeps
-    the charge-sector block and the factorization of the generator's
-    ``system``.
+    the factorization of the generator's ``system``.
     """
     if not np.all(np.isfinite(liouv.matrix.data)):
         raise NumericalError("generator has non-finite entries (inf or NaN): "
@@ -158,7 +157,7 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
             f"steady state has eigenvalue {min_eig:.3e} below {POSITIVITY_TOL:g}; "
             "the Fock cutoff is likely too small, increase n_fock"
         )
-    return SteadyState(rho_ss=rho, residual=residual, factor=lu, block=block)
+    return SteadyState(rho_ss=rho, residual=residual, factor=lu)
 
 
 def channel_flux(ss: SteadyState, liouv: Superoperator, cid: str) -> float:

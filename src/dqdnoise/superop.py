@@ -123,9 +123,9 @@ def thermal_occupation(omega_b: float, temperature: float) -> float:
 
 @dataclass
 class JumpChannel:
-    """One completely positive jump term Gamma X rho X^dag of the generator."""
+    """One completely positive jump term Gamma X rho X^dag of the generator,
+    kept in :attr:`Superoperator.channels` under its id."""
 
-    id: str
     part: sp.csr_matrix
     counted: bool
 
@@ -134,12 +134,13 @@ class JumpChannel:
 class Superoperator:
     """Generator acting on vectorized density matrices, built complete.
 
-    ``base`` is the no-jump generator of the effective Hamiltonian H_eff and
-    ``matrix`` the total, base plus the channel parts added in channel
-    order. ``blocks`` holds the vec indices of the blocks that no entry of
-    L or of a channel couples: the charge sector, then the coherences
-    (0, X) and (X, 0); all indices as one block when L is not dot (x) Fock
-    or they leak. ``system`` is :func:`trace_replaced_system` on the first
+    ``base`` is the no-jump generator of the effective Hamiltonian H_eff,
+    ``channels`` maps each channel id to its jump term, and ``matrix`` is
+    the total, base plus the channel parts added in channel order.
+    ``blocks`` holds the vec indices of the blocks that no entry of L or of
+    a channel couples: the charge sector, then the coherences (0, X) and
+    (X, 0); all indices as one block when L is not dot (x) Fock or they
+    leak. ``system`` is :func:`trace_replaced_system` on the first
     block, the matrix the steady state is solved with. Both builders,
     :func:`assemble_liouvillian` and :meth:`GeneratorPlan.generator`, set
     every field; only the eigendecomposition is formed on first use and
@@ -237,7 +238,7 @@ def assemble_liouvillian(h: np.ndarray,
             raise ValueError(f"channel {cid!r} has negative rate {rate}")
         jdag = jump.conj().T
         h_eff -= 0.5j * rate * (jdag @ jump)
-        channels[cid] = JumpChannel(id=cid, part=rate * sandwich(jump, jdag), counted=counted)
+        channels[cid] = JumpChannel(part=rate * sandwich(jump, jdag), counted=counted)
     base = spre(-1j * h_eff) + spost(1j * h_eff.conj().T)
     parts = [ch.part for ch in channels.values()]
     matrix = sum(parts, base).tocsr()  # base + parts, added in channel order
@@ -259,8 +260,7 @@ def _transport_rates(params: ModelParams) -> list[float]:
             params.gamma_b * (1.0 + n_bar), params.gamma_b * n_bar]
 
 
-def build_liouvillian(h: np.ndarray, params: ModelParams,
-                      ops: OperatorSet | None = None) -> Superoperator:
+def build_liouvillian(h: np.ndarray, params: ModelParams) -> Superoperator:
     """Transport Liouvillian: -i[H, .] plus lead injection/emission and
     thermal resonator damping, with the four labeled jump channels, by kron
     assembly (the reference that :class:`GeneratorPlan` is checked against)."""
@@ -270,11 +270,9 @@ def build_liouvillian(h: np.ndarray, params: ModelParams,
             f"Hamiltonian shape {h.shape} does not match dim {space.dim} "
             f"from n_fock={params.n_fock}"
         )
-    ops = ops or build_operators(space)
-    return assemble_liouvillian(h, [
-        (cid, rate, jump, counted)
-        for (cid, jump, counted), rate in zip(_transport_jumps(ops), _transport_rates(params))
-    ])
+    jumps = _transport_jumps(build_operators(space))
+    return assemble_liouvillian(h, [(cid, rate, jump, counted) for (cid, jump, counted), rate
+                                    in zip(jumps, _transport_rates(params))])
 
 
 class GeneratorPlan:
@@ -316,8 +314,7 @@ class GeneratorPlan:
                          np.broadcast_to(j * d + i, (d, i.size)).ravel()]
         keys = [pre, post] + [np.repeat(np.arange(d2), np.diff(m.indptr)) * d2 + m.indices
                               for m in self._parts]
-        union = np.sort(np.concatenate(keys))
-        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+        union = np.unique(np.concatenate(keys))
         self._indptr = np.searchsorted(union, np.arange(d2 + 1) * d2).astype(np.int32)
         self._indices = (union % d2).astype(np.int32)
         self._where = [np.searchsorted(union, key).astype(np.int32) for key in keys]
@@ -357,7 +354,7 @@ class GeneratorPlan:
         for (cid, counted), rate, where, m in zip(self._channels, rates, parts, self._parts):
             part = rate * m
             data[where] += part.data  # the total in channel order, as assemble_liouvillian adds it
-            channels[cid] = JumpChannel(id=cid, part=part, counted=counted)
+            channels[cid] = JumpChannel(part=part, counted=counted)
         data[-1] = 1.0  # the trace row's ones in the steady system
         n = self.blocks[0].size
         system = sp.csc_matrix((data[self._gather], *self._system_pattern), shape=(n, n),

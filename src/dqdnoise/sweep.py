@@ -246,22 +246,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     param_axes = [k for k in range(len(names)) if k != omega_axis]
 
     # one task per non-omega grid index, all quantities on the whole omega axis at once
-    task_indices = [()] if not param_axes else [
-        idx for idx in np.ndindex(*(shape[k] for k in param_axes))
-    ]
-    omegas = axis_values[omega_axis] if omega_axis is not None else np.zeros(1)
     top = np.full(tuple(shape[k] for k in param_axes), np.nan)
+    task_indices = list(np.ndindex(top.shape))
+    omegas = axis_values[omega_axis] if omega_axis is not None else np.zeros(1)
 
     def run_task(task_idx):
+        """(top-Fock population, per-omega (values, error)) of one task."""
         pnames = [names[k] for k in param_axes]
         pvals = [float(axis_values[k][i]) for k, i in zip(param_axes, task_idx)]
         try:
             point = TransportPoint(_axis_params(spec.base, pnames, pvals, n_fock),
                                    spec.hamiltonian, plan)
         except Exception as exc:  # noqa: BLE001 - recorded as one explicit gap per omega
-            return [(None, str(exc))] * omegas.size
-        top[task_idx] = top_fock_population(point.ss)
-        return _evaluate(point, spec.quantities, omegas)
+            return np.nan, [(None, str(exc))] * omegas.size
+        return top_fock_population(point.ss), _evaluate(point, spec.quantities, omegas)
 
     if workers == 1:
         results = map(run_task, task_indices)
@@ -269,7 +267,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_task, task_indices))
 
-    for task_idx, chunk in zip(task_indices, results):
+    for task_idx, (pop, chunk) in zip(task_indices, results):
+        top[task_idx] = pop
         for w_i, (vals, err) in enumerate(chunk):
             full = task_idx if omega_axis is None else \
                 task_idx[:omega_axis] + (w_i,) + task_idx[omega_axis:]

@@ -1,9 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from dqdnoise import superop
-from dqdnoise.model import ModelParams
-from dqdnoise.noise import TransportPoint
+# one BLAS thread unless the caller sets one: the per-point LUs and dense products
+# are too small to gain from more (README, "Install and test"); set before numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from dqdnoise import superop  # noqa: E402
+from dqdnoise.model import ModelParams  # noqa: E402
+from dqdnoise.noise import TransportPoint  # noqa: E402
 
 
 @pytest.fixture(scope="session")

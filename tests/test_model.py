@@ -6,6 +6,8 @@ import pytest
 from dqdnoise.model import (
     DOT_L,
     DOT_R,
+    HAMILTONIANS,
+    HERMITICITY_TOL,
     HilbertSpace,
     ModelParams,
     build_hamiltonian,
@@ -15,6 +17,7 @@ from dqdnoise.model import (
     coherent_amplitudes,
     energy_spectrum,
     equal_weight_amplitudes,
+    hamiltonian_terms,
     jc_multiplet_energies,
     p_left_analytic,
     resonance_branches,
@@ -147,6 +150,27 @@ class TestHamiltonian:
             p = ModelParams(epsilon=eps, delta=d, g=g, n_fock=5)
             h = builder(p)
             assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+
+
+class TestHamiltonianTerms:
+    BUILDERS = {"full": build_hamiltonian, "jc": build_jc_hamiltonian}
+
+    @pytest.mark.parametrize("name", list(HAMILTONIANS))
+    def test_terms_sum_to_builder(self, name, rng):
+        eps, d, g = rng.uniform(-1, 1, 3)
+        p = ModelParams(epsilon=eps, delta=d, g=g, omega_b=rng.uniform(0.5, 1.5), n_fock=4)
+        ops = build_operators(p.space())
+        terms = hamiltonian_terms(name, ops)
+        for _, op in terms:
+            assert np.max(np.abs(op - op.conj().T)) <= HERMITICITY_TOL
+        h = sum(getattr(p, field) * op for field, op in terms)
+        assert np.array_equal(h, self.BUILDERS[name](p, ops=ops))  # bit for bit
+
+    def test_unknown_name_lists_known_ones(self):
+        ops = build_operators(HilbertSpace(n_fock=2))
+        with pytest.raises(ValueError, match=r"unknown hamiltonian 'rwa'; "
+                                              r"expected one of \('full', 'jc'\)"):
+            hamiltonian_terms("rwa", ops)
 
 
 class TestJaynesCummings:

@@ -64,7 +64,7 @@ class TestResolvent:
         for liouv, ss in (single_level(0.1, 0.05), (fig2_bundle.liouv, fig2_bundle.ss)):
             solver = ResolventSolver(liouv, ss)
             p_mat = np.outer(solver.rho, solver.tr)  # on the block
-            q_mat = np.eye(ss.block.size) - p_mat
+            q_mat = np.eye(liouv.blocks[0].size) - p_mat
             assert np.max(np.abs(p_mat @ p_mat - p_mat)) < 1e-10
             assert np.max(np.abs(q_mat @ q_mat - q_mat)) < 1e-10
             assert np.max(np.abs(p_mat @ q_mat)) < 1e-10
@@ -208,7 +208,7 @@ class TestFrequencyGrid:
             liouv, ss = single_level(0.1, 0.025) if make == "single_level" else leaking_dot()
         solver = ResolventSolver(liouv, ss)
         # only the dot (x) Fock generator that keeps its sectors closed is reduced
-        assert (ss.block.size < liouv.dim_rho**2) == (make == "fig2")
+        assert (liouv.blocks[0].size < liouv.dim_rho**2) == (make == "fig2")
         schur_cut(path)
         grid = np.array([-0.8, 0.0, 0.3, 1.0, 2.5])
         for pair in (("e", "e"), ("e", "b")) if make == "fig2" else (("e", "e"),):
@@ -267,9 +267,9 @@ class TestChargeSectorBlock:
         d2 = liouv.dim_rho**2
         n = int(charge_sector(liouv.dim_rho).sum()) if make == "fig2" else d2
         outside = np.ones(d2, dtype=bool)
-        outside[ss.block] = False
+        outside[liouv.blocks[0]] = False
         assert np.all(vectorize(ss.rho_ss)[outside] == 0.0)
-        assert ss.block.size == n and ss.factor.shape == (n, n)
+        assert liouv.blocks[0].size == n and ss.factor.shape == (n, n)
 
     def test_one_sector_split_per_point(self, fig2_params, monkeypatch):
         """A plan-built point takes its blocks from the plan's one split."""
@@ -285,7 +285,7 @@ class TestChargeSectorBlock:
         point = TransportPoint(fig2_params, "jc", plan)
         point.noises([(("e", "e"), "fano"), (("e", "b"), "raw")], np.linspace(0.0, 1.8, 10))
         assert calls == []
-        assert point.liouv.blocks is plan.blocks and point.ss.block is plan.blocks[0]
+        assert point.liouv.blocks is plan.blocks
 
 
 class TestSharedZeroFrequencyFactor:
@@ -302,7 +302,7 @@ class TestSharedZeroFrequencyFactor:
     def test_zero_frequency_apply_matches_fresh_factorization(self, fig2_bundle, rng):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         solver = ResolventSolver(liouv, ss)
-        n = ss.block.size
+        n = liouv.blocks[0].size
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
         def q(v):
@@ -310,7 +310,7 @@ class TestSharedZeroFrequencyFactor:
 
         rhs = q(x)
         rhs[0] = 0.0
-        fresh = spla.splu(trace_replaced_system(liouv.matrix, ss.block))
+        fresh = spla.splu(trace_replaced_system(liouv.matrix, liouv.blocks[0]))
         expected = q(fresh.solve(rhs))
         assert np.array_equal(solver.apply(x), expected)
 

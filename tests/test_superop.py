@@ -7,8 +7,7 @@ import scipy.sparse
 from scipy.optimize import linear_sum_assignment
 
 from dqdnoise.checks import _preset_point
-from dqdnoise.model import (HAMILTONIANS, ModelParams, build_hamiltonian, build_jc_hamiltonian,
-                            build_operators)
+from dqdnoise.model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
 from dqdnoise.superop import (
     GeneratorPlan,
     Superoperator,
@@ -197,8 +196,7 @@ class TestNoJumpAssembly:
         calls = []
         kron = scipy.sparse.kron
         monkeypatch.setattr(scipy.sparse, "kron", lambda *a, **k: calls.append(1) or kron(*a, **k))
-        ops = build_operators(fig2_params.space())
-        build_liouvillian(build_jc_hamiltonian(fig2_params), fig2_params, ops)
+        build_liouvillian(build_jc_hamiltonian(fig2_params), fig2_params)
         assert len(calls) == 2 + 4
 
 
@@ -211,7 +209,8 @@ class TestGeneratorPlan:
 
     @pytest.mark.parametrize("params, ham", POINTS, ids=[*PRESET_NAMES, "g0-T0"])
     def test_matches_kron_assembly(self, params, ham):
-        ref = build_liouvillian(HAMILTONIANS[ham](params), params)
+        build = build_jc_hamiltonian if ham == "jc" else build_hamiltonian
+        ref = build_liouvillian(build(params), params)
         plan = GeneratorPlan(params.n_fock, ham)
         liouv = plan.generator(params)
         assert liouv.blocks is plan.blocks
