@@ -7,6 +7,11 @@ sweeps reproducing the reference resonance, squeezing and Fano-factor
 results at desk scale.
 """
 
+import os
+
+# one BLAS thread unless the caller sets one, before numpy loads (README, "Install and test")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .model import (
     ModelParams,
     HilbertSpace,

@@ -9,8 +9,9 @@ resolvent (primary, ``ResolventSolver.noise``)
     the charge-sector block of L that the steady state was solved on. w = 0
     solves the trace-row-augmented block (pseudo-inverse restricted to
     range Q) with the factorization the steady-state solve already made;
-    nonzero w by back-substitution on one complex Schur form of the block
-    for a large grid on a small block, else by one sparse factorization
+    nonzero w, for a large grid on a small block, by back-substitution on
+    one complex Schur form that ``rsf2csf`` takes from the real Schur form
+    of the block in its Hermitian basis, else by one sparse factorization
     per frequency.
 
 eigen (diagnostic)
@@ -60,6 +61,7 @@ from .superop import (
     LiouvillianSpectrum,
     Superoperator,
     counting_liouvillian,
+    real_kept_block,
     spectrum,
     trace_vector,
     vectorize,
@@ -95,7 +97,8 @@ class NoiseSpectrum:
 
 #: Schur path cut (:meth:`ResolventSolver._use_schur`), from the break-even
 #: table in CHANGES.md (BLAS threads 1). SCHUR_MAX_DIM bounds the memory of
-#: the dense form: T and Z take 2 x 16 n^2 bytes, 52 MB at n = 1280.
+#: the dense form: T and Z keep 2 x 16 n^2 bytes, 52 MB at n = 1280, and the
+#: real S and Q add 2 x 8 n^2 until ``rsf2csf`` returns, 79 MB in all.
 SCHUR_BREAK_EVEN = 0.017
 SCHUR_MAX_DIM = 1280
 
@@ -111,10 +114,13 @@ class ResolventSolver:
     noise needs no other vec index. w = 0 solves the trace-replaced block
     that ``ss.factor`` already factors (:meth:`apply`). Each nonzero
     frequency takes one factorization for all pairs: above the cut of
-    :meth:`_use_schur` a triangular solve (i w + T) y = Z* b on one complex
-    Schur form L_blk = Z T Z* (Laub, IEEE Trans. Autom. Control 26, 407
-    (1981)), below it a sparse LU. Not safe for concurrent use: the Schur
-    path writes each frequency onto the diagonal of T.
+    :meth:`_use_schur` a triangular solve (i w + T) y = Z* u^H b on one
+    complex Schur form L_blk = u Z T Z* u^H (Laub, IEEE Trans. Autom. Control
+    26, 407 (1981)), below it a sparse LU. In the Hermitian basis u the
+    block is real, so T and Z come from a real Schur form at about a quarter
+    of the complex flops (Golub & Van Loan, *Matrix Computations*, 7.4-7.5);
+    u acts on the row and column vectors only. Not safe for concurrent use:
+    the Schur path writes each frequency onto the diagonal of T.
     """
 
     def __init__(self, liouv: Superoperator, ss: SteadyState):
@@ -148,19 +154,20 @@ class ResolventSolver:
 
     @cached_property
     def _matrix(self) -> sp.csc_matrix:
-        """L on the block; only nonzero frequencies need it."""
+        """L on the block; only the sparse-LU path needs it."""
         block = self.liouv.blocks[0]
         return self.liouv.matrix[block][:, block].tocsc()
 
     @cached_property
     def _schur(self):
-        """(T, diag T, Z). The minimal workspace keeps LAPACK off its blocked
-        multishift QR, whose BLAS-3 buffers add about 2 MB of peak memory at
-        n = 245."""
-        n = self.liouv.blocks[0].size
-        t, z = la.schur(self._matrix.toarray(order="F"), output="complex", lwork=2 * n,
-                        overwrite_a=True, check_finite=False)
-        return t, np.diag(t).copy(), z
+        """(T, diag T, Z, u), L_blk = u Z T Z* u^H: ``rsf2csf`` of the real Schur
+        form of the block in its Hermitian basis u (:func:`real_kept_block`). The
+        minimal workspace, 3n, takes 0.46 MB off the peak memory of perfbench's
+        spectral_fig2 at no measured cost in time."""
+        u, a = real_kept_block(self.liouv)
+        t, z = la.rsf2csf(*la.schur(a, output="real", lwork=3 * a.shape[0], overwrite_a=True,
+                                    check_finite=False), check_finite=False)
+        return t, np.diag(t).copy(), z, u
 
     def _use_schur(self, n_omega: int) -> bool:
         """n <= SCHUR_MAX_DIM and n_omega >= SCHUR_BREAK_EVEN n^1.5 for a block of
@@ -173,9 +180,9 @@ class ResolventSolver:
         nonzero omega; on the Schur path rows and y_c are in the Schur basis."""
         n = self.liouv.blocks[0].size
         if self._use_schur(n_omega):
-            t, diag, z = self._schur
-            rows = {c: r @ z for c, r in rows.items()}
-            cols = {c: (v.conj() @ z).conj() for c, v in cols.items()}
+            t, diag, z, u = self._schur
+            rows = {c: (u.T @ r) @ z for c, r in rows.items()}  # (r u) Z
+            cols = {c: ((u.T @ v.conj()) @ z).conj() for c, v in cols.items()}  # Z* u^H v
 
             def solve(omega, b):
                 t.flat[::n + 1] = diag + 1j * omega

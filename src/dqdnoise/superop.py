@@ -56,6 +56,8 @@ __all__ = [
     "counting_liouvillian",
     "spectrum",
     "eigenvalues",
+    "hermitian_basis",
+    "real_kept_block",
     "slowest_decay_rate",
     "charge_sector",
     "sector_leak",
@@ -385,9 +387,43 @@ def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> sp.csr_ma
                liouv.base).tocsr()
 
 
+def hermitian_basis(dim_rho: int, block: np.ndarray) -> sp.csc_matrix:
+    """Unitary u from the Hermitian basis |i><i|, (|i><j| + |j><i|)/sqrt 2,
+    i(|j><i| - |i><j|)/sqrt 2 (i < j) of the sorted vec indices ``block``,
+    which hold the transpose of each of their indices, to those indices. A
+    Lindblad generator maps Hermitian matrices to Hermitian matrices, so
+    u^H L_blk u is real."""
+    i, j = block % dim_rho, block // dim_rho
+    partner = np.searchsorted(block, j + i * dim_rho)
+    if not np.array_equal(block[partner % block.size], j + i * dim_rho):
+        raise ValueError("block is not closed under transposition")
+    k, s = np.arange(block.size), math.sqrt(0.5)
+    own = np.select([k < partner, k > partner], [s, -1j * s], 0.5)  # a diagonal sums to 1
+    return sp.csc_matrix((np.concatenate([own, own.conj()]),
+                          (np.concatenate([k, partner]), np.concatenate([k, k]))),
+                         shape=(block.size, block.size))
+
+
+def real_kept_block(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarray]:
+    """(u, a) with L_blk = u a u^H on the kept block ``blocks[0]``: u from
+    :func:`hermitian_basis`, a = Re(u^H L_blk u) dense and Fortran-ordered."""
+    kept = liouv.blocks[0]
+    u = hermitian_basis(liouv.dim_rho, kept)
+    return u, (u.conj().T @ liouv.matrix[kept][:, kept] @ u).real.toarray(order="F")
+
+
+def _dense_blocks(liouv: Superoperator):
+    """Each sector block dense, one at a time, the kept one from :func:`real_kept_block`."""
+    yield real_kept_block(liouv)[1]
+    for idx in liouv.blocks[1:]:
+        yield liouv.matrix[idx][:, idx].toarray()
+
+
 def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
     """Dense eigendecomposition of the generator, one of its sector ``blocks``
-    at a time; a mode sits at its block's vec indices.
+    at a time; a mode sits at its block's vec indices. The kept block takes a
+    real ``eig`` in its Hermitian basis (:func:`real_kept_block`), so there
+    V_b = u V and V_b^-1 = V^-1 u^H; the coherence blocks take a complex one.
 
     Raises MethodUnavailable if the eigenvector basis fails the
     biorthogonality tolerance (defective or severely ill-conditioned L);
@@ -397,8 +433,8 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
         return liouv._spectrum
     alphas = np.empty(liouv.dim_rho**2, dtype=complex)
     blocks = []
-    for idx in liouv.blocks:
-        alphas[idx], vb = la.eig(liouv.matrix[idx][:, idx].toarray())
+    for idx, dense in zip(liouv.blocks, _dense_blocks(liouv)):
+        alphas[idx], vb = la.eig(dense)
         try:
             vbinv = la.inv(vb)
         except la.LinAlgError as exc:
@@ -411,6 +447,9 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
                 "eigen-expansion method unavailable for this generator"
             )
         blocks.append((idx, vb, vbinv))
+    idx, vb, vbinv = blocks[0]
+    u = hermitian_basis(liouv.dim_rho, idx)
+    blocks[0] = (idx, u @ vb, vbinv @ u.conj().T)
     result = LiouvillianSpectrum(alphas=alphas, blocks=blocks,
                                  zero_index=int(np.argmin(np.abs(alphas))))
     liouv._spectrum = result
@@ -418,9 +457,9 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
 
 
 def eigenvalues(liouv: Superoperator) -> np.ndarray:
-    """Eigenvalues of the generator, one dense ``eigvals`` per sector block."""
-    return np.concatenate([la.eigvals(liouv.matrix[idx][:, idx].toarray())
-                           for idx in liouv.blocks])
+    """Eigenvalues of the generator, one dense ``eigvals`` per sector block, the
+    kept block's real in its Hermitian basis (:func:`real_kept_block`)."""
+    return np.concatenate([la.eigvals(dense) for dense in _dense_blocks(liouv)])
 
 
 def slowest_decay_rate(liouv: Superoperator) -> float:

@@ -29,6 +29,21 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture(scope="session")
+def random_lindbladian():
+    """A seeded generator on D = 4 (not dot (x) Fock: one whole-space block)
+    with a complex H and two complex jump operators, whose X^dag X are not
+    diagonal; e is counted."""
+    gen = np.random.default_rng(99)
+
+    def cplx():
+        return gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+
+    h = cplx()
+    return superop.assemble_liouvillian(0.5 * (h + h.conj().T),
+                                        [("in", 0.3, cplx(), False), ("e", 0.2, cplx(), True)])
+
+
 @pytest.fixture()
 def operator_builds(monkeypatch):
     """Spaces passed to ``build_operators`` by ``GeneratorPlan`` while the test runs."""

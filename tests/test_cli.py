@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy.linalg
 
+import dqdnoise
 from dqdnoise import checks, cli
 from dqdnoise.checks import CheckResult
 from dqdnoise.cli import (
@@ -24,6 +29,20 @@ def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("setting,seen", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+    def test_import_defaults_to_one_thread(self, setting, seen):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        src = str(Path(dqdnoise.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, dqdnoise; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == seen
 
 
 class TestParseConfig:

@@ -216,6 +216,17 @@ class TestFrequencyGrid:
             ref = dense_noise(liouv, ss, *pair, grid)
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    def test_schur_path_on_a_generic_lindbladian(self, random_lindbladian, schur_cut):
+        # complex H and jumps: Tr[L_e .] and L_e rho_ss have entries off the vec
+        # diagonal, so the Hermitian basis of the Schur path acts on both
+        liouv = random_lindbladian
+        ss = solve_steady_state(liouv)
+        schur_cut("schur")
+        grid = np.array([-0.8, 0.0, 0.3, 1.0, 2.5])
+        got = ResolventSolver(liouv, ss).noise("e", "e", grid)
+        ref = dense_noise(liouv, ss, "e", "e", grid)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
     def test_grid_below_cut_makes_no_frequency_lu(self, fig2_bundle, splu_calls):
         ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noise("e", "b", FIG2_GRID)
         assert len(splu_calls) == 0

@@ -16,6 +16,8 @@ from dqdnoise.superop import (
     charge_sector,
     counting_liouvillian,
     devectorize,
+    hermitian_basis,
+    real_kept_block,
     sandwich,
     sector_leak,
     slowest_decay_rate,
@@ -444,6 +446,91 @@ class TestChargeSector:
         rows, cols = linear_sum_assignment(dist)  # multiset match
         assert blocks.size == whole.size == liouv.dim_rho**2
         assert np.max(dist[rows, cols]) <= 1e-10
+
+
+def leaking_dot():
+    """A 3-level dot whose Hamiltonian couples empty and occupied: one whole-space block."""
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1] = h[1, 0] = 0.3
+    h[1, 2] = h[2, 1] = 0.5
+    ket = np.eye(3, dtype=complex)
+    return assemble_liouvillian(h, [("in", 0.1, np.outer(ket[1], ket[0]), False),
+                                    ("e", 0.05, np.outer(ket[0], ket[2]), True)])
+
+
+KEPT_MAKES = ["fig2", "full-T1", "leaking_dot", "random"]
+
+
+@pytest.fixture()
+def kept(fig2_bundle, random_lindbladian):
+    """The generator named by one of KEPT_MAKES: two dot (x) Fock generators with
+    a reduced kept block, two solved whole."""
+    def make(name):
+        if name == "fig2":
+            return fig2_bundle.liouv
+        if name == "full-T1":
+            p = ModelParams(delta=0.5, g=0.3, epsilon=0.2, temperature=1.0, n_fock=4)
+            return build_liouvillian(build_hamiltonian(p), p)
+        return leaking_dot() if name == "leaking_dot" else random_lindbladian
+    return make
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("make", KEPT_MAKES)
+    def test_unitary_with_two_entries_per_column(self, kept, make):
+        liouv = kept(make)
+        block = liouv.blocks[0]
+        assert (block.size < liouv.dim_rho**2) == (make in ("fig2", "full-T1"))
+        u = hermitian_basis(liouv.dim_rho, block)
+        assert u.shape == (block.size,) * 2 and np.all(np.diff(u.indptr) <= 2)
+        assert np.max(np.abs((u.conj().T @ u).toarray() - np.eye(block.size))) <= 1e-15
+
+    @pytest.mark.parametrize("make", KEPT_MAKES)
+    def test_kept_block_is_real_in_the_basis(self, kept, make):
+        liouv = kept(make)
+        block = liouv.blocks[0]
+        l_blk = liouv.matrix[block][:, block]
+        u = hermitian_basis(liouv.dim_rho, block)
+        assert abs((u.conj().T @ l_blk @ u).imag).max() <= 1e-14 * abs(l_blk).max()
+
+    @pytest.mark.parametrize("make", KEPT_MAKES)
+    def test_real_kept_block_reconstructs_the_block(self, kept, make):
+        liouv = kept(make)
+        block = liouv.blocks[0]
+        l_blk = liouv.matrix[block][:, block].toarray()
+        u, a = real_kept_block(liouv)
+        assert a.dtype == np.float64 and a.flags.f_contiguous
+        assert np.max(np.abs(u @ (u.conj() @ a.T).T - l_blk)) <= 1e-14 * np.max(np.abs(l_blk))
+
+    def test_columns_are_hermitian_matrices(self, fig2_bundle):
+        liouv = fig2_bundle.liouv
+        u = hermitian_basis(liouv.dim_rho, liouv.blocks[0]).toarray()
+        full = np.zeros((liouv.dim_rho**2, u.shape[1]), dtype=complex)
+        full[liouv.blocks[0]] = u
+        for col in full.T:
+            m = devectorize(col)
+            assert np.array_equal(m, m.conj().T)
+
+    def test_block_not_closed_under_transposition(self, fig2_bundle):
+        with pytest.raises(ValueError, match="transposition"):
+            hermitian_basis(fig2_bundle.liouv.dim_rho, fig2_bundle.liouv.blocks[1])
+
+    @pytest.mark.parametrize("make", KEPT_MAKES)
+    def test_kept_eigenvalues_match_complex_eigvals(self, kept, make):
+        liouv = kept(make)
+        block = liouv.blocks[0]
+        got = spectrum(liouv).alphas[block]
+        ref = scipy.linalg.eigvals(liouv.matrix[block][:, block].toarray())
+        dist = np.abs(got[:, None] - ref[None, :])
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12
+
+    @pytest.mark.parametrize("make", KEPT_MAKES)
+    def test_kept_eigenvectors_reconstruct_the_block(self, kept, make):
+        liouv = kept(make)
+        idx, vb, vbinv = spectrum(liouv).blocks[0]
+        l_blk = liouv.matrix[idx][:, idx].toarray()
+        got = (vb * spectrum(liouv).alphas[idx]) @ vbinv
+        assert np.max(np.abs(got - l_blk)) <= 1e-10 * np.max(np.abs(l_blk))
 
 
 class TestAssembleValidation:
