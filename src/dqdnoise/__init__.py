@@ -47,13 +47,12 @@ from .steady import (
     min_quadrature_variance,
 )
 from .noise import (
-    NoiseSpectrum,
     ResolventSolver,
     TransportPoint,
     noise_eigen_expansion,
     counting_fd_check,
     compute_spectrum,
-    find_peaks,
+    find_peaks_xy,
 )
 from .sweep import SweepSpec, SweepAxis, GridResult, fock_convergence, run_sweep, preset
 

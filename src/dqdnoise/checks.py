@@ -116,7 +116,7 @@ def _fast_checks() -> list[CheckResult]:
     # single resonant level: S(0)/2I = (GL^2 + GR^2)/(GL + GR)^2
     for gl, gr in ((0.1, 0.1), (0.1, 0.025)):
         liouv = _single_level_liouvillian(gl, gr)
-        fano0 = compute_spectrum(liouv, solve_steady_state(liouv), ("e", "e"), [0.0]).values[0]
+        fano0, = compute_spectrum(liouv, solve_steady_state(liouv), [(("e", "e"), "fano")], 0.0)
         expected = (gl**2 + gr**2) / (gl + gr) ** 2
         out.append(_result("single-level-fano", f"GL={gl},GR={gr}", abs(fano0 - expected), 1e-8))
 

@@ -27,7 +27,6 @@ from .errors import ConfigError, NumericalError
 from .model import HAMILTONIANS, ModelParams
 from .noise import TransportPoint, compute_spectrum
 from .steady import TRUNCATION_TOL, top_fock_population
-from .superop import DENSE_EIG_MAX_D2, slowest_decay_rate
 from .sweep import (
     PRESET_NAMES,
     GridResult,
@@ -419,21 +418,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     point = _single_point(cfg)
     rows = []
     for method in cfg.methods:
-        kwargs = {}
-        if method == "macdonald":
-            t_max = cfg.macdonald_t_max
-            if t_max is None:
-                if point.liouv.dim_rho**2 > DENSE_EIG_MAX_D2:
-                    raise ConfigError(
-                        "macdonald.t_max required (system too large to "
-                        "auto-derive the relaxation time)"
-                    )
-                t_max = 12.0 / slowest_decay_rate(point.liouv)
-            kwargs = {"t_max": t_max, "dt": cfg.macdonald_dt}
-        ns = compute_spectrum(point.liouv, point.ss, pair, grid, method=method,
-                              normalization=normalization, **kwargs)
-        for w, v in zip(ns.omegas, ns.values):
-            rows.append((w, v, method, sp.pair, normalization))
+        values, = compute_spectrum(point.liouv, point.ss, [(pair, normalization)], grid,
+                                   method=method, t_max=cfg.macdonald_t_max,
+                                   dt=cfg.macdonald_dt)
+        rows += [(w, v, method, sp.pair, normalization) for w, v in zip(grid, values)]
 
     if cfg.output_format == "csv":
         lines = ["#schema=dqdnoise.spectrum.v1;columns=omega,value,method,pair,normalization",

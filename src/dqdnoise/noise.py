@@ -32,8 +32,11 @@ macdonald (oracle)
 A zero-frequency consistency check through counting-field finite
 differences of the stationary eigenvalue completes the method triangle.
 
+:func:`compute_spectrum` is the one entry from a generator and its steady
+state to spectra: it checks each request, runs one of the three routes,
+derives MacDonald's default ``t_max`` and applies the Fano normalization.
 :class:`TransportPoint` takes a parameter point to its generator, steady
-state, moment report and resolvent noise.
+state and moment report.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceFailure, MethodUnavailable, NumericalError
+from .errors import ConfigError, ConvergenceFailure, MethodUnavailable, NumericalError
 from .model import ModelParams
 from .steady import (
     MomentReport,
@@ -57,18 +60,19 @@ from .steady import (
     solve_steady_state,
 )
 from .superop import (
+    DENSE_EIG_MAX_D2,
     GeneratorPlan,
     LiouvillianSpectrum,
     Superoperator,
     counting_liouvillian,
     real_kept_block,
+    slowest_decay_rate,
     spectrum,
     trace_vector,
     vectorize,
 )
 
 __all__ = [
-    "NoiseSpectrum",
     "ResolventSolver",
     "TransportPoint",
     "noise_eigen_expansion",
@@ -76,23 +80,11 @@ __all__ = [
     "macdonald_correlation_trace",
     "counting_fd_check",
     "compute_spectrum",
-    "find_peaks",
     "find_peaks_xy",
 ]
 
 REALITY_TOL = 1e-10
 EIGEN_IMAG_TOL = 1e-8
-
-
-@dataclass
-class NoiseSpectrum:
-    """One evaluated channel-pair spectrum on a frequency grid."""
-
-    pair: tuple[str, str]
-    omegas: np.ndarray
-    values: np.ndarray
-    normalization: str  # "raw" or "fano" (S / 2 I_i, autocorrelation only)
-    method: str  # "resolvent", "eigen" or "macdonald"
 
 
 #: Schur path cut (:meth:`ResolventSolver._use_schur`), from the break-even
@@ -232,30 +224,16 @@ class ResolventSolver:
         return self.noises([(i, j)], omega)[0]
 
 
-def _check_normalization(normalization: str, i: str, j: str) -> None:
-    if normalization not in ("raw", "fano"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    if normalization == "fano" and i != j:
-        raise ValueError("fano normalization applies to autocorrelation pairs only")
-
-
-def _fano(values, flux: float, channel: str):
-    """S / 2 I_i; a channel without flux has no Fano factor."""
-    if flux <= 0:
-        raise NumericalError(f"cannot Fano-normalize: channel {channel!r} flux is {flux:g}")
-    return values / (2.0 * flux)
-
-
 class TransportPoint:
     """One transport parameter point: generator, steady state, moment
-    report and resolvent noise.
+    report, and its noise through :func:`compute_spectrum`.
 
     ``hamiltonian`` names an entry of ``model.HAMILTONIANS``. The generator
     comes from ``plan``, a :class:`superop.GeneratorPlan` for
     (``params.n_fock``, ``hamiltonian``) that a run shares among its points;
     without one the point builds its own. The generator and the steady
-    state are built on construction; the moment report and the resolvent
-    solver are built on first use and kept.
+    state are built on construction; the moment report is built on first
+    use and kept.
     """
 
     def __init__(self, params: ModelParams, hamiltonian: str = "full",
@@ -272,23 +250,10 @@ class TransportPoint:
     def report(self) -> MomentReport:
         return moment_report(self.ss, self.liouv)
 
-    @cached_property
-    def solver(self) -> ResolventSolver:
-        return ResolventSolver(self.liouv, self.ss)
-
     def noise(self, i: str, j: str, omega, normalization: str = "raw") -> float | np.ndarray:
         """S(omega)_{i,j}, "raw" or "fano" (S / 2 I_i, autocorrelation only),
-        at a frequency or on an array of frequencies solved together."""
-        return self.noises([((i, j), normalization)], omega)[0]
-
-    def noises(self, requests: list[tuple[tuple[str, str], str]], omega) -> list:
-        """:meth:`noise` of several ((i, j), normalization) requests, which
-        share one factorization per frequency."""
-        for (i, j), normalization in requests:
-            _check_normalization(normalization, i, j)
-        values = self.solver.noises([pair for pair, _ in requests], omega)
-        return [_fano(v, channel_flux(self.ss, self.liouv, i), i) if norm == "fano" else v
-                for v, ((i, _), norm) in zip(values, requests)]
+        at a frequency or on an array of frequencies; see :func:`compute_spectrum`."""
+        return compute_spectrum(self.liouv, self.ss, [((i, j), normalization)], omega)[0]
 
 
 def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | np.ndarray:
@@ -528,39 +493,51 @@ def counting_fd_check(liouv: Superoperator, ss: SteadyState, i: str, j: str,
     )
 
 
-def compute_spectrum(liouv: Superoperator, ss: SteadyState, pair: tuple[str, str],
-                     omegas: np.ndarray, method: str = "resolvent",
-                     normalization: str = "fano",
-                     t_max: float | None = None, dt: float = 0.02) -> NoiseSpectrum:
-    """Evaluate one channel pair on a frequency grid with the chosen method."""
-    i, j = pair
-    omegas = np.asarray(omegas, dtype=float)
-    _check_normalization(normalization, i, j)
+def compute_spectrum(liouv: Superoperator, ss: SteadyState,
+                     requests: list[tuple[tuple[str, str], str]], omega,
+                     method: str = "resolvent", t_max: float | None = None,
+                     dt: float = 0.02) -> list:
+    """S(omega)_{i,j} of each ((i, j), normalization) request, "raw" or
+    "fano" (S / 2 I_i, autocorrelation only), at a frequency (floats) or on
+    an array of frequencies, by one method.
 
-    flux = channel_flux(ss, liouv, i)
+    The resolvent solves every request with one factorization per
+    frequency. MacDonald's ``t_max`` defaults to 12 / (slowest decay rate),
+    which needs a dense eigensolve no larger than ``DENSE_EIG_MAX_D2``. The
+    eigen expansion is in Fano units already and is scaled by 2 I_i for
+    "raw" only.
+    """
+    for (i, j), normalization in requests:
+        if normalization not in ("raw", "fano"):
+            raise ValueError(f"unknown normalization {normalization!r}")
+        if normalization == "fano" and i != j:
+            raise ValueError("fano normalization applies to autocorrelation pairs only")
     if method == "resolvent":
-        values = np.atleast_1d(ResolventSolver(liouv, ss).noise(i, j, omegas))
+        values = ResolventSolver(liouv, ss).noises([pair for pair, _ in requests], omega)
     elif method == "eigen":
-        if i != j:
+        if any(i != j for (i, j), _ in requests):
             raise MethodUnavailable("eigen-expansion covers autocorrelation pairs only")
         spec = spectrum(liouv)
-        values = np.atleast_1d(noise_eigen_expansion(spec, liouv.channel(i), omegas))
-        if normalization == "raw":
-            values = values * 2.0 * flux
-        return NoiseSpectrum(pair=pair, omegas=omegas, values=values,
-                             normalization=normalization, method=method)
+        fano = [noise_eigen_expansion(spec, liouv.channel(i), omega) for (i, _), _ in requests]
+        return [v if norm == "fano" else v * 2.0 * channel_flux(ss, liouv, i)
+                for v, ((i, _), norm) in zip(fano, requests)]
     elif method == "macdonald":
         if t_max is None:
-            raise ValueError("macdonald method requires t_max")
-        trace = macdonald_correlation_trace(liouv, ss, i, j, t_max, dt)
-        values = np.atleast_1d(macdonald_evaluate(trace, omegas))
+            if liouv.dim_rho**2 > DENSE_EIG_MAX_D2:
+                raise ConfigError("macdonald.t_max required (system too large to "
+                                  "auto-derive the relaxation time)")
+            t_max = 12.0 / slowest_decay_rate(liouv)
+        values = [macdonald_evaluate(macdonald_correlation_trace(liouv, ss, i, j, t_max, dt),
+                                     omega) for (i, j), _ in requests]
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    if normalization == "fano":
-        values = _fano(values, flux, i)
-    return NoiseSpectrum(pair=pair, omegas=omegas, values=values,
-                         normalization=normalization, method=method)
+    for k, ((i, _), norm) in enumerate(requests):
+        if norm == "fano":
+            flux = channel_flux(ss, liouv, i)
+            if flux <= 0:
+                raise NumericalError(f"cannot Fano-normalize: channel {i!r} flux is {flux:g}")
+            values[k] = values[k] / (2.0 * flux)
+    return values
 
 
 def find_peaks_xy(omegas: np.ndarray, values: np.ndarray) -> list[tuple[float, float]]:
@@ -582,8 +559,3 @@ def find_peaks_xy(omegas: np.ndarray, values: np.ndarray) -> list[tuple[float, f
             float(values[k] - 0.25 * (values[k - 1] - values[k + 1]) * shift),
         ))
     return peaks
-
-
-def find_peaks(noise_spectrum: NoiseSpectrum) -> list[tuple[float, float]]:
-    """Peak positions and heights of an evaluated spectrum (may be empty)."""
-    return find_peaks_xy(noise_spectrum.omegas, noise_spectrum.values)

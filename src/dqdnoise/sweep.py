@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 from .model import HAMILTONIANS, ModelParams
-from .noise import TransportPoint
+from .noise import TransportPoint, compute_spectrum
 from .steady import top_fock_population
 from .superop import GeneratorPlan
 
@@ -210,7 +210,8 @@ def _evaluate(point: TransportPoint, names, omegas: np.ndarray) -> list:
     frequency, so only the failing ones become gaps."""
     noisy = [q for q in names if not isinstance(QUANTITIES[q], str)]
     try:
-        vals = dict(zip(noisy, point.noises([QUANTITIES[q] for q in noisy], omegas)))
+        requests = [QUANTITIES[q] for q in noisy]
+        vals = dict(zip(noisy, compute_spectrum(point.liouv, point.ss, requests, omegas)))
         vals.update((q, np.full(omegas.shape, getattr(point.report, QUANTITIES[q])))
                     for q in names if q not in vals)
     except Exception as exc:  # noqa: BLE001 - recorded as an explicit gap

@@ -7,7 +7,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from dqdnoise import superop  # noqa: E402
+from dqdnoise import noise, superop  # noqa: E402
 from dqdnoise.model import ModelParams  # noqa: E402
 from dqdnoise.noise import TransportPoint  # noqa: E402
 
@@ -42,6 +42,14 @@ def random_lindbladian():
     h = cplx()
     return superop.assemble_liouvillian(0.5 * (h + h.conj().T),
                                         [("in", 0.3, cplx(), False), ("e", 0.2, cplx(), True)])
+
+
+@pytest.fixture()
+def schur_cut(monkeypatch):
+    """Force every nonzero-frequency grid onto one path: "schur" or "lu"."""
+    def force(path):
+        monkeypatch.setattr(noise, "SCHUR_BREAK_EVEN", 0.0 if path == "schur" else np.inf)
+    return force
 
 
 @pytest.fixture()

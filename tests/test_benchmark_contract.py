@@ -2,7 +2,8 @@
 points (``cli.main``, ``steady.solve_steady_state``, ``steady.currents``,
 ``superop.build_liouvillian``, ``superop.spectrum``,
 ``noise.ResolventSolver.apply`` (the omega = 0 solve on the charge-sector
-block), ``noise.compute_spectrum``, ``noise.counting_fd_check``,
+block), ``noise.compute_spectrum`` (which carries every point's noise, for
+sweeps and the ``spectrum`` command alike), ``noise.counting_fd_check``,
 ``noise.macdonald_correlation_trace(liouv, ...)``, ``sweep.run_sweep``) and
 checks every output against ``perfbench/reference.json``. Its traced smoke run on every
 workload fails when one of those names moves or an output drifts."""

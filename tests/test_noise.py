@@ -7,20 +7,18 @@ from dqdnoise import noise, superop
 from dqdnoise.errors import ConvergenceFailure, MethodUnavailable, NumericalError
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import (
-    NoiseSpectrum,
     ResolventSolver,
     TransportPoint,
     compute_spectrum,
     counting_fd_check,
-    find_peaks,
     find_peaks_xy,
     macdonald_correlation_trace,
     macdonald_evaluate,
     noise_eigen_expansion,
 )
 from dqdnoise.steady import currents, solve_steady_state
-from dqdnoise.superop import (assemble_liouvillian, charge_sector, spectrum,
-                              trace_replaced_system, trace_vector, vectorize)
+from dqdnoise.superop import (assemble_liouvillian, charge_sector, slowest_decay_rate,
+                              spectrum, trace_replaced_system, trace_vector, vectorize)
 from dqdnoise.sweep import SweepAxis, SweepSpec, run_sweep
 
 
@@ -95,7 +93,6 @@ class TestTransportPoint:
         monkeypatch.setattr(noise, "solve_steady_state", counting)
         point = TransportPoint(fig2_params)
         assert point.report is point.report
-        assert point.solver is point.solver
         point.noise("e", "e", 0.5, "fano")
         point.noise("e", "b", 0.0)
         assert len(operator_builds) == 1 and len(solves) == 1
@@ -125,7 +122,7 @@ class TestResolventFactorCache:
     def test_cross_pair_spectrum_factors_once_per_frequency(self, fig2_bundle, splu_calls):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         grid = np.array([0.4, 1.0, 1.3])
-        compute_spectrum(liouv, ss, ("e", "b"), grid, normalization="raw")
+        compute_spectrum(liouv, ss, [(("e", "b"), "raw")], grid)
         assert len(splu_calls) == grid.size
 
 
@@ -160,14 +157,6 @@ def leaking_dot():
         ("e", 0.05, np.outer(ket[0], ket[2]), True),
     ])
     return liouv, solve_steady_state(liouv)
-
-
-@pytest.fixture()
-def schur_cut(monkeypatch):
-    """Force every nonzero-frequency grid onto one path: "schur" or "lu"."""
-    def force(path):
-        monkeypatch.setattr(noise, "SCHUR_BREAK_EVEN", 0.0 if path == "schur" else np.inf)
-    return force
 
 
 FIG2_GRID = np.linspace(0.2, 1.8, 161)
@@ -234,7 +223,7 @@ class TestFrequencyGrid:
     def test_grid_above_cut_makes_one_lu_per_frequency(self, splu_calls):
         point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=10), "jc")
         splu_calls.clear()  # the steady-state factorization
-        solver = point.solver
+        solver = ResolventSolver(point.liouv, point.ss)
         assert not solver._use_schur(FIG2_GRID.size)
         solver.noise("e", "b", FIG2_GRID)
         assert len(splu_calls) == FIG2_GRID.size
@@ -294,7 +283,8 @@ class TestChargeSectorBlock:
 
         monkeypatch.setattr(superop, "_sector_split", counting)
         point = TransportPoint(fig2_params, "jc", plan)
-        point.noises([(("e", "e"), "fano"), (("e", "b"), "raw")], np.linspace(0.0, 1.8, 10))
+        compute_spectrum(point.liouv, point.ss, [(("e", "e"), "fano"), (("e", "b"), "raw")],
+                         np.linspace(0.0, 1.8, 10))
         assert calls == []
         assert point.liouv.blocks is plan.blocks
 
@@ -330,8 +320,8 @@ class TestMacdonald:
     def test_single_level_matches_analytic(self):
         liouv, ss = single_level(0.1, 0.1)
         flux = currents(ss, liouv).e
-        val = compute_spectrum(liouv, ss, ("e", "e"), [0.0], method="macdonald",
-                               normalization="raw", t_max=1500.0, dt=0.05).values[0]
+        val, = compute_spectrum(liouv, ss, [(("e", "e"), "raw")], 0.0, method="macdonald",
+                                t_max=1500.0, dt=0.05)
         assert val / (2 * flux) == pytest.approx(0.5, abs=1e-7)
 
     def test_cross_pair_decoupled(self):
@@ -339,15 +329,15 @@ class TestMacdonald:
         point = TransportPoint(p)
         liouv, ss = point.liouv, point.ss
         rate = spectrum(liouv).slowest_decay_rate()
-        val = compute_spectrum(liouv, ss, ("e", "b"), [0.7], method="macdonald",
-                               normalization="raw", t_max=12 / rate, dt=0.02).values[0]
+        val, = compute_spectrum(liouv, ss, [(("e", "b"), "raw")], 0.7, method="macdonald",
+                                t_max=12 / rate, dt=0.02)
         assert abs(val) <= 1e-6
 
     def test_matches_resolvent_fig2(self):
         point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=6))
         rate = spectrum(point.liouv).slowest_decay_rate()
-        mac = compute_spectrum(point.liouv, point.ss, ("e", "e"), [1.0], method="macdonald",
-                               normalization="raw", t_max=12 / rate, dt=0.02).values[0]
+        mac, = compute_spectrum(point.liouv, point.ss, [(("e", "e"), "raw")], 1.0,
+                                method="macdonald", t_max=12 / rate, dt=0.02)
         res = point.noise("e", "e", 1.0)
         assert abs(mac - res) / abs(res) <= 1e-5
 
@@ -534,38 +524,70 @@ class TestComputeSpectrum:
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         grid = np.linspace(0.8, 1.2, 9)
         rate = spectrum(liouv).slowest_decay_rate()
-        res = compute_spectrum(liouv, ss, ("e", "e"), grid, method="resolvent")
-        mac = compute_spectrum(liouv, ss, ("e", "e"), grid, method="macdonald",
-                               t_max=12 / rate, dt=0.02)
-        assert np.max(np.abs(res.values - mac.values) / np.abs(res.values)) <= 1e-5
+        res, = compute_spectrum(liouv, ss, [(("e", "e"), "fano")], grid, method="resolvent")
+        mac, = compute_spectrum(liouv, ss, [(("e", "e"), "fano")], grid, method="macdonald",
+                                t_max=12 / rate, dt=0.02)
+        assert np.max(np.abs(res - mac) / np.abs(res)) <= 1e-5
 
     def test_fano_normalization(self, fig2_bundle):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         grid = np.array([0.9, 1.1])
-        raw = compute_spectrum(liouv, ss, ("e", "e"), grid, normalization="raw")
-        fano = compute_spectrum(liouv, ss, ("e", "e"), grid, normalization="fano")
+        raw, = compute_spectrum(liouv, ss, [(("e", "e"), "raw")], grid)
+        fano, = compute_spectrum(liouv, ss, [(("e", "e"), "fano")], grid)
         flux = currents(ss, liouv).e
-        assert np.allclose(raw.values / (2 * flux), fano.values, atol=1e-14)
+        assert np.allclose(raw / (2 * flux), fano, atol=1e-14)
 
     def test_cross_pair_rejects_fano(self, fig2_bundle):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         with pytest.raises(ValueError):
-            compute_spectrum(liouv, ss, ("e", "b"), np.array([0.5]),
-                             normalization="fano")
+            compute_spectrum(liouv, ss, [(("e", "b"), "fano")], np.array([0.5]))
+
+    @pytest.mark.parametrize("bad, method", [((("e", "e"), "shot"), "resolvent"),
+                                             ((("e", "e"), "raw"), "laplace")],
+                             ids=["normalization", "method"])
+    def test_unknown_normalization_or_method(self, fig2_bundle, bad, method):
+        with pytest.raises(ValueError, match="unknown"):
+            compute_spectrum(fig2_bundle.liouv, fig2_bundle.ss, [bad], 0.5, method)
 
     def test_eigen_cross_pair_unavailable(self, fig2_bundle):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         with pytest.raises(MethodUnavailable):
-            compute_spectrum(liouv, ss, ("e", "b"), np.array([0.5]),
-                             method="eigen", normalization="raw")
+            compute_spectrum(liouv, ss, [(("e", "b"), "raw")], np.array([0.5]), method="eigen")
+
+    def test_eigen_stays_in_fano_units(self, fig2_bundle):
+        # "fano" is the expansion itself and "raw" scales it by 2 I_e, never dividing back
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
+        grid = np.array([0.0, 0.6, 1.0, 1.4])
+        fano, raw = compute_spectrum(liouv, ss, [(("e", "e"), "fano"), (("e", "e"), "raw")],
+                                     grid, method="eigen")
+        expansion = noise_eigen_expansion(spectrum(liouv), liouv.channel("e"), grid)
+        assert np.array_equal(fano, expansion)
+        assert np.array_equal(raw, expansion * 2.0 * currents(ss, liouv).e)
+
+    def test_macdonald_default_t_max(self, fig2_bundle):
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
+        grid = np.array([0.0, 0.6, 1.0])
+        requests = [(("e", "e"), "fano"), (("e", "b"), "raw")]
+        auto = compute_spectrum(liouv, ss, requests, grid, method="macdonald", dt=0.04)
+        given = compute_spectrum(liouv, ss, requests, grid, method="macdonald",
+                                 t_max=12.0 / slowest_decay_rate(liouv), dt=0.04)
+        for a, b in zip(auto, given):
+            assert np.array_equal(a, b)
+
+    def test_mixed_requests_match_single_calls(self, fig2_bundle):
+        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
+        grid = np.concatenate([[0.0], FIG2_GRID])
+        requests = [(("e", "e"), "fano"), (("b", "b"), "raw"), (("e", "b"), "raw"),
+                    (("b", "b"), "fano")]
+        together = compute_spectrum(liouv, ss, requests, grid)
+        for request, got in zip(requests, together):
+            alone, = compute_spectrum(liouv, ss, [request], grid)
+            assert np.max(np.abs(got - alone)) <= 1e-12 * np.max(np.abs(alone))
 
 
 class TestFindPeaks:
     def test_monotone_spectrum_empty(self):
-        ns = NoiseSpectrum(pair=("e", "e"), omegas=np.linspace(0, 1, 50),
-                           values=np.linspace(1, 2, 50), normalization="raw",
-                           method="resolvent")
-        assert find_peaks(ns) == []
+        assert find_peaks_xy(np.linspace(0, 1, 50), np.linspace(1, 2, 50)) == []
 
     def test_synthetic_lorentzian_refinement(self):
         w = np.linspace(0.5, 1.5, 301)
@@ -583,8 +605,8 @@ class TestFindPeaks:
         point = TransportPoint(p)
         liouv, ss = point.liouv, point.ss
         grid = np.linspace(0.2, 1.8, 600)
-        ns = compute_spectrum(liouv, ss, ("e", "e"), grid, normalization="fano")
-        above_floor = [(w, h) for w, h in find_peaks(ns) if h > 1.0]
+        fano, = compute_spectrum(liouv, ss, [(("e", "e"), "fano")], grid)
+        above_floor = [(w, h) for w, h in find_peaks_xy(grid, fano) if h > 1.0]
         assert len(above_floor) == 1
         assert above_floor[0][0] == pytest.approx(1.0, abs=0.01)
 

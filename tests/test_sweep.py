@@ -1,15 +1,17 @@
 import json
 import pathlib
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from dqdnoise import noise, steady, superop
 from dqdnoise.errors import ConvergenceFailure, NumericalError
 from dqdnoise.model import ModelParams
-from dqdnoise.noise import TransportPoint
+from dqdnoise.noise import ResolventSolver, TransportPoint
 from dqdnoise.sweep import (
     PRESET_NAMES,
     SweepAxis,
@@ -127,6 +129,53 @@ class TestPresets:
         assert json.dumps(live, sort_keys=True) == json.dumps(stored, sort_keys=True)
 
 
+class TestLuOwnership:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_lu_runs_in_steady_or_noise(self, schur_cut, monkeypatch, workers):
+        """Each sparse LU of a sweep runs inside ``steady.solve_steady_state``
+        or ``noise.compute_spectrum`` on its own thread, where the benchmark's
+        trace attributes it (its ``misattributed_lu`` count)."""
+        schur_cut("lu")
+        local = threading.local()
+
+        def owned(fn, name):
+            def wrapped(*args, **kwargs):
+                stack = local.__dict__.setdefault("stack", [])
+                stack.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+            return wrapped
+
+        # every module reference, as the benchmark's tracer wraps them
+        for owner, attr in ((steady, "solve_steady_state"), (noise, "compute_spectrum")):
+            original = getattr(owner, attr)
+            wrapped = owned(original, attr)
+            for name, module in list(sys.modules.items()):
+                if name == "dqdnoise" or name.startswith("dqdnoise."):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, wrapped)
+        owners = []
+        splu = spla.splu
+
+        def recording(*args, **kwargs):
+            owners.append((getattr(local, "stack", None) or [None])[-1])
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording)
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, n_fock=3),
+            axes=(SweepAxis(name="g", values=(0.1, 0.2)),
+                  SweepAxis(name="omega", values=(0.0, 0.5, 1.0))),
+            quantities=("S_ee", "S_eb"),
+        )
+        assert not run_sweep(spec, workers=workers).gaps
+        # per point: the steady LU, then one per nonzero frequency (omega = 0 reuses it)
+        assert sorted(map(str, owners)) == ["compute_spectrum"] * 4 + ["solve_steady_state"] * 2
+
+
 class TestRunSweep:
     def test_deterministic_across_workers(self):
         spec = SweepSpec(
@@ -148,7 +197,8 @@ class TestRunSweep:
                   SweepAxis(name="g", values=(0.1, 0.2, 0.3))),
             quantities=("S_ee", "S_bb", "S_eb", "F_Q"),
         )
-        assert TransportPoint(spec.base).solver._use_schur(omegas.size - 1)
+        base = TransportPoint(spec.base)
+        assert ResolventSolver(base.liouv, base.ss)._use_schur(omegas.size - 1)
         r1 = run_sweep(spec, workers=1)
         r2 = run_sweep(spec, workers=2)
         assert not r1.gaps and not r2.gaps
