@@ -411,6 +411,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     omega = [a.grid() for a in spec.axes if a.name == "omega"] if spec else []
     grid = omega[0] if omega else np.linspace(sp.omega_start, sp.omega_stop, sp.omega_count)
     pair = _PAIRS[sp.pair]
+    if pair[0] != pair[1] and "eigen" in cfg.methods:
+        raise ConfigError(f"spectrum.pair = {sp.pair}: the eigen method covers "
+                          "autocorrelation pairs only")
     normalization = sp.normalization
     if pair[0] != pair[1] and normalization == "fano":
         normalization = "raw"

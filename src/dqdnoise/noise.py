@@ -1,7 +1,7 @@
 """Symmetrized finite-frequency noise spectra S(omega)_{i,j} for the
 counted jump channels, by three routes.
 
-resolvent (primary, ``ResolventSolver.noise``)
+resolvent (primary, ``ResolventSolver.noises``)
     S(w)/2 = Re{-Tr[L_i R(w) L_j rho_ss] - Tr[L_j R(w) L_i rho_ss]}
              + delta_ij Tr[L_i rho_ss],
     with R(w) = Q (i w + L)^{-1} Q, P = |rho_ss><1|, Q = 1 - P. A point's
@@ -12,7 +12,7 @@ resolvent (primary, ``ResolventSolver.noise``)
     nonzero w, for a large grid on a small block, by back-substitution on
     one complex Schur form that ``rsf2csf`` takes from the real Schur form
     of the block in its Hermitian basis, else by one sparse factorization
-    per frequency.
+    per frequency in the block's own fill-reducing order.
 
 eigen (diagnostic)
     S(w)/2I = 1 - 2 sum_k c_k alpha_k / (w^2 + alpha_k^2) over the
@@ -56,7 +56,9 @@ from .steady import (
     MomentReport,
     SteadyState,
     channel_flux,
+    factor_kept_block,
     moment_report,
+    refined_solve,
     solve_steady_state,
 )
 from .superop import (
@@ -88,10 +90,11 @@ EIGEN_IMAG_TOL = 1e-8
 
 
 #: Schur path cut (:meth:`ResolventSolver._use_schur`), from the break-even
-#: table in CHANGES.md (BLAS threads 1). SCHUR_MAX_DIM bounds the memory of
+#: table in CHANGES.md (BLAS threads 1): 45, 96 and 517-597 frequencies at
+#: n = 245, 405 and 1280, 0.011-0.013 n^1.5. SCHUR_MAX_DIM bounds the memory of
 #: the dense form: T and Z keep 2 x 16 n^2 bytes, 52 MB at n = 1280, and the
 #: real S and Q add 2 x 8 n^2 until ``rsf2csf`` returns, 79 MB in all.
-SCHUR_BREAK_EVEN = 0.017
+SCHUR_BREAK_EVEN = 0.012
 SCHUR_MAX_DIM = 1280
 
 
@@ -104,11 +107,13 @@ class ResolventSolver:
     complement. rho_ss, the trace functional and every channel's
     L_c rho_ss and Tr[L_c .] live on the block, so Q keeps it and the
     noise needs no other vec index. w = 0 solves the trace-replaced block
-    that ``ss.factor`` already factors (:meth:`apply`). Each nonzero
-    frequency takes one factorization for all pairs: above the cut of
+    that ``ss.factor`` already factors, refined as the steady solve is
+    (:meth:`apply`). Each nonzero frequency takes one factorization for all
+    pairs: above the cut of
     :meth:`_use_schur` a triangular solve (i w + T) y = Z* u^H b on one
     complex Schur form L_blk = u Z T Z* u^H (Laub, IEEE Trans. Autom. Control
-    26, 407 (1981)), below it a sparse LU. In the Hermitian basis u the
+    26, 407 (1981)), below it a sparse LU of (i w + L_blk) in the block's
+    order (``steady.factor_kept_block``). In the Hermitian basis u the
     block is real, so T and Z come from a real Schur form at about a quarter
     of the complex flops (Golub & Van Loan, *Matrix Computations*, 7.4-7.5);
     u acts on the row and column vectors only. Not safe for concurrent use:
@@ -128,8 +133,8 @@ class ResolventSolver:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """R(0) x = Q L^{-1} Q x of a block vector, the range-Q solution."""
         rhs = self._q(np.asarray(x, dtype=complex))
-        rhs[0] = 0.0  # trace constraint row: selects the range-Q solution
-        return self._q(self.ss.factor.solve(rhs))
+        rhs[-1] = 0.0  # trace constraint row, vec index 0's: selects the range-Q solution
+        return self._q(refined_solve(self.ss.factor, self.liouv.system, rhs))
 
     def _channels(self, chans: list[str]) -> tuple[dict, dict]:
         """(rows Tr[L_c Q], columns Q L_c rho_ss) of the channels c in ``chans``
@@ -184,7 +189,7 @@ class ResolventSolver:
 
             def solve(omega, b):
                 try:
-                    return spla.splu((1j * omega) * eye + self._matrix).solve(b)
+                    return factor_kept_block((1j * omega) * eye + self._matrix).solve(b)
                 except RuntimeError as exc:
                     raise NumericalError(
                         f"resolvent factorization singular at omega={omega!r}: {exc}"
@@ -218,10 +223,6 @@ class ResolventSolver:
         delta = [channel_flux(self.ss, self.liouv, i) if i == j else 0.0 for i, j in pairs]
         values = 2.0 * (raw.real + np.reshape(delta, (-1, 1)))
         return [float(v[0]) if np.ndim(omega) == 0 else v for v in values]
-
-    def noise(self, i: str, j: str, omega) -> float | np.ndarray:
-        """S(omega)_{i,j} of one channel pair; see :meth:`noises`."""
-        return self.noises([(i, j)], omega)[0]
 
 
 class TransportPoint:

@@ -2,12 +2,15 @@
 
 The solver works on the charge-sector ("kept") block of the generator, the
 first of its ``blocks``: it holds vec index 0 and every diagonal index, so
-the stationary state lives there. Row 0 of the block (a diagonal vec
-position, where the generator's one row dependency lives) is replaced with
-the vectorized trace constraint and the system is solved directly, with a
-couple of iterative-refinement passes on the cached factorization. The
-block and that system (``superop.Superoperator.system``) are fields of the
-generator, set by whichever builder made it. The state is scattered back into
+the stationary state lives there. The row of vec index 0 (a diagonal vec
+position, where the generator's one row dependency lives), which the block
+lists last, is replaced with the vectorized trace constraint and the system
+is solved directly, with a couple of iterative-refinement passes on the
+cached factorization. The block and that system
+(``superop.Superoperator.system``) are fields of the generator, set by
+whichever builder made it. The block lists its indices in a fill-reducing
+order, and every sparse LU of it (:func:`factor_kept_block`, here and per
+frequency in ``noise``) keeps that order. The state is scattered back into
 D x D with exact zeros in the dropped coherence blocks, and the residual
 is always reported against the whole unmodified generator. The
 factorization is kept on the returned SteadyState, and the omega = 0
@@ -21,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
@@ -31,6 +35,8 @@ __all__ = [
     "SteadyState",
     "Currents",
     "MomentReport",
+    "factor_kept_block",
+    "refined_solve",
     "solve_steady_state",
     "channel_flux",
     "currents",
@@ -112,6 +118,32 @@ def _diagnose_failure(liouv: Superoperator, residual: float) -> Exception:
     )
 
 
+def factor_kept_block(m: sp.csc_matrix) -> spla.SuperLU:
+    """Sparse LU of a matrix on the kept block ``blocks[0]``, in the block's
+    own order: no column permutation (SuperLU, Demmel et al., SIAM J. Matrix
+    Anal. Appl. 20, 720 (1999)), and the diagonal pivot wherever it is at
+    least 0.01 of its column's largest entry, which keeps the exact zeros of
+    decoupled points."""
+    return spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0.01)
+
+
+def refined_solve(lu: spla.SuperLU, m: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+    """x with m x = b from ``lu``, the :func:`factor_kept_block` of m, and up
+    to two passes of iterative refinement against m while the residual is
+    at least 1e-16 max|b| and, as in LAPACK's xGERFS, at most half the last
+    one. The diagonal pivots grow a bare solve's error to 2e-12 relative at
+    some points (the R(0) columns of S_eb at fig6c's g 0.02, T 1); one pass
+    brings it back to 1e-15."""
+    x, last = lu.solve(b), np.inf
+    for _ in range(2):
+        r = b - m @ x
+        size = np.max(np.abs(r))
+        if size < 1e-16 * np.max(np.abs(b)) or size > 0.5 * last:
+            break
+        x, last = x + lu.solve(r), size
+    return x
+
+
 def solve_steady_state(liouv: Superoperator) -> SteadyState:
     """Solve L[rho] = 0, Tr rho = 1 and return the Hermitized, normalized state.
 
@@ -126,17 +158,12 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
                              "a model parameter overflows double precision")
     block, m = liouv.blocks[0], liouv.system
     b = np.zeros(block.size, dtype=complex)
-    b[0] = 1.0
+    b[-1] = 1.0  # the trace row, that of vec index 0, which the block lists last
     try:
-        lu = spla.splu(m)
+        lu = factor_kept_block(m)
     except RuntimeError as exc:
         raise _diagnose_failure(liouv, float("inf")) from exc
-    x = lu.solve(b)
-    for _ in range(2):  # refinement against the modified system
-        r = b - m @ x
-        if np.max(np.abs(r)) < 1e-16:
-            break
-        x = x + lu.solve(r)
+    x = refined_solve(lu, m, b)
 
     vec = np.zeros(liouv.dim_rho**2, dtype=complex)
     vec[block] = x

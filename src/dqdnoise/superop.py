@@ -19,7 +19,9 @@ thermal lines) is available from :func:`thermal_dissipator` for the
 regrouping diagnostic, and differs by gamma_b n_bar/2 {a a^dag - a^dag a, rho}.
 
 A :class:`Superoperator` is built complete: its total, its sector blocks
-and its steady system are plain fields that every builder fills. Every
+and its steady system are plain fields that every builder fills. Its kept
+block lists its vec indices in one reverse Cuthill-McKee order with vec
+index 0 last, and every sparse LU of that block factors in it. Every
 command takes its transport generators from a :class:`GeneratorPlan`, built
 once per run, which forms each point's generator on one fixed sparse
 pattern without kron products; :func:`build_liouvillian` is the kron
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import MethodUnavailable
 from .model import HilbertSpace, ModelParams, OperatorSet, build_operators, hamiltonian_terms
@@ -142,7 +145,9 @@ class Superoperator:
     ``blocks`` holds the vec indices of the blocks that no entry of L or of
     a channel couples: the charge sector, then the coherences (0, X) and
     (X, 0); all indices as one block when L is not dot (x) Fock or they
-    leak. ``system`` is :func:`trace_replaced_system` on the first
+    leak. The first, kept block lists its indices in the order every sparse
+    LU of it factors them in (:func:`_factor_order`, vec index 0 last), the
+    others sorted. ``system`` is :func:`trace_replaced_system` on the first
     block, the matrix the steady state is solved with. Both builders,
     :func:`assemble_liouvillian` and :meth:`GeneratorPlan.generator`, set
     every field; only the eigendecomposition is formed on first use and
@@ -289,11 +294,12 @@ class GeneratorPlan:
     with int32 maps into it from M = -i H_eff (``base`` = spre(M) +
     spost(M^dag) repeats M's entries along the diagonal blocks) and from
     each sandwich, that pattern's sector blocks (a zero coefficient only
-    removes entries, so they hold at every point) and the gather map from
-    L's data to its :func:`trace_replaced_system`. A point's generator then takes
-    a few scaled additions of D x D and data arrays: no kron, no dense
-    product, no sparse addition. Read-only after construction, so worker
-    threads share one plan.
+    removes entries, so they hold at every point), the kept block ordered
+    from that pattern once for every factorization of the run, and the
+    gather map from L's data to its :func:`trace_replaced_system`. A point's
+    generator then takes a few scaled additions of D x D and data arrays: no
+    kron, no dense product, no sparse addition. Read-only after
+    construction, so worker threads share one plan.
     """
 
     def __init__(self, n_fock: int, hamiltonian: str = "full"):
@@ -389,18 +395,22 @@ def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> sp.csr_ma
 
 def hermitian_basis(dim_rho: int, block: np.ndarray) -> sp.csc_matrix:
     """Unitary u from the Hermitian basis |i><i|, (|i><j| + |j><i|)/sqrt 2,
-    i(|j><i| - |i><j|)/sqrt 2 (i < j) of the sorted vec indices ``block``,
-    which hold the transpose of each of their indices, to those indices. A
-    Lindblad generator maps Hermitian matrices to Hermitian matrices, so
-    u^H L_blk u is real."""
-    i, j = block % dim_rho, block // dim_rho
-    partner = np.searchsorted(block, j + i * dim_rho)
-    if not np.array_equal(block[partner % block.size], j + i * dim_rho):
+    i(|j><i| - |i><j|)/sqrt 2 (i < j) of the vec indices ``block``, which hold
+    the transpose of each of their indices, to those indices. Its columns
+    follow the sorted vec indices and its rows the order of ``block``, so
+    the basis does not depend on that order. A Lindblad generator maps
+    Hermitian matrices to Hermitian matrices, so u^H L_blk u is real."""
+    pos = np.full(dim_rho**2, -1)
+    pos[block] = np.arange(block.size)
+    vec = np.sort(block)
+    transposed = vec % dim_rho * dim_rho + vec // dim_rho  # rho[i, j] -> rho[j, i]
+    if np.any(pos[transposed] < 0):
         raise ValueError("block is not closed under transposition")
     k, s = np.arange(block.size), math.sqrt(0.5)
-    own = np.select([k < partner, k > partner], [s, -1j * s], 0.5)  # a diagonal sums to 1
+    # a diagonal index's two entries sum to 1
+    own = np.select([vec < transposed, vec > transposed], [s, -1j * s], 0.5)
     return sp.csc_matrix((np.concatenate([own, own.conj()]),
-                          (np.concatenate([k, partner]), np.concatenate([k, k]))),
+                          (np.concatenate([pos[vec], pos[transposed]]), np.concatenate([k, k]))),
                          shape=(block.size, block.size))
 
 
@@ -494,27 +504,42 @@ def sector_leak(matrices: list[sp.csr_matrix], labels: np.ndarray) -> int:
 
 def _sector_split(dim_rho: int, matrices: list[sp.csr_matrix]) -> list[np.ndarray]:
     """:class:`Superoperator`'s ``blocks`` for a generator whose entries, and
-    its channels', are those of ``matrices``."""
+    its channels', are those of ``matrices``; the first block in the
+    :func:`_factor_order` of ``matrices[0]``, the others sorted."""
+    blocks = [np.arange(dim_rho**2)]
     kept = charge_sector(dim_rho)
     if kept is not None:
         # 1 kept, 2 (0, X) above the diagonal of rho, 0 (X, 0) below it
         labels = kept + 2 * vectorize(np.triu(devectorize(~kept), 1))
         if not sector_leak(matrices, labels):
-            return [np.flatnonzero(labels == k) for k in (1, 2, 0)]
-    return [np.arange(dim_rho**2)]
+            blocks = [np.flatnonzero(labels == k) for k in (1, 2, 0)]
+    blocks[0] = _factor_order(matrices[0], blocks[0])
+    return blocks
+
+
+def _factor_order(matrix: sp.csr_matrix, block: np.ndarray) -> np.ndarray:
+    """The sorted vec indices ``block``, which start at vec index 0, in the
+    order every sparse LU of the block factors them: reverse Cuthill-McKee
+    (Cuthill & McKee, Proc. 24th ACM Natl. Conf. 157 (1969)) of |A| + |A^T|
+    for ``matrix`` on the block without vec index 0, then vec index 0, whose
+    row the steady system replaces by the dense trace row."""
+    rest = block[1:]
+    a = abs(matrix[rest][:, rest])
+    return np.append(rest[reverse_cuthill_mckee((a + a.T).tocsr(), symmetric_mode=True)], 0)
 
 
 def trace_replaced_system(matrix: sp.csr_matrix, block: np.ndarray) -> sp.csc_matrix:
-    """The generator ``matrix`` on the sorted vec indices ``block``, which hold
-    index 0 and every diagonal index and which no entry couples to the rest,
-    with its row 0 (a trace-block row) replaced by the trace constraint: the
-    matrix of the steady-state solve, whose right-hand side is e_0."""
+    """The generator ``matrix`` on the vec indices ``block``, in their order,
+    which hold index 0 and every diagonal index and which no entry couples to
+    the rest, with the row of vec index 0 (a trace-block row) replaced by the
+    trace constraint: the matrix of the steady-state solve, whose right-hand
+    side is 1 at that row and 0 elsewhere."""
     d = math.isqrt(matrix.shape[0])
     pos = np.full(d * d, -1)
     pos[block] = np.arange(block.size)
     coo = matrix.tocoo()
-    keep = pos[coo.row] > 0  # rows of the block but its first, vec index 0
-    rows = np.concatenate([pos[coo.row[keep]], np.zeros(d, dtype=int)])
+    keep = (pos[coo.row] >= 0) & (coo.row != 0)  # rows of the block but vec index 0's
+    rows = np.concatenate([pos[coo.row[keep]], np.full(d, pos[0])])
     cols = np.concatenate([pos[coo.col[keep]], pos[np.arange(d) * (d + 1)]])
     data = np.concatenate([coo.data[keep], np.ones(d, dtype=complex)])
     return sp.csc_matrix((data, (rows, cols)), shape=(block.size, block.size))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import dqdnoise
 from dqdnoise import checks, cli
@@ -214,6 +215,20 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "macdonald.t_max required" in capsys.readouterr().err
         assert calls == []
+
+    def test_eigen_cross_pair_is_2_before_any_factorization(self, tmp_path, monkeypatch,
+                                                              capsys):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        path = write(tmp_path, "model.delta = 0.5\nmodel.n_fock = 4\nspectrum.pair = eb\n")
+        out = tmp_path / "out.csv"
+        rc = cli.main(["spectrum", "--config", path, "--methods", "resolvent,eigen",
+                       "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "spectrum.pair = eb: the eigen method" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_bad_method_flag(self, tmp_path):
         path = write(tmp_path, "model.delta = 0.5\n")

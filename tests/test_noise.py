@@ -16,7 +16,7 @@ from dqdnoise.noise import (
     macdonald_evaluate,
     noise_eigen_expansion,
 )
-from dqdnoise.steady import currents, solve_steady_state
+from dqdnoise.steady import currents, factor_kept_block, refined_solve, solve_steady_state
 from dqdnoise.superop import (assemble_liouvillian, charge_sector, slowest_decay_rate,
                               spectrum, trace_replaced_system, trace_vector, vectorize)
 from dqdnoise.sweep import SweepAxis, SweepSpec, run_sweep
@@ -42,7 +42,7 @@ class TestResolvent:
     def test_single_level_zero_frequency(self, gl, gr):
         liouv, ss = single_level(gl, gr)
         flux = currents(ss, liouv).e
-        s0 = ResolventSolver(liouv, ss).noise("e", "e", 0.0)
+        s0 = ResolventSolver(liouv, ss).noises([("e", "e")], 0.0)[0]
         assert s0 / (2 * flux) == pytest.approx(analytic_fano(gl, gr), abs=1e-10)
 
     def test_cross_correlation_vanishes_decoupled(self):
@@ -170,9 +170,9 @@ class TestFrequencyGrid:
         # S_eb changes sign, so errors are measured against the largest |S| on the grid
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         schur_cut("schur")
-        schur = ResolventSolver(liouv, ss).noise(*pair, grid)
+        schur = ResolventSolver(liouv, ss).noises([pair], grid)[0]
         schur_cut("lu")
-        lu = ResolventSolver(liouv, ss).noise(*pair, grid)
+        lu = ResolventSolver(liouv, ss).noises([pair], grid)[0]
         assert np.max(np.abs(schur - lu)) <= 1e-12 * np.max(np.abs(lu))
 
     def test_array_matches_scalar_calls(self, fig2_bundle):
@@ -185,7 +185,7 @@ class TestFrequencyGrid:
 
     def test_zero_frequency_in_grid_uses_shared_factor(self, fig2_bundle):
         grid = np.array([0.0, 0.5, 0.0])
-        vals = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noise("e", "b", grid)
+        vals = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noises([("e", "b")], grid)[0]
         assert vals[0] == vals[2] == fig2_bundle.noise("e", "b", 0.0)
 
     @pytest.mark.parametrize("make", ["fig2", "single_level", "leaking_dot"])
@@ -201,7 +201,7 @@ class TestFrequencyGrid:
         schur_cut(path)
         grid = np.array([-0.8, 0.0, 0.3, 1.0, 2.5])
         for pair in (("e", "e"), ("e", "b")) if make == "fig2" else (("e", "e"),):
-            got = solver.noise(*pair, grid)
+            got = solver.noises([pair], grid)[0]
             ref = dense_noise(liouv, ss, *pair, grid)
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -212,12 +212,12 @@ class TestFrequencyGrid:
         ss = solve_steady_state(liouv)
         schur_cut("schur")
         grid = np.array([-0.8, 0.0, 0.3, 1.0, 2.5])
-        got = ResolventSolver(liouv, ss).noise("e", "e", grid)
+        got = ResolventSolver(liouv, ss).noises([("e", "e")], grid)[0]
         ref = dense_noise(liouv, ss, "e", "e", grid)
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_grid_below_cut_makes_no_frequency_lu(self, fig2_bundle, splu_calls):
-        ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noise("e", "b", FIG2_GRID)
+        ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noises([("e", "b")], FIG2_GRID)
         assert len(splu_calls) == 0
 
     def test_grid_above_cut_makes_one_lu_per_frequency(self, splu_calls):
@@ -225,7 +225,7 @@ class TestFrequencyGrid:
         splu_calls.clear()  # the steady-state factorization
         solver = ResolventSolver(point.liouv, point.ss)
         assert not solver._use_schur(FIG2_GRID.size)
-        solver.noise("e", "b", FIG2_GRID)
+        solver.noises([("e", "b")], FIG2_GRID)
         assert len(splu_calls) == FIG2_GRID.size
 
 
@@ -252,7 +252,7 @@ class TestFrequencyGrid:
         solver = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss)
         together = solver.noises([("e", "e"), ("b", "b"), ("e", "b")], grid)
         for pair, got in zip((("e", "e"), ("b", "b"), ("e", "b")), together):
-            alone = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noise(*pair, grid)
+            alone = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss).noises([pair], grid)[0]
             assert got[0] == alone[0]  # omega = 0 through the same R(0) applications
             assert np.max(np.abs(got - alone)) <= 1e-12 * np.max(np.abs(alone))
 
@@ -310,9 +310,9 @@ class TestSharedZeroFrequencyFactor:
             return v - solver.rho * (solver.tr @ v)
 
         rhs = q(x)
-        rhs[0] = 0.0
-        fresh = spla.splu(trace_replaced_system(liouv.matrix, liouv.blocks[0]))
-        expected = q(fresh.solve(rhs))
+        rhs[-1] = 0.0  # the trace row, vec index 0's
+        system = trace_replaced_system(liouv.matrix, liouv.blocks[0])
+        expected = q(refined_solve(factor_kept_block(system), system, rhs))
         assert np.array_equal(solver.apply(x), expected)
 
 

@@ -1,13 +1,16 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from dqdnoise.errors import DegenerateSteadyState, NumericalError
 from dqdnoise.model import ModelParams, build_hamiltonian, build_operators, thermal_state
 from dqdnoise.noise import TransportPoint
 from dqdnoise.steady import (
+    RESIDUAL_TOL,
     currents,
     fano_number,
     min_quadrature_variance,
@@ -16,8 +19,9 @@ from dqdnoise.steady import (
     quadrature_variance,
     solve_steady_state,
 )
-from dqdnoise.superop import (DENSE_EIG_MAX_D2, build_liouvillian, charge_sector,
-                              thermal_occupation, vectorize)
+from dqdnoise.superop import (DENSE_EIG_MAX_D2, GeneratorPlan, build_liouvillian,
+                              charge_sector, thermal_occupation, vectorize)
+from dqdnoise.sweep import PRESET_NAMES, _axis_params, preset
 
 
 def nullspace_steady_state(liouv):
@@ -108,6 +112,28 @@ class TestSolve:
         with pytest.raises(NumericalError):
             solve_steady_state(liouv)
         assert calls == []
+
+
+class TestFactorOrder:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_corners_match_a_colamd_solve(self, name):
+        """At each corner of a preset's grid, g 0 and T 0 among them, the solve in
+        the plan's order meets the residual bound, agrees with SuperLU's default
+        (COLAMD order, partial pivoting) and keeps every exact zero of it."""
+        spec = preset(name)
+        plan = GeneratorPlan(spec.base.n_fock, spec.hamiltonian)
+        axes = [a for a in spec.axes if a.name != "omega"]
+        for vals in itertools.product(*[(a.grid().min(), a.grid().max()) for a in axes]):
+            liouv = plan.generator(_axis_params(spec.base, [a.name for a in axes], list(vals),
+                                                spec.base.n_fock))
+            ss = solve_steady_state(liouv)
+            assert ss.residual <= RESIDUAL_TOL
+            b = np.zeros(liouv.blocks[0].size, dtype=complex)
+            b[-1] = 1.0  # the trace row
+            colamd = scipy.sparse.linalg.splu(liouv.system).solve(b)
+            x = vectorize(ss.rho_ss)[liouv.blocks[0]]
+            assert np.max(np.abs(x - colamd)) <= 1e-12 * np.max(np.abs(colamd))
+            assert np.all(x[colamd == 0.0] == 0.0)
 
 
 class TestCurrents:
