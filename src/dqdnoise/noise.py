@@ -9,10 +9,10 @@ resolvent (primary, ``ResolventSolver.noises``)
     the charge-sector block of L that the steady state was solved on. w = 0
     solves the trace-row-augmented block (pseudo-inverse restricted to
     range Q) with the factorization the steady-state solve already made;
-    nonzero w, for a large grid on a small block, by back-substitution on
-    one complex Schur form that ``rsf2csf`` takes from the real Schur form
-    of the block in its Hermitian basis, else by one sparse factorization
-    per frequency in the block's own fill-reducing order.
+    nonzero w, for a large grid on a small block, in pole-residue form from
+    the real eigendecomposition of the block that ``superop.spectrum`` shares,
+    else (or for an ill-conditioned eigenvector basis) by one sparse
+    factorization per frequency in the block's own fill-reducing order.
 
 eigen (diagnostic)
     S(w)/2I = 1 - 2 sum_k c_k alpha_k / (w^2 + alpha_k^2) over the
@@ -67,7 +67,7 @@ from .superop import (
     LiouvillianSpectrum,
     Superoperator,
     counting_liouvillian,
-    real_kept_block,
+    kept_eig,
     slowest_decay_rate,
     spectrum,
     trace_vector,
@@ -89,13 +89,13 @@ REALITY_TOL = 1e-10
 EIGEN_IMAG_TOL = 1e-8
 
 
-#: Schur path cut (:meth:`ResolventSolver._use_schur`), from the break-even
-#: table in CHANGES.md (BLAS threads 1): 45, 96 and 517-597 frequencies at
-#: n = 245, 405 and 1280, 0.011-0.013 n^1.5. SCHUR_MAX_DIM bounds the memory of
-#: the dense form: T and Z keep 2 x 16 n^2 bytes, 52 MB at n = 1280, and the
-#: real S and Q add 2 x 8 n^2 until ``rsf2csf`` returns, 79 MB in all.
-SCHUR_BREAK_EVEN = 0.012
-SCHUR_MAX_DIM = 1280
+#: Dense path cut (:meth:`ResolventSolver._use_dense`), from the break-even table in
+#: CHANGES.md (BLAS threads 1): 36, 72 and 125-147 frequencies at n = 245, 405 and 605,
+#: 0.008-0.010 n^1.5; 226 at n = 1280, so fig3's 321 stay on sparse LUs. DENSE_MAX_DIM
+#: bounds the memory: V and the LU of its real form keep 24 n^2 bytes, 39 MB at 1280.
+DENSE_BREAK_EVEN = 0.009
+DENSE_MAX_DIM = 1280
+DENSE_COND_MAX = 1e5  # on the condition estimate of V's real form; fig2/fig4 reach 1.2e4
 
 
 class ResolventSolver:
@@ -108,16 +108,14 @@ class ResolventSolver:
     L_c rho_ss and Tr[L_c .] live on the block, so Q keeps it and the
     noise needs no other vec index. w = 0 solves the trace-replaced block
     that ``ss.factor`` already factors, refined as the steady solve is
-    (:meth:`apply`). Each nonzero frequency takes one factorization for all
-    pairs: above the cut of
-    :meth:`_use_schur` a triangular solve (i w + T) y = Z* u^H b on one
-    complex Schur form L_blk = u Z T Z* u^H (Laub, IEEE Trans. Autom. Control
-    26, 407 (1981)), below it a sparse LU of (i w + L_blk) in the block's
-    order (``steady.factor_kept_block``). In the Hermitian basis u the
-    block is real, so T and Z come from a real Schur form at about a quarter
-    of the complex flops (Golub & Van Loan, *Matrix Computations*, 7.4-7.5);
-    u acts on the row and column vectors only. Not safe for concurrent use:
-    the Schur path writes each frequency onto the diagonal of T.
+    (:meth:`apply`). Above the cut of :meth:`_use_dense` all nonzero w come
+    from the block's eigendecomposition L_blk = u V diag(lambda) V^-1 u^H
+    (:func:`superop.kept_eig`, shared with :func:`superop.spectrum`) in
+    pole-residue form, r (i w + L_blk)^-1 c = sum_k ((r u) V)_k (V^-1 u^H c)_k
+    / (i w + lambda_k) (Antoulas, *Approximation of Large-Scale Dynamical
+    Systems*, SIAM 2005, ch. 4). Below the cut, or when V is ill-conditioned,
+    each nonzero w takes one sparse LU of (i w + L_blk) in the block's order
+    (``steady.factor_kept_block``) for all pairs.
     """
 
     def __init__(self, liouv: Superoperator, ss: SteadyState):
@@ -155,65 +153,67 @@ class ResolventSolver:
         block = self.liouv.blocks[0]
         return self.liouv.matrix[block][:, block].tocsc()
 
-    @cached_property
-    def _schur(self):
-        """(T, diag T, Z, u), L_blk = u Z T Z* u^H: ``rsf2csf`` of the real Schur
-        form of the block in its Hermitian basis u (:func:`real_kept_block`). The
-        minimal workspace, 3n, takes 0.46 MB off the peak memory of perfbench's
-        spectral_fig2 at no measured cost in time."""
-        u, a = real_kept_block(self.liouv)
-        t, z = la.rsf2csf(*la.schur(a, output="real", lwork=3 * a.shape[0], overwrite_a=True,
-                                    check_finite=False), check_finite=False)
-        return t, np.diag(t).copy(), z, u
-
-    def _use_schur(self, n_omega: int) -> bool:
-        """n <= SCHUR_MAX_DIM and n_omega >= SCHUR_BREAK_EVEN n^1.5 for a block of
-        dimension n: Schur costs O(n^3) once, a sparse LU O(n^1.5) per frequency."""
+    def _use_dense(self, n_omega: int) -> bool:
+        """n <= DENSE_MAX_DIM and n_omega >= DENSE_BREAK_EVEN n^1.5 for a block of dimension
+        n: its eigendecomposition costs O(n^3) once, a sparse LU O(n^1.5) per frequency."""
         n = self.liouv.blocks[0].size
-        return n <= SCHUR_MAX_DIM and n_omega >= SCHUR_BREAK_EVEN * n**1.5
+        return n <= DENSE_MAX_DIM and n_omega >= DENSE_BREAK_EVEN * n**1.5
 
-    def _nonzero_solver(self, rows: dict, cols: dict, n_omega: int):
-        """omega -> (rows, {c: y_c}) with (i omega + L_blk) y_c = cols[c] for
-        nonzero omega; on the Schur path rows and y_c are in the Schur basis."""
-        n = self.liouv.blocks[0].size
-        if self._use_schur(n_omega):
-            t, diag, z, u = self._schur
-            rows = {c: (u.T @ r) @ z for c, r in rows.items()}  # (r u) Z
-            cols = {c: ((u.T @ v.conj()) @ z).conj() for c, v in cols.items()}  # Z* u^H v
+    def _poles(self, pairs: list[tuple[str, str]], rows: dict, cols: dict, w: np.ndarray):
+        """-r_i (i w + L_blk)^-1 c_j - r_j (i w + L_blk)^-1 c_i of each pair (i, j) at the
+        nonzero w; None below the cut of :meth:`_use_dense` or when the 1-norm condition
+        estimate (LAPACK ``gecon``) of X, the real form of V, is above DENSE_COND_MAX."""
+        if not self._use_dense(w.size):
+            return None
+        u, lam, v = kept_eig(self.liouv)
+        # V = X B, X real: x and y of each conjugate pair x +- i y, the Im lambda > 0 one first
+        k = np.flatnonzero(lam.imag > 0)
+        x = v.real.copy(order="F")
+        x[:, k + 1] = v.imag[:, k]
+        lange, gecon = la.get_lapack_funcs(("lange", "gecon"), (x,))
+        norm, lu = lange("1", x), la.lu_factor(x, overwrite_a=True)
+        if gecon(lu[0], norm, norm="1")[0] * DENSE_COND_MAX < 1.0:
+            return None
+        b = u.conj().T @ np.column_stack(list(cols.values()))
+        y = la.lu_solve(lu, b.real) + 1j * la.lu_solve(lu, b.imag)
+        y[k], y[k + 1] = (y[k] - 1j * y[k + 1]) / 2, (y[k] + 1j * y[k + 1]) / 2  # V^-1 u^H c
+        left, right = {c: (u.T @ r) @ v for c, r in rows.items()}, dict(zip(cols, y.T))
+        out = np.empty((len(pairs), w.size), dtype=complex)
+        for s in range(0, w.size, 32):  # 32 w a block keep the kernel 1 / (i w + lambda) small
+            kernel = 1j * w[s:s + 32, None] + lam
+            np.reciprocal(kernel, out=kernel)
+            for p, (i, j) in enumerate(pairs):  # a product per pair: its bits are its own
+                out[p, s:s + 32] = -(kernel @ (left[i] * right[j] + left[j] * right[i]))
+        return out
 
-            def solve(omega, b):
-                t.flat[::n + 1] = diag + 1j * omega
-                return la.solve_triangular(t, b, check_finite=False)
-        else:
-            eye = sp.identity(n, format="csc")
-
-            def solve(omega, b):
-                try:
-                    return factor_kept_block((1j * omega) * eye + self._matrix).solve(b)
-                except RuntimeError as exc:
-                    raise NumericalError(
-                        f"resolvent factorization singular at omega={omega!r}: {exc}"
-                    ) from exc
-        b = np.column_stack(list(cols.values()))
-        return lambda omega: (rows, dict(zip(cols, solve(omega, b).T)))
+    def _solve(self, omega: float, b: np.ndarray) -> np.ndarray:
+        """(i omega + L_blk)^-1 b by one sparse LU in the block's order."""
+        try:
+            return factor_kept_block((1j * omega) * sp.identity(b.shape[0], format="csc")
+                                     + self._matrix).solve(b)
+        except RuntimeError as exc:
+            msg = f"resolvent factorization singular at omega={omega!r}: {exc}"
+            raise NumericalError(msg) from exc
 
     def noises(self, pairs: list[tuple[str, str]], omega) -> list:
         """Symmetrized noise S(omega)_{i,j} in natural units (e = 1) of each
         channel pair, at a frequency (floats) or on an array of frequencies.
-        w = 0 applies R(0) to each channel's column; each nonzero w solves
-        the columns of all channels with one factorization."""
+        w = 0 applies R(0) to each channel's column; the nonzero w take the
+        pole-residue form or one factorization each for all channels."""
         chans = list(dict.fromkeys(c for pair in pairs for c in pair))
         w = np.atleast_1d(np.asarray(omega, dtype=float))
         raw = np.empty((len(pairs), w.size), dtype=complex)
         if pairs:
             rows, cols = self._channels(chans)
-            nonzero = self._nonzero_solver(rows, cols, np.count_nonzero(w)) if np.any(w) \
-                else None
-            for k, om in enumerate(w):
-                r, y = (rows, {c: self.apply(cols[c]) for c in chans}) if om == 0.0 \
-                    else nonzero(om)
+            dense = self._poles(pairs, rows, cols, w[w != 0.0])
+            if dense is not None:
+                raw[:, w != 0.0] = dense
+            b = np.column_stack(list(cols.values()))
+            for k in np.flatnonzero(w == 0.0) if dense is not None else range(w.size):
+                y = {c: self.apply(cols[c]) for c in chans} if w[k] == 0.0 \
+                    else dict(zip(cols, self._solve(w[k], b).T))
                 for p, (i, j) in enumerate(pairs):
-                    raw[p, k] = -(r[i] @ y[j]) - r[j] @ y[i]
+                    raw[p, k] = -(rows[i] @ y[j]) - rows[j] @ y[i]
         for raw0 in raw[:, w == 0.0].flat:
             if abs(raw0.imag) > REALITY_TOL * max(1.0, abs(raw0.real)):
                 warnings.warn(f"zero-frequency noise has imaginary residue {raw0.imag:.3e}",

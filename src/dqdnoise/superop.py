@@ -61,6 +61,7 @@ __all__ = [
     "eigenvalues",
     "hermitian_basis",
     "real_kept_block",
+    "kept_eig",
     "slowest_decay_rate",
     "charge_sector",
     "sector_leak",
@@ -150,9 +151,9 @@ class Superoperator:
     others sorted. ``system`` is :func:`trace_replaced_system` on the first
     block, the matrix the steady state is solved with. Both builders,
     :func:`assemble_liouvillian` and :meth:`GeneratorPlan.generator`, set
-    every field; only the eigendecomposition is formed on first use and
-    kept. Instances are treated as immutable after construction and are
-    safe to share across worker threads.
+    every field; only the eigendecompositions (:func:`kept_eig`,
+    :func:`spectrum`) are formed on first use and kept. Instances are treated
+    as immutable after construction and are safe to share across threads.
     """
 
     dim_rho: int
@@ -161,6 +162,7 @@ class Superoperator:
     matrix: sp.csr_matrix = field(repr=False)
     blocks: list[np.ndarray] = field(repr=False)
     system: sp.csc_matrix = field(repr=False)
+    _kept_eig: tuple | None = field(default=None, repr=False)
     _spectrum: "LiouvillianSpectrum | None" = field(default=None, repr=False)
 
     def channel(self, channel_id: str) -> JumpChannel:
@@ -422,6 +424,15 @@ def real_kept_block(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarray]:
     return u, (u.conj().T @ liouv.matrix[kept][:, kept] @ u).real.toarray(order="F")
 
 
+def kept_eig(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """(u, lambda, V), L_blk = u V diag(lambda) V^-1 u^H on the kept block: one real
+    ``eig`` of :func:`real_kept_block`, kept for :func:`spectrum` and the resolvent."""
+    if liouv._kept_eig is None:
+        u, a = real_kept_block(liouv)
+        liouv._kept_eig = (u, *la.eig(a, overwrite_a=True))
+    return liouv._kept_eig
+
+
 def _dense_blocks(liouv: Superoperator):
     """Each sector block dense, one at a time, the kept one from :func:`real_kept_block`."""
     yield real_kept_block(liouv)[1]
@@ -431,8 +442,8 @@ def _dense_blocks(liouv: Superoperator):
 
 def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
     """Dense eigendecomposition of the generator, one of its sector ``blocks``
-    at a time; a mode sits at its block's vec indices. The kept block takes a
-    real ``eig`` in its Hermitian basis (:func:`real_kept_block`), so there
+    at a time; a mode sits at its block's vec indices. The kept block takes
+    :func:`kept_eig`, a real ``eig`` in its Hermitian basis u, so there
     V_b = u V and V_b^-1 = V^-1 u^H; the coherence blocks take a complex one.
 
     Raises MethodUnavailable if the eigenvector basis fails the
@@ -442,9 +453,11 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
     if liouv._spectrum is not None:
         return liouv._spectrum
     alphas = np.empty(liouv.dim_rho**2, dtype=complex)
+    u, alphas[liouv.blocks[0]], vb = kept_eig(liouv)
     blocks = []
-    for idx, dense in zip(liouv.blocks, _dense_blocks(liouv)):
-        alphas[idx], vb = la.eig(dense)
+    for k, idx in enumerate(liouv.blocks):
+        if k:
+            alphas[idx], vb = la.eig(liouv.matrix[idx][:, idx].toarray())
         try:
             vbinv = la.inv(vb)
         except la.LinAlgError as exc:
@@ -456,10 +469,7 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
                 f"(defect {defect:.3e} > {BIORTHOGONALITY_TOL:g}); "
                 "eigen-expansion method unavailable for this generator"
             )
-        blocks.append((idx, vb, vbinv))
-    idx, vb, vbinv = blocks[0]
-    u = hermitian_basis(liouv.dim_rho, idx)
-    blocks[0] = (idx, u @ vb, vbinv @ u.conj().T)
+        blocks.append((idx, vb, vbinv) if k else (idx, u @ vb, vbinv @ u.conj().T))
     result = LiouvillianSpectrum(alphas=alphas, blocks=blocks,
                                  zero_index=int(np.argmin(np.abs(alphas))))
     liouv._spectrum = result

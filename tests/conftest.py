@@ -45,10 +45,10 @@ def random_lindbladian():
 
 
 @pytest.fixture()
-def schur_cut(monkeypatch):
-    """Force every nonzero-frequency grid onto one path: "schur" or "lu"."""
+def dense_cut(monkeypatch):
+    """Force every nonzero-frequency grid onto one path: "dense" or "lu"."""
     def force(path):
-        monkeypatch.setattr(noise, "SCHUR_BREAK_EVEN", 0.0 if path == "schur" else np.inf)
+        monkeypatch.setattr(noise, "DENSE_BREAK_EVEN", 0.0 if path == "dense" else np.inf)
     return force
 
 

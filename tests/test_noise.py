@@ -1,3 +1,7 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -19,7 +23,7 @@ from dqdnoise.noise import (
 from dqdnoise.steady import currents, factor_kept_block, refined_solve, solve_steady_state
 from dqdnoise.superop import (assemble_liouvillian, charge_sector, slowest_decay_rate,
                               spectrum, trace_replaced_system, trace_vector, vectorize)
-from dqdnoise.sweep import SweepAxis, SweepSpec, run_sweep
+from dqdnoise.sweep import SweepAxis, SweepSpec, preset, run_sweep
 
 
 def single_level(gamma_L, gamma_R):
@@ -166,18 +170,103 @@ class TestFrequencyGrid:
     @pytest.mark.parametrize("pair", [("e", "e"), ("b", "b"), ("e", "b")])
     @pytest.mark.parametrize("grid", [np.array([-1.0, 0.37, 1.0, 1000.0]), FIG2_GRID],
                              ids=["spot", "fig2-grid"])
-    def test_schur_and_lu_paths_agree(self, fig2_bundle, schur_cut, pair, grid):
+    def test_dense_and_lu_paths_agree(self, fig2_bundle, dense_cut, pair, grid):
         # S_eb changes sign, so errors are measured against the largest |S| on the grid
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
-        schur_cut("schur")
-        schur = ResolventSolver(liouv, ss).noises([pair], grid)[0]
-        schur_cut("lu")
+        dense_cut("dense")
+        dense = ResolventSolver(liouv, ss).noises([pair], grid)[0]
+        dense_cut("lu")
         lu = ResolventSolver(liouv, ss).noises([pair], grid)[0]
-        assert np.max(np.abs(schur - lu)) <= 1e-12 * np.max(np.abs(lu))
+        assert np.max(np.abs(dense - lu)) <= 1e-12 * np.max(np.abs(lu))
+
+    @pytest.mark.parametrize("name,axis,value", [
+        ("fig2", "g", 0.0), ("fig2", "g", 0.02), ("fig2", "g", 0.12),
+        ("fig4a", "delta", 0.625), ("fig4a", "delta", 0.7)])
+    def test_dense_and_lu_paths_agree_at_preset_points(self, dense_cut, splu_calls,
+                                                       name, axis, value):
+        # S_eb is left out: at these points the dense path reads up to 1e-12 of a
+        # refined dense solve, and the LU path 4e-14 (CHANGES.md)
+        spec = preset(name)
+        point = TransportPoint(replace(spec.base, **{axis: value}), spec.hamiltonian)
+        pairs = [("e", "e"), ("b", "b")]
+        splu_calls.clear()
+        dense = ResolventSolver(point.liouv, point.ss).noises(pairs, FIG2_GRID)
+        assert not splu_calls  # the preset's own path, not the fallback
+        dense_cut("lu")
+        lu = ResolventSolver(point.liouv, point.ss).noises(pairs, FIG2_GRID)
+        for got, ref in zip(dense, lu):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_ill_conditioned_eigenvectors_fall_back_to_lu(self, dense_cut, splu_calls,
+                                                          monkeypatch):
+        spec = preset("fig2")
+        point = TransportPoint(replace(spec.base, g=0.02), spec.hamiltonian)
+        pairs = [("e", "e"), ("e", "b")]
+        solver = ResolventSolver(point.liouv, point.ss)
+        assert solver._use_dense(FIG2_GRID.size)
+        monkeypatch.setattr(noise, "DENSE_COND_MAX", 0.0)
+        splu_calls.clear()
+        fallback = solver.noises(pairs, FIG2_GRID)
+        assert len(splu_calls) == FIG2_GRID.size
+        dense_cut("lu")
+        lu = ResolventSolver(point.liouv, point.ss).noises(pairs, FIG2_GRID)
+        for got, ref in zip(fallback, lu):
+            assert np.array_equal(got, ref)
+
+    def test_resolvent_and_eigen_share_one_kept_block_eig(self, monkeypatch):
+        spec = preset("fig2")
+        params = replace(spec.base, g=0.12)
+        point = TransportPoint(params, spec.hamiltonian)
+        sizes = []
+        eig = la.eig
+
+        def counting(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(la, "eig", counting)
+        requests = [(("e", "e"), "fano")]
+        compute_spectrum(point.liouv, point.ss, requests, FIG2_GRID)
+        shared, = compute_spectrum(point.liouv, point.ss, requests, FIG2_GRID, method="eigen")
+        assert sizes.count(point.liouv.blocks[0].size) == 1
+        fresh = TransportPoint(params, spec.hamiltonian)
+        alone, = compute_spectrum(fresh.liouv, fresh.ss, requests, FIG2_GRID, method="eigen")
+        assert np.array_equal(shared, alone)
+        got, ref = spectrum(point.liouv), spectrum(fresh.liouv)
+        assert np.array_equal(got.alphas, ref.alphas)
+        for block, ref_block in zip(got.blocks, ref.blocks):
+            assert all(np.array_equal(x, y) for x, y in zip(block, ref_block))
+
+    def test_threads_share_one_solver(self, fig2_params):
+        point = TransportPoint(fig2_params)
+        solver = ResolventSolver(point.liouv, point.ss)
+        grid = np.concatenate([[0.0], FIG2_GRID])
+        assert solver._use_dense(FIG2_GRID.size)
+        pairs = [("e", "e"), ("b", "b"), ("e", "b")]
+        barrier = threading.Barrier(2, timeout=60)
+        results = [None, None]
+
+        def run(k):
+            barrier.wait()
+            results[k] = solver.noises(pairs, grid)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, ref in zip(*results):
+            assert np.array_equal(got, ref)
 
     def test_array_matches_scalar_calls(self, fig2_bundle):
         solver = ResolventSolver(fig2_bundle.liouv, fig2_bundle.ss)
-        assert solver._use_schur(FIG2_GRID.size)
+        assert solver._use_dense(FIG2_GRID.size)
         batched = fig2_bundle.noise("e", "e", FIG2_GRID, "fano")
         single = np.array([fig2_bundle.noise("e", "e", w, "fano") for w in FIG2_GRID])
         assert np.max(np.abs(batched - single)) <= 1e-12 * np.max(np.abs(single))
@@ -189,8 +278,8 @@ class TestFrequencyGrid:
         assert vals[0] == vals[2] == fig2_bundle.noise("e", "b", 0.0)
 
     @pytest.mark.parametrize("make", ["fig2", "single_level", "leaking_dot"])
-    @pytest.mark.parametrize("path", ["schur", "lu"])
-    def test_matches_dense_whole_space_solve(self, fig2_bundle, schur_cut, make, path):
+    @pytest.mark.parametrize("path", ["dense", "lu"])
+    def test_matches_dense_whole_space_solve(self, fig2_bundle, dense_cut, make, path):
         if make == "fig2":
             liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         else:
@@ -198,19 +287,19 @@ class TestFrequencyGrid:
         solver = ResolventSolver(liouv, ss)
         # only the dot (x) Fock generator that keeps its sectors closed is reduced
         assert (liouv.blocks[0].size < liouv.dim_rho**2) == (make == "fig2")
-        schur_cut(path)
+        dense_cut(path)
         grid = np.array([-0.8, 0.0, 0.3, 1.0, 2.5])
         for pair in (("e", "e"), ("e", "b")) if make == "fig2" else (("e", "e"),):
             got = solver.noises([pair], grid)[0]
             ref = dense_noise(liouv, ss, *pair, grid)
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    def test_schur_path_on_a_generic_lindbladian(self, random_lindbladian, schur_cut):
+    def test_dense_path_on_a_generic_lindbladian(self, random_lindbladian, dense_cut):
         # complex H and jumps: Tr[L_e .] and L_e rho_ss have entries off the vec
-        # diagonal, so the Hermitian basis of the Schur path acts on both
+        # diagonal, so the Hermitian basis of the dense path acts on both
         liouv = random_lindbladian
         ss = solve_steady_state(liouv)
-        schur_cut("schur")
+        dense_cut("dense")
         grid = np.array([-0.8, 0.0, 0.3, 1.0, 2.5])
         got = ResolventSolver(liouv, ss).noises([("e", "e")], grid)[0]
         ref = dense_noise(liouv, ss, "e", "e", grid)
@@ -224,14 +313,15 @@ class TestFrequencyGrid:
         point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=10), "jc")
         splu_calls.clear()  # the steady-state factorization
         solver = ResolventSolver(point.liouv, point.ss)
-        assert not solver._use_schur(FIG2_GRID.size)
-        solver.noises([("e", "b")], FIG2_GRID)
-        assert len(splu_calls) == FIG2_GRID.size
+        grid = FIG2_GRID[::2]
+        assert not solver._use_dense(grid.size)
+        solver.noises([("e", "b")], grid)
+        assert len(splu_calls) == grid.size
 
 
-    def test_sweep_quantities_share_one_lu_per_frequency(self, schur_cut, splu_calls):
+    def test_sweep_quantities_share_one_lu_per_frequency(self, dense_cut, splu_calls):
         # S_ee, S_bb and S_eb of a point on the sparse-LU path: one factor per omega
-        schur_cut("lu")
+        dense_cut("lu")
         spec = SweepSpec(
             base=ModelParams(delta=0.5, n_fock=4),
             axes=(SweepAxis(name="g", values=(0.1, 0.3)),

@@ -258,9 +258,9 @@ class TestGeneratorPlan:
 
     def test_both_builders_fill_every_field(self, fig2_params):
         """Total, blocks and steady system are set by the builder, not on first
-        use: only the eigendecomposition memo has a default."""
+        use: only the eigendecomposition memos have a default."""
         assert [f.name for f in fields(Superoperator)
-                if f.default is not MISSING] == ["_spectrum"]
+                if f.default is not MISSING] == ["_kept_eig", "_spectrum"]
         ref = build_liouvillian(build_jc_hamiltonian(fig2_params), fig2_params)
         liouv = GeneratorPlan(fig2_params.n_fock, "jc").generator(fig2_params)
         for g in (ref, liouv):

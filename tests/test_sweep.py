@@ -131,11 +131,11 @@ class TestPresets:
 
 class TestLuOwnership:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_lu_runs_in_steady_or_noise(self, schur_cut, monkeypatch, workers):
+    def test_every_lu_runs_in_steady_or_noise(self, dense_cut, monkeypatch, workers):
         """Each sparse LU of a sweep runs inside ``steady.solve_steady_state``
         or ``noise.compute_spectrum`` on its own thread, where the benchmark's
         trace attributes it (its ``misattributed_lu`` count)."""
-        schur_cut("lu")
+        dense_cut("lu")
         local = threading.local()
 
         def owned(fn, name):
@@ -189,7 +189,7 @@ class TestRunSweep:
             assert np.array_equal(r1.data[q], r4.data[q])
 
     def test_omega_axis_deterministic_across_workers(self):
-        # 41 frequencies, one of them zero, on the Schur path of an n_fock = 4 block
+        # 41 frequencies, one of them zero, on the dense path of an n_fock = 4 block
         omegas = np.linspace(0.0, 2.0, 41)
         spec = SweepSpec(
             base=ModelParams(delta=0.5, temperature=0.5, n_fock=4),
@@ -198,7 +198,7 @@ class TestRunSweep:
             quantities=("S_ee", "S_bb", "S_eb", "F_Q"),
         )
         base = TransportPoint(spec.base)
-        assert ResolventSolver(base.liouv, base.ss)._use_schur(omegas.size - 1)
+        assert ResolventSolver(base.liouv, base.ss)._use_dense(omegas.size - 1)
         r1 = run_sweep(spec, workers=1)
         r2 = run_sweep(spec, workers=2)
         assert not r1.gaps and not r2.gaps
@@ -266,19 +266,14 @@ class TestRunSweep:
         assert np.all(np.isnan(result.data["S_ee"]))
 
     def test_failure_at_one_omega_gaps_that_omega_only(self, monkeypatch):
-        original = noise.ResolventSolver._nonzero_solver
+        original = noise.ResolventSolver._solve
 
-        def failing(self, rows, cols, n_omega):
-            solve = original(self, rows, cols, n_omega)
+        def failing(self, omega, b):
+            if omega == 1.0:
+                raise NumericalError("resolvent factorization singular at omega=1.0")
+            return original(self, omega, b)
 
-            def checked(omega):
-                if omega == 1.0:
-                    raise NumericalError("resolvent factorization singular at omega=1.0")
-                return solve(omega)
-
-            return checked
-
-        monkeypatch.setattr(noise.ResolventSolver, "_nonzero_solver", failing)
+        monkeypatch.setattr(noise.ResolventSolver, "_solve", failing)
         spec = SweepSpec(
             base=ModelParams(delta=0.5, n_fock=3),
             axes=(SweepAxis(name="omega", values=(0.5, 1.0, 1.5)),
