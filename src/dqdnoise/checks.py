@@ -16,7 +16,6 @@ from .model import ModelParams, thermal_state
 from .noise import TransportPoint, compute_spectrum
 from .steady import solve_steady_state
 from .superop import (
-    STATIONARY_TOL,
     GeneratorPlan,
     assemble_liouvillian,
     charge_sector,
@@ -24,6 +23,7 @@ from .superop import (
     devectorize,
     eigenvalues,
     sector_leak,
+    stationary_count,
     thermal_occupation,
     trace_defect,
     vectorize,
@@ -53,9 +53,9 @@ class CheckResult:
                 f"observed={self.observed:.17g} tol={self.tolerance:.3g}")
 
 
-def _result(name, context, observed, tolerance, larger_ok=False) -> CheckResult:
-    ok = observed >= tolerance if larger_ok else observed <= tolerance
-    return CheckResult(name, context, bool(ok), float(observed), float(tolerance))
+def _result(name, context, observed, tolerance) -> CheckResult:
+    return CheckResult(name, context, bool(observed <= tolerance), float(observed),
+                       float(tolerance))
 
 
 def _single_level_liouvillian(gamma_L: float, gamma_R: float):
@@ -204,9 +204,8 @@ def _eigenvalue_checks(liouv, ctx: str) -> list[CheckResult]:
     eigenvalues of every sector block; the coherence halves (0, X) and
     (X, 0) are solved apart, so the pairing across them is tested."""
     alphas = eigenvalues(liouv)
-    n_stationary = int(np.sum(np.abs(alphas) <= STATIONARY_TOL))
     return [_result("eigenvalue-half-plane", ctx, float(alphas.real.max()), 1e-10),
-            _result("unique-stationary-state", ctx, abs(n_stationary - 1), 0.0),
+            _result("unique-stationary-state", ctx, abs(stationary_count(alphas) - 1), 0.0),
             _result("conjugate-pair-symmetry", ctx, _conjugate_pair_defect(alphas), 1e-10)]
 
 

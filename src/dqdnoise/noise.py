@@ -62,7 +62,7 @@ from .steady import (
     solve_steady_state,
 )
 from .superop import (
-    DENSE_EIG_MAX_D2,
+    DENSE_MAX_DIM,
     GeneratorPlan,
     LiouvillianSpectrum,
     Superoperator,
@@ -87,14 +87,14 @@ __all__ = [
 
 REALITY_TOL = 1e-10
 EIGEN_IMAG_TOL = 1e-8
+FD_STEP = 5e-3  # the counting-field step of counting_fd_check
 
 
 #: Dense path cut (:meth:`ResolventSolver._use_dense`), from the break-even table in
 #: CHANGES.md (BLAS threads 1): 36, 72 and 125-147 frequencies at n = 245, 405 and 605,
-#: 0.008-0.010 n^1.5; 226 at n = 1280, so fig3's 321 stay on sparse LUs. DENSE_MAX_DIM
-#: bounds the memory: V and the LU of its real form keep 24 n^2 bytes, 39 MB at 1280.
+#: 0.008-0.010 n^1.5. At n = 1280 the measured break-even is 209-255, but the cut asks
+#: for 412, so fig3's 321 stay on sparse LUs by the n^1.5 fit, not by measurement.
 DENSE_BREAK_EVEN = 0.009
-DENSE_MAX_DIM = 1280
 DENSE_COND_MAX = 1e5  # on the condition estimate of V's real form; fig2/fig4 reach 1.2e4
 
 
@@ -293,13 +293,9 @@ def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | 
 class MacdonaldTrace:
     """Sampled correlator derivative f(tau) for one channel pair."""
 
-    pair: tuple[str, str]
     taus: np.ndarray
     f: np.ndarray
     f_inf: float
-    tail_dev: float
-    flux_i: float
-    flux_j: float
 
 
 def _boole_weights(n_points: int, dx: float) -> np.ndarray:
@@ -390,10 +386,7 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
             f"correlator tail not converged (dev {tail_dev:.3e} over scale "
             f"{max(span, abs(f_inf)):.3e}); increase t_max (suggest >= {2 * t_max:g})"
         )
-    return MacdonaldTrace(
-        pair=(i, j), taus=taus, f=f, f_inf=f_inf, tail_dev=tail_dev,
-        flux_i=flux_i, flux_j=flux_j,
-    )
+    return MacdonaldTrace(taus=taus, f=f, f_inf=f_inf)
 
 
 def macdonald_evaluate(trace: MacdonaldTrace, omega) -> float | np.ndarray:
@@ -418,15 +411,14 @@ def macdonald_evaluate(trace: MacdonaldTrace, omega) -> float | np.ndarray:
     return float(out[0]) if np.ndim(omega) == 0 else out
 
 
-def _smallest_eigenvalue(m: sp.csc_matrix, v0: np.ndarray, w0: np.ndarray,
-                         iters: int = 3) -> complex:
-    """Eigenvalue of m nearest zero by two-sided inverse iteration."""
+def _smallest_eigenvalue(m: sp.csc_matrix, v0: np.ndarray, w0: np.ndarray) -> complex:
+    """Eigenvalue of m nearest zero by three steps of two-sided inverse iteration."""
     try:
         lu = spla.splu(m)
     except RuntimeError as exc:
         raise NumericalError(f"counting generator singular: {exc}") from exc
     v, w = v0.astype(complex), w0.astype(complex)
-    for _ in range(iters):
+    for _ in range(3):
         v = lu.solve(v)
         v /= np.linalg.norm(v)
         w = lu.solve(w, trans="H")
@@ -438,7 +430,7 @@ def _smallest_eigenvalue(m: sp.csc_matrix, v0: np.ndarray, w0: np.ndarray,
 
 
 def counting_fd_check(liouv: Superoperator, ss: SteadyState, i: str, j: str,
-                      h: float = 5e-3, include_delta: bool = True) -> float:
+                      include_delta: bool = True) -> float:
     """Zero-frequency noise from counting-field finite differences.
 
     Differentiates the stationary eigenvalue lambda0(s) of the deformed
@@ -447,7 +439,8 @@ def counting_fd_check(liouv: Superoperator, ss: SteadyState, i: str, j: str,
     ``include_delta=False`` drops the first-derivative shot-noise floor
     (whose value is the mean current, 2 I_i in these units). When the
     correction moves the plain stencil by more than 10%, the step is raised
-    to 4h once, and ConvergenceFailure is raised if it still does.
+    from ``FD_STEP`` to 4 ``FD_STEP`` once, and ConvergenceFailure is raised
+    if it still does.
     Validation role only; agrees with the resolvent value at omega = 0.
     """
     v0 = vectorize(ss.rho_ss)
@@ -468,7 +461,7 @@ def counting_fd_check(liouv: Superoperator, ss: SteadyState, i: str, j: str,
             - lam(1 - dh, 1 + dh) + lam(1 - dh, 1 - dh)
         ) / (4 * dh**2)
 
-    for step in (h, 4 * h):
+    for step in (FD_STEP, 4 * FD_STEP):
         if i == j:
             lp1, lm1 = lam(1 + step), lam(1 - step)
             lp2, lm2 = lam(1 + 2 * step), lam(1 - 2 * step)
@@ -504,9 +497,9 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState,
 
     The resolvent solves every request with one factorization per
     frequency. MacDonald's ``t_max`` defaults to 12 / (slowest decay rate),
-    which needs a dense eigensolve no larger than ``DENSE_EIG_MAX_D2``. The
-    eigen expansion is in Fano units already and is scaled by 2 I_i for
-    "raw" only.
+    which needs a dense eigensolve of a kept block no larger than
+    ``superop.DENSE_MAX_DIM``. The eigen expansion is in Fano units already
+    and is scaled by 2 I_i for "raw" only.
     """
     for (i, j), normalization in requests:
         if normalization not in ("raw", "fano"):
@@ -524,7 +517,7 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState,
                 for v, ((i, _), norm) in zip(fano, requests)]
     elif method == "macdonald":
         if t_max is None:
-            if liouv.dim_rho**2 > DENSE_EIG_MAX_D2:
+            if liouv.blocks[0].size > DENSE_MAX_DIM:
                 raise ConfigError("macdonald.t_max required (system too large to "
                                   "auto-derive the relaxation time)")
             t_max = 12.0 / slowest_decay_rate(liouv)

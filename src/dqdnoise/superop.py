@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.linalg as la
@@ -63,6 +64,7 @@ __all__ = [
     "real_kept_block",
     "kept_eig",
     "slowest_decay_rate",
+    "stationary_count",
     "charge_sector",
     "sector_leak",
     "trace_replaced_system",
@@ -71,9 +73,10 @@ __all__ = [
 
 STATIONARY_TOL = 1e-8
 BIORTHOGONALITY_TOL = 1e-8
-#: largest D^2 at which a failed-solve diagnosis or an automatic MacDonald t_max
-#: takes a dense :func:`eigenvalues`: 5.4 s at D^2 = 2304 (n_fock 15, one BLAS thread)
-DENSE_EIG_MAX_D2 = 2_304
+#: largest kept block ``blocks[0]`` taken dense (the resolvent's pole-residue sweep, a
+#: failed-solve diagnosis, an automatic MacDonald t_max): n_fock 15's, where :func:`eigenvalues`
+#: takes 5.4 s (one BLAS thread) and V with the LU of its real form keep 24 n^2 bytes, 39 MB
+DENSE_MAX_DIM = 1280
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -186,11 +189,16 @@ class LiouvillianSpectrum:
 
     @property
     def n_stationary(self) -> int:
-        return int(np.sum(np.abs(self.alphas) <= STATIONARY_TOL))
+        return stationary_count(self.alphas)
 
     def slowest_decay_rate(self) -> float:
         """|Re alpha| of the slowest non-stationary mode (sets relaxation t_max)."""
         return _slowest_rate(self.alphas)
+
+
+def stationary_count(alphas: np.ndarray) -> int:
+    """Number of eigenvalues within ``STATIONARY_TOL`` of zero."""
+    return int(np.sum(np.abs(alphas) <= STATIONARY_TOL))
 
 
 def _slowest_rate(alphas: np.ndarray) -> float:
@@ -433,11 +441,10 @@ def kept_eig(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarray, np.ndarra
     return liouv._kept_eig
 
 
-def _dense_blocks(liouv: Superoperator):
-    """Each sector block dense, one at a time, the kept one from :func:`real_kept_block`."""
-    yield real_kept_block(liouv)[1]
+def _coherence_blocks(liouv: Superoperator):
+    """(vec indices, dense block) of each sector block after the kept one, one at a time."""
     for idx in liouv.blocks[1:]:
-        yield liouv.matrix[idx][:, idx].toarray()
+        yield idx, liouv.matrix[idx][:, idx].toarray()
 
 
 def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
@@ -455,9 +462,9 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
     alphas = np.empty(liouv.dim_rho**2, dtype=complex)
     u, alphas[liouv.blocks[0]], vb = kept_eig(liouv)
     blocks = []
-    for k, idx in enumerate(liouv.blocks):
-        if k:
-            alphas[idx], vb = la.eig(liouv.matrix[idx][:, idx].toarray())
+    for idx, dense in chain([(liouv.blocks[0], None)], _coherence_blocks(liouv)):
+        if dense is not None:
+            alphas[idx], vb = la.eig(dense)
         try:
             vbinv = la.inv(vb)
         except la.LinAlgError as exc:
@@ -469,7 +476,7 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
                 f"(defect {defect:.3e} > {BIORTHOGONALITY_TOL:g}); "
                 "eigen-expansion method unavailable for this generator"
             )
-        blocks.append((idx, vb, vbinv) if k else (idx, u @ vb, vbinv @ u.conj().T))
+        blocks.append((idx, u @ vb, vbinv @ u.conj().T) if dense is None else (idx, vb, vbinv))
     result = LiouvillianSpectrum(alphas=alphas, blocks=blocks,
                                  zero_index=int(np.argmin(np.abs(alphas))))
     liouv._spectrum = result
@@ -479,7 +486,8 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
 def eigenvalues(liouv: Superoperator) -> np.ndarray:
     """Eigenvalues of the generator, one dense ``eigvals`` per sector block, the
     kept block's real in its Hermitian basis (:func:`real_kept_block`)."""
-    return np.concatenate([la.eigvals(dense) for dense in _dense_blocks(liouv)])
+    return np.concatenate([la.eigvals(real_kept_block(liouv)[1]),
+                           *(la.eigvals(dense) for _, dense in _coherence_blocks(liouv))])
 
 
 def slowest_decay_rate(liouv: Superoperator) -> float:

@@ -9,8 +9,8 @@ from one ``superop.GeneratorPlan``, built before the workers start, and
 reports the top-Fock-level population of its steady state
 (``GridResult.top_population``). Results are placed by grid index, so
 output is deterministic and independent of the worker count. Per-point
-failures become explicit gap entries (NaN in the arrays, null in
-serialized output), never silent interpolation.
+failures become explicit gap entries (NaN in the failing quantities'
+arrays, null in serialized output), never silent interpolation.
 
 Each preset carries its own Fock cutoff ``n_fock``: fig2 and fig4 run at 6,
 fig3 and fig6 at 15, fig5a at 25, fig5b and fig5c at 8. :func:`resolve_cutoff`
@@ -205,9 +205,12 @@ def _axis_params(base: ModelParams, names: list[str], vals: list[float],
 
 
 def _evaluate(point: TransportPoint, names, omegas: np.ndarray) -> list:
-    """(values, None) or (None, error) per frequency; the noise quantities share
-    one factorization per frequency. A failed batch is retried frequency by
-    frequency, so only the failing ones become gaps."""
+    """(values, error) per frequency: the value of each quantity that succeeded
+    there, and None or the message of the first in ``names`` that failed. The
+    noise quantities share one factorization per frequency. A failed batch is
+    retried one quantity at a time, and a failed quantity frequency by
+    frequency, so only the failing quantities at the failing frequencies are
+    left out."""
     noisy = [q for q in names if not isinstance(QUANTITIES[q], str)]
     try:
         requests = [QUANTITIES[q] for q in noisy]
@@ -215,8 +218,12 @@ def _evaluate(point: TransportPoint, names, omegas: np.ndarray) -> list:
         vals.update((q, np.full(omegas.shape, getattr(point.report, QUANTITIES[q])))
                     for q in names if q not in vals)
     except Exception as exc:  # noqa: BLE001 - recorded as an explicit gap
+        if len(names) > 1:
+            rows = zip(*(_evaluate(point, [q], omegas) for q in names))
+            return [({q: v for part, _ in row for q, v in part.items()},
+                     next((err for _, err in row if err is not None), None)) for row in rows]
         if omegas.size == 1:
-            return [(None, str(exc))]
+            return [({}, str(exc))]
         return [r for k in range(omegas.size) for r in _evaluate(point, names, omegas[k:k + 1])]
     return [({q: vals[q][k] for q in names}, None) for k in range(omegas.size)]
 
@@ -259,7 +266,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
             point = TransportPoint(_axis_params(spec.base, pnames, pvals, n_fock),
                                    spec.hamiltonian, plan)
         except Exception as exc:  # noqa: BLE001 - recorded as one explicit gap per omega
-            return np.nan, [(None, str(exc))] * omegas.size
+            return np.nan, [({}, str(exc))] * omegas.size
         return top_fock_population(point.ss), _evaluate(point, spec.quantities, omegas)
 
     if workers == 1:
@@ -275,7 +282,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
                 task_idx[:omega_axis] + (w_i,) + task_idx[omega_axis:]
             if err is not None:
                 gaps.append((full, err))
-                continue
             for q, v in vals.items():
                 data[q][full] = v
 

@@ -22,7 +22,7 @@ from dqdnoise.cli import (
 from dqdnoise.errors import ConfigError
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import TransportPoint
-from dqdnoise.superop import DENSE_EIG_MAX_D2
+from dqdnoise.superop import DENSE_MAX_DIM, GeneratorPlan
 from dqdnoise.sweep import preset
 
 
@@ -207,7 +207,7 @@ class TestExitCodes:
         monkeypatch.setattr(scipy.linalg, "eigvals",
                             lambda *a, **k: calls.append(a[0].shape) or eigvals(*a, **k))
         n_fock = 16
-        assert (3 * (n_fock + 1)) ** 2 > DENSE_EIG_MAX_D2
+        assert GeneratorPlan(n_fock, "full").blocks[0].size == 1445 > DENSE_MAX_DIM
         path = write(tmp_path, f"model.delta = 0.5\nmodel.n_fock = {n_fock}\n"
                                "spectrum.omega_count = 2\n")
         rc = cli.main(["spectrum", "--config", path, "--methods", "macdonald",

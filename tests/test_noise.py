@@ -318,6 +318,14 @@ class TestFrequencyGrid:
         solver.noises([("e", "b")], grid)
         assert len(splu_calls) == grid.size
 
+    @pytest.mark.parametrize("n_fock,kept,dense", [(15, 1280, True), (16, 1445, False)])
+    def test_dense_bound_edge(self, n_fock, kept, dense):
+        # the one dense-size bound, at the kept block of n_fock 15; no eig is taken
+        point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=n_fock))
+        assert point.liouv.blocks[0].size == kept
+        assert ResolventSolver(point.liouv, point.ss)._use_dense(10_000) is dense
+        assert point.liouv._kept_eig is None
+
 
     def test_sweep_quantities_share_one_lu_per_frequency(self, dense_cut, splu_calls):
         # S_ee, S_bb and S_eb of a point on the sparse-LU path: one factor per omega

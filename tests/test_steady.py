@@ -19,7 +19,7 @@ from dqdnoise.steady import (
     quadrature_variance,
     solve_steady_state,
 )
-from dqdnoise.superop import (DENSE_EIG_MAX_D2, GeneratorPlan, build_liouvillian,
+from dqdnoise.superop import (DENSE_MAX_DIM, GeneratorPlan, build_liouvillian,
                               charge_sector, thermal_occupation, vectorize)
 from dqdnoise.sweep import PRESET_NAMES, _axis_params, preset
 
@@ -108,7 +108,7 @@ class TestSolve:
         monkeypatch.setattr(scipy.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
         p = ModelParams(delta=0.5, gamma_L=0.0, gamma_R=0.0, gamma_b=0.0, n_fock=16)
         liouv = build_liouvillian(build_hamiltonian(p), p)
-        assert liouv.dim_rho**2 > DENSE_EIG_MAX_D2
+        assert liouv.blocks[0].size == 1445 > DENSE_MAX_DIM
         with pytest.raises(NumericalError):
             solve_steady_state(liouv)
         assert calls == []

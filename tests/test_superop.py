@@ -7,6 +7,7 @@ import scipy.sparse
 from scipy.optimize import linear_sum_assignment
 
 from dqdnoise.checks import _preset_point
+from dqdnoise.errors import MethodUnavailable
 from dqdnoise.model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
 from dqdnoise.superop import (
     GeneratorPlan,
@@ -423,6 +424,31 @@ class TestSpectrum:
 
         monkeypatch.setattr(scipy.linalg, "eigvals", no_dense_solve)
         assert slowest_decay_rate(fig2_bundle.liouv) == expected
+
+    @staticmethod
+    def _patch_eig_basis(monkeypatch, basis):
+        """``scipy.linalg.eig`` with ``basis`` applied to the eigenvectors it returns."""
+        eig = scipy.linalg.eig
+
+        def patched(a, *args, **kwargs):
+            lam, v = eig(a, *args, **kwargs)
+            return lam, basis(v)
+
+        monkeypatch.setattr(scipy.linalg, "eig", patched)
+
+    def test_singular_basis_is_unavailable(self, fig2_params, monkeypatch):
+        liouv = build_liouvillian(build_hamiltonian(fig2_params), fig2_params)
+        self._patch_eig_basis(monkeypatch, lambda v: np.column_stack([v[:, :-1], 0 * v[:, 0]]))
+        with pytest.raises(MethodUnavailable, match="eigenvector basis is singular"):
+            spectrum(liouv)
+
+    @pytest.mark.filterwarnings("ignore:An ill-conditioned matrix")
+    def test_nearly_parallel_basis_fails_biorthogonality(self, fig2_params, monkeypatch):
+        liouv = build_liouvillian(build_hamiltonian(fig2_params), fig2_params)
+        self._patch_eig_basis(monkeypatch, lambda v: np.column_stack(
+            [v[:, :-1], v[:, 0] + 1e-14 * v[:, -1]]))
+        with pytest.raises(MethodUnavailable, match="failed biorthogonality check"):
+            spectrum(liouv)
 
 
 class TestChargeSector:

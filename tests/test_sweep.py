@@ -291,6 +291,31 @@ class TestRunSweep:
             point.noise("e", "e", 0.5, "fano"), rel=1e-12)
         assert result.data["F_Q"][2, 1] == point.report.fano_q
 
+    def test_failing_quantity_gaps_only_itself(self):
+        # at g = 0 no phonon is emitted, so S_bb has no Fano normalization; the
+        # row's other quantities are defined there and keep their values
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, n_fock=4),
+            axes=(SweepAxis(name="g", values=(0.0, 0.2)),
+                  SweepAxis(name="omega", start=-1.0, stop=1.0, count=41)),
+            quantities=("S_ee", "S_eb", "S_bb", "I_b"),
+            hamiltonian="jc",
+        )
+        result = run_sweep(spec)
+        message = "cannot Fano-normalize: channel 'b' flux is 0"
+        assert result.gaps == [((0, w), message) for w in range(41)]
+        assert np.all(np.isnan(result.data["S_bb"][0]))
+        assert np.all(np.isfinite(result.data["S_bb"][1]))
+        point = TransportPoint(ModelParams(delta=0.5, g=0.0, n_fock=4), "jc")
+        omegas = result.axis_values[1]
+        for q, pair, norm in (("S_ee", ("e", "e"), "fano"), ("S_eb", ("e", "b"), "raw")):
+            assert np.all(np.isfinite(result.data[q]))
+            ref = point.noise(*pair, omegas, norm)
+            assert np.max(np.abs(result.data[q][0] - ref)) <= 1e-12 * max(1.0, np.max(abs(ref)))
+        assert result.data["S_ee"][0, 0] == pytest.approx(0.9998, abs=1e-4)
+        assert np.all(result.data["I_b"][0] == 0.0)
+        assert np.all(result.data["I_b"][1] > 0.0)
+
     def test_explicit_cutoff_respected(self):
         spec = SweepSpec(
             base=ModelParams(delta=0.5, n_fock=6),
