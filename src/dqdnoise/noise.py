@@ -121,9 +121,7 @@ class ResolventSolver:
     def __init__(self, liouv: Superoperator, ss: SteadyState):
         self.liouv = liouv
         self.ss = ss
-        block = liouv.blocks[0]
-        self.rho = vectorize(ss.rho_ss)[block]
-        self.tr = trace_vector(liouv.dim_rho)[block]
+        self.rho, self.tr = ss.rho_kept, liouv.trace
 
     def _q(self, x: np.ndarray) -> np.ndarray:
         return x - self.rho * (self.tr @ x)
@@ -136,22 +134,14 @@ class ResolventSolver:
 
     def _channels(self, chans: list[str]) -> tuple[dict, dict]:
         """(rows Tr[L_c Q], columns Q L_c rho_ss) of the channels c in ``chans``
-        on the block."""
-        rho, tr = vectorize(self.ss.rho_ss), trace_vector(self.liouv.dim_rho)
-        block = self.liouv.blocks[0]
+        on the block, from each channel's sandwich there and its stationary flux
+        Tr[L_c rho_ss]."""
         rows, cols = {}, {}
         for c in chans:
-            part = self.liouv.channel(c).part
-            r = (tr @ part)[block]
-            rows[c] = r - (r @ self.rho) * self.tr
-            cols[c] = self._q((part @ rho)[block])
+            ch = self.liouv.channel(c)
+            rows[c] = ch.rate * ch.row - self.ss.fluxes[c] * self.tr
+            cols[c] = self._q(ch.rate * (ch.kept @ self.rho))
         return rows, cols
-
-    @cached_property
-    def _matrix(self) -> sp.csc_matrix:
-        """L on the block; only the sparse-LU path needs it."""
-        block = self.liouv.blocks[0]
-        return self.liouv.matrix[block][:, block].tocsc()
 
     def _use_dense(self, n_omega: int) -> bool:
         """n <= DENSE_MAX_DIM and n_omega >= DENSE_BREAK_EVEN n^1.5 for a block of dimension
@@ -190,7 +180,7 @@ class ResolventSolver:
         """(i omega + L_blk)^-1 b by one sparse LU in the block's order."""
         try:
             return factor_kept_block((1j * omega) * sp.identity(b.shape[0], format="csc")
-                                     + self._matrix).solve(b)
+                                     + self.liouv.kept).solve(b)
         except RuntimeError as exc:
             msg = f"resolvent factorization singular at omega={omega!r}: {exc}"
             raise NumericalError(msg) from exc
@@ -220,7 +210,7 @@ class ResolventSolver:
                               stacklevel=2)
         # taking the real part symmetrizes over +-omega; away from omega = 0 the
         # discarded imaginary part is the genuine antisymmetric component
-        delta = [channel_flux(self.ss, self.liouv, i) if i == j else 0.0 for i, j in pairs]
+        delta = [self.ss.fluxes[i] if i == j else 0.0 for i, j in pairs]
         values = 2.0 * (raw.real + np.reshape(delta, (-1, 1)))
         return [float(v[0]) if np.ndim(omega) == 0 else v for v in values]
 
@@ -333,26 +323,18 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     """
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
-    kept = liouv.blocks[0]
-    n = kept.size
-    rho_vec = vectorize(ss.rho_ss)
-    tr = trace_vector(liouv.dim_rho)
-    ci = liouv.channel(i).part
-    cj = liouv.channel(j).part
-    v_i = ci @ rho_vec
-    v_j = cj @ rho_vec
-    flux_i = float(np.real(tr @ v_i))
-    flux_j = float(np.real(tr @ v_j))
-    r_i = (tr @ ci)[kept]  # row functionals Tr[L_i . ]
-    r_j = (tr @ cj)[kept]
+    n = liouv.kept.shape[0]
+    ci, cj = liouv.channel(i), liouv.channel(j)
+    flux_i, flux_j = ss.fluxes[i], ss.fluxes[j]
+    r_i, r_j = ci.rate * ci.row, cj.rate * cj.row  # row functionals Tr[L_i . ]
 
     n_steps = int(np.ceil(t_max / dt))
     n_steps += (-n_steps) % 4
     taus = np.arange(n_steps + 1) * dt
 
     aug = np.zeros((n + 2, n + 2), dtype=complex)
-    aug[:n, :n] = liouv.matrix[kept][:, kept].toarray()
-    aug[:n, n:] = np.column_stack([v_i, v_j])[kept]
+    aug[:n, :n] = liouv.kept.toarray()
+    aug[:n, n:] = np.column_stack([c.rate * (c.kept @ ss.rho_kept) for c in (ci, cj)])
     eaug = la.expm(aug * dt)
     e_step = eaug[:n, :n]
     w_step = eaug[:n, n:]  # columns: int_0^dt e^{L s} v ds
@@ -499,22 +481,27 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState,
     frequency. MacDonald's ``t_max`` defaults to 12 / (slowest decay rate),
     which needs a dense eigensolve of a kept block no larger than
     ``superop.DENSE_MAX_DIM``. The eigen expansion is in Fano units already
-    and is scaled by 2 I_i for "raw" only.
+    and is scaled by 2 I_i for "raw" only; the other two methods check a
+    "fano" request's flux before they solve anything.
     """
     for (i, j), normalization in requests:
         if normalization not in ("raw", "fano"):
             raise ValueError(f"unknown normalization {normalization!r}")
         if normalization == "fano" and i != j:
             raise ValueError("fano normalization applies to autocorrelation pairs only")
-    if method == "resolvent":
-        values = ResolventSolver(liouv, ss).noises([pair for pair, _ in requests], omega)
-    elif method == "eigen":
+    if method == "eigen":
         if any(i != j for (i, j), _ in requests):
             raise MethodUnavailable("eigen-expansion covers autocorrelation pairs only")
         spec = spectrum(liouv)
         fano = [noise_eigen_expansion(spec, liouv.channel(i), omega) for (i, _), _ in requests]
         return [v if norm == "fano" else v * 2.0 * channel_flux(ss, liouv, i)
                 for v, ((i, _), norm) in zip(fano, requests)]
+    fano = {i: channel_flux(ss, liouv, i) for (i, _), norm in requests if norm == "fano"}
+    for i, flux in fano.items():
+        if flux <= 0:
+            raise NumericalError(f"cannot Fano-normalize: channel {i!r} flux is {flux:g}")
+    if method == "resolvent":
+        values = ResolventSolver(liouv, ss).noises([pair for pair, _ in requests], omega)
     elif method == "macdonald":
         if t_max is None:
             if liouv.blocks[0].size > DENSE_MAX_DIM:
@@ -525,13 +512,8 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState,
                                      omega) for (i, j), _ in requests]
     else:
         raise ValueError(f"unknown method {method!r}")
-    for k, ((i, _), norm) in enumerate(requests):
-        if norm == "fano":
-            flux = channel_flux(ss, liouv, i)
-            if flux <= 0:
-                raise NumericalError(f"cannot Fano-normalize: channel {i!r} flux is {flux:g}")
-            values[k] = values[k] / (2.0 * flux)
-    return values
+    return [v / (2.0 * fano[i]) if norm == "fano" else v
+            for v, ((i, _), norm) in zip(values, requests)]
 
 
 def find_peaks_xy(omegas: np.ndarray, values: np.ndarray) -> list[tuple[float, float]]:

@@ -6,14 +6,16 @@ the stationary state lives there. The row of vec index 0 (a diagonal vec
 position, where the generator's one row dependency lives), which the block
 lists last, is replaced with the vectorized trace constraint and the system
 is solved directly, with a couple of iterative-refinement passes on the
-cached factorization. The block and that system
-(``superop.Superoperator.system``) are fields of the generator, set by
-whichever builder made it. The block lists its indices in a fill-reducing
-order, and every sparse LU of it (:func:`factor_kept_block`, here and per
-frequency in ``noise``) keeps that order. The state is scattered back into
-D x D with exact zeros in the dropped coherence blocks, and the residual
-is always reported against the whole unmodified generator. The
-factorization is kept on the returned SteadyState, and the omega = 0
+cached factorization. The block, L on it and that system
+(``superop.Superoperator.kept`` and ``.system``) are fields of the
+generator, set by whichever builder made it. The block lists its indices in
+a fill-reducing order, and every sparse LU of it (:func:`factor_kept_block`,
+here and per frequency in ``noise``) keeps that order. The state is
+Hermitized and normalized on the block, and its residual is reported
+against L on the whole block, the trace row's equation included; no other
+entry of L reaches the block. Each channel's stationary flux is taken there
+once. The D x D state holds exact zeros in the dropped coherence blocks.
+The factorization is kept on the returned SteadyState, and the omega = 0
 projected resolvent solves with it on the generator's ``blocks[0]``
 instead of factoring the same matrix again.
 """
@@ -29,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
 from .superop import (DENSE_MAX_DIM, STATIONARY_TOL, Superoperator, devectorize,
-                      eigenvalues, stationary_count, trace_vector, vectorize)
+                      eigenvalues, stationary_count)
 
 __all__ = [
     "SteadyState",
@@ -63,12 +65,16 @@ class SteadyState:
 
     ``factor`` is the sparse LU (``SuperLU``) of the generator's ``system``,
     the trace-replaced charge-sector block ``blocks[0]`` the state was solved
-    on; the omega = 0 projected resolvent solves with it.
+    on; the omega = 0 projected resolvent solves with it. ``rho_kept`` is
+    the state on that block in block order, and ``fluxes`` maps each channel
+    id to its stationary flux Tr[L_c rho_ss].
     """
 
     rho_ss: np.ndarray
     residual: float
     factor: spla.SuperLU = field(repr=False, compare=False)
+    rho_kept: np.ndarray = field(repr=False, compare=False)
+    fluxes: dict[str, float]
 
     @property
     def dim(self) -> int:
@@ -146,50 +152,51 @@ def refined_solve(lu: spla.SuperLU, m: sp.csc_matrix, b: np.ndarray) -> np.ndarr
 def solve_steady_state(liouv: Superoperator) -> SteadyState:
     """Solve L[rho] = 0, Tr rho = 1 and return the Hermitized, normalized state.
 
-    Raises NumericalError for a generator with inf or NaN entries,
-    DegenerateSteadyState when the stationary subspace is not
+    Raises NumericalError for a generator with inf or NaN entries on the
+    kept block, DegenerateSteadyState when the stationary subspace is not
     one-dimensional and ConvergenceFailure when the residual against the
     unmodified generator stays above tolerance. The returned state keeps
     the factorization of the generator's ``system``.
     """
-    if not np.all(np.isfinite(liouv.matrix.data)):
+    if not np.all(np.isfinite(liouv.kept.data)):
         raise NumericalError("generator has non-finite entries (inf or NaN): "
                              "a model parameter overflows double precision")
-    block, m = liouv.blocks[0], liouv.system
-    b = np.zeros(block.size, dtype=complex)
+    m = liouv.system
+    b = np.zeros(m.shape[0], dtype=complex)
     b[-1] = 1.0  # the trace row, that of vec index 0, which the block lists last
     try:
         lu = factor_kept_block(m)
     except RuntimeError as exc:
         raise _diagnose_failure(liouv, float("inf")) from exc
     x = refined_solve(lu, m, b)
-
-    vec = np.zeros(liouv.dim_rho**2, dtype=complex)
-    vec[block] = x
-    rho = devectorize(vec)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
+    x = 0.5 * (x + x[liouv.partner].conj())  # rho[i, j] and rho[j, i]^*
+    tr = (liouv.trace @ x).real
     if abs(tr) < 1e-300:
         raise ConvergenceFailure("steady-state solve returned a traceless matrix")
-    rho = rho / tr
+    x /= tr
 
-    residual = float(np.max(np.abs(liouv.matrix @ vectorize(rho))))
+    residual = float(np.max(np.abs(liouv.kept @ x)))
     if not residual <= RESIDUAL_TOL:  # a NaN residual fails too
         raise _diagnose_failure(liouv, residual)
 
+    vec = np.zeros(liouv.dim_rho**2, dtype=complex)
+    vec[liouv.blocks[0]] = x
+    rho = devectorize(vec)
     min_eig = float(np.linalg.eigvalsh(rho).min())
     if min_eig < POSITIVITY_TOL:
         raise NumericalError(
             f"steady state has eigenvalue {min_eig:.3e} below {POSITIVITY_TOL:g}; "
             "the Fock cutoff is likely too small, increase n_fock"
         )
-    return SteadyState(rho_ss=rho, residual=residual, factor=lu)
+    fluxes = {cid: ch.rate * float((ch.row @ x).real) for cid, ch in liouv.channels.items()}
+    return SteadyState(rho_ss=rho, residual=residual, factor=lu, rho_kept=x, fluxes=fluxes)
 
 
 def channel_flux(ss: SteadyState, liouv: Superoperator, cid: str) -> float:
-    """Stationary flux Tr[L_cid rho_ss] of one jump channel of ``liouv``."""
-    tr = trace_vector(ss.dim)
-    return float(np.real(tr @ (liouv.channel(cid).part @ vectorize(ss.rho_ss))))
+    """Stationary flux Tr[L_cid rho_ss] of one jump channel of ``liouv``, as
+    :func:`solve_steady_state` took it."""
+    liouv.channel(cid)  # an unknown id raises, naming the known ones
+    return ss.fluxes[cid]
 
 
 def currents(ss: SteadyState, liouv: Superoperator) -> Currents:
@@ -198,10 +205,7 @@ def currents(ss: SteadyState, liouv: Superoperator) -> Currents:
     Channels absent from the generator report zero flux."""
     vals = {}
     for cid in ("e", "b", "in"):
-        if cid not in liouv.channels:
-            vals[cid] = 0.0
-            continue
-        v = channel_flux(ss, liouv, cid)
+        v = ss.fluxes.get(cid, 0.0)
         if v < -1e-12:
             raise NumericalError(f"channel {cid!r} flux is negative ({v:.3e})")
         vals[cid] = max(v, 0.0)

@@ -18,9 +18,9 @@ literal printed grouping (anticommutators taken with a^dag a on both
 thermal lines) is available from :func:`thermal_dissipator` for the
 regrouping diagnostic, and differs by gamma_b n_bar/2 {a a^dag - a^dag a, rho}.
 
-A :class:`Superoperator` is built complete: its total, its sector blocks
-and its steady system are plain fields that every builder fills. Its kept
-block lists its vec indices in one reverse Cuthill-McKee order with vec
+A :class:`Superoperator` is built complete: the entries of its total, its
+sector blocks, L on the kept block and its steady system are plain fields
+that every builder fills. Its kept block lists its vec indices in one reverse Cuthill-McKee order with vec
 index 0 last, and every sparse LU of that block factors in it. Every
 command takes its transport generators from a :class:`GeneratorPlan`, built
 once per run, which forms each point's generator on one fixed sparse
@@ -133,38 +133,56 @@ def thermal_occupation(omega_b: float, temperature: float) -> float:
 @dataclass
 class JumpChannel:
     """One completely positive jump term Gamma X rho X^dag of the generator,
-    kept in :attr:`Superoperator.channels` under its id."""
+    kept in :attr:`Superoperator.channels` under its id: ``unit`` is X . X^dag,
+    ``kept`` that on the kept block in block order and ``row`` its trace row
+    there, all three shared by a :class:`GeneratorPlan`'s generators."""
 
-    part: sp.csr_matrix
+    rate: float
+    unit: sp.csr_matrix
+    kept: sp.csr_matrix
+    row: np.ndarray
     counted: bool
+
+    @property
+    def part(self) -> sp.csr_matrix:
+        """The jump term Gamma X . X^dag, formed on each use."""
+        return self.rate * self.unit
 
 
 @dataclass
 class Superoperator:
     """Generator acting on vectorized density matrices, built complete.
 
-    ``base`` is the no-jump generator of the effective Hamiltonian H_eff,
-    ``channels`` maps each channel id to its jump term, and ``matrix`` is
-    the total, base plus the channel parts added in channel order.
-    ``blocks`` holds the vec indices of the blocks that no entry of L or of
-    a channel couples: the charge sector, then the coherences (0, X) and
-    (X, 0); all indices as one block when L is not dot (x) Fock or they
-    leak. The first, kept block lists its indices in the order every sparse
-    LU of it factors them in (:func:`_factor_order`, vec index 0 last), the
-    others sorted. ``system`` is :func:`trace_replaced_system` on the first
-    block, the matrix the steady state is solved with. Both builders,
-    :func:`assemble_liouvillian` and :meth:`GeneratorPlan.generator`, set
-    every field; only the eigendecompositions (:func:`kept_eig`,
-    :func:`spectrum`) are formed on first use and kept. Instances are treated
-    as immutable after construction and are safe to share across threads.
+    ``h_eff`` is the effective Hamiltonian of the no-jump :attr:`base`,
+    ``channels`` maps each channel id to its jump term, and ``data`` holds the
+    total :attr:`matrix`, base plus the channel parts in channel order, on the
+    CSR ``pattern`` (indices, indptr). ``blocks`` holds the vec indices of the
+    blocks that no entry of L or of a channel couples: the charge sector, then
+    the coherences (0, X) and (X, 0); all indices as one block when L is not
+    dot (x) Fock or they leak. The first, kept block lists its indices in the
+    order every sparse LU of it factors them in (:func:`_factor_order`, vec
+    index 0 last), the others sorted. On it, in that order, ``kept`` is L,
+    ``system`` the :func:`trace_replaced_system` the steady state is solved
+    with, ``trace`` the trace row and ``partner`` the position of each index's
+    transpose. Both builders, :func:`assemble_liouvillian` and
+    :meth:`GeneratorPlan.generator`, set every field; ``base``, ``matrix`` and
+    the channel parts, D^2 x D^2 operators that no steady solve and no
+    omega = 0 noise reads, are formed on each use, and the eigendecompositions
+    (:func:`kept_eig`, :func:`spectrum`) on first use and kept. Instances are
+    treated as immutable after construction and are safe to share across
+    threads.
     """
 
     dim_rho: int
-    base: sp.csr_matrix
-    channels: dict[str, JumpChannel]
-    matrix: sp.csr_matrix = field(repr=False)
+    h_eff: np.ndarray = field(repr=False)
+    channels: dict[str, JumpChannel] = field(repr=False)
+    data: np.ndarray = field(repr=False)
+    pattern: tuple[np.ndarray, np.ndarray] = field(repr=False)
     blocks: list[np.ndarray] = field(repr=False)
+    kept: sp.csc_matrix = field(repr=False)
     system: sp.csc_matrix = field(repr=False)
+    trace: np.ndarray = field(repr=False)
+    partner: np.ndarray = field(repr=False)
     _kept_eig: tuple | None = field(default=None, repr=False)
     _spectrum: "LiouvillianSpectrum | None" = field(default=None, repr=False)
 
@@ -175,6 +193,18 @@ class Superoperator:
             raise KeyError(
                 f"unknown channel {channel_id!r}; have {sorted(self.channels)}"
             ) from None
+
+    @property
+    def base(self) -> sp.csr_matrix:
+        """The no-jump generator -i(H_eff . - . H_eff^dag)."""
+        return _no_jump(self.h_eff)
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The total L, without the entries a zero coefficient leaves on ``pattern``."""
+        m = sp.csr_matrix((self.data, *self.pattern), shape=(self.dim_rho**2,) * 2, copy=True)
+        m.eliminate_zeros()
+        return m
 
 
 @dataclass
@@ -247,21 +277,44 @@ def assemble_liouvillian(h: np.ndarray,
     if dev > 1e-12:
         raise ValueError(f"Hamiltonian must be Hermitian (deviation {dev:g})")
     h_eff = np.array(h, dtype=complex)
-    channels: dict[str, JumpChannel] = {}
+    units: dict[str, sp.csr_matrix] = {}
     for cid, rate, jump, counted in jumps:
-        if cid in channels:
+        if cid in units:
             raise ValueError(f"duplicate channel id {cid!r}")
         if rate < 0:
             raise ValueError(f"channel {cid!r} has negative rate {rate}")
         jdag = jump.conj().T
         h_eff -= 0.5j * rate * (jdag @ jump)
-        channels[cid] = JumpChannel(part=rate * sandwich(jump, jdag), counted=counted)
-    base = spre(-1j * h_eff) + spost(1j * h_eff.conj().T)
-    parts = [ch.part for ch in channels.values()]
-    matrix = sum(parts, base).tocsr()  # base + parts, added in channel order
-    blocks = _sector_split(h.shape[0], [matrix, *parts])
-    return Superoperator(dim_rho=h.shape[0], base=base, channels=channels, matrix=matrix,
-                         blocks=blocks, system=trace_replaced_system(matrix, blocks[0]))
+        units[cid] = sandwich(jump, jdag)
+    parts = [rate * units[cid] for cid, rate, _, _ in jumps]
+    matrix = sum(parts, _no_jump(h_eff)).tocsr()  # base + parts, added in channel order
+    d = h.shape[0]
+    blocks = _sector_split(d, [matrix, *parts])
+    kept, trace, partner, on_block = _kept_constants(d, blocks[0], matrix, list(units.values()))
+    return Superoperator(
+        dim_rho=d, h_eff=h_eff, data=matrix.data, pattern=(matrix.indices, matrix.indptr),
+        blocks=blocks, kept=kept,
+        channels={cid: JumpChannel(rate, units[cid], *kept_unit, counted)
+                  for (cid, rate, _, counted), kept_unit in zip(jumps, on_block)},
+        system=trace_replaced_system(matrix, blocks[0]), trace=trace, partner=partner)
+
+
+def _no_jump(h_eff: np.ndarray) -> sp.csr_matrix:
+    """-i(H_eff . - . H_eff^dag) by kron."""
+    return spre(-1j * h_eff) + spost(1j * h_eff.conj().T)
+
+
+def _kept_constants(dim_rho: int, block: np.ndarray, matrix: sp.csr_matrix,
+                    units: list[sp.csr_matrix]):
+    """(``matrix`` on the kept block ``block`` in its order, the trace row there,
+    the block position of each index's transpose, [(each unit there, its trace
+    row)]). ``block`` is closed under transposition."""
+    pos = np.full(dim_rho**2, -1)
+    pos[block] = np.arange(block.size)
+    trace = trace_vector(dim_rho)[block]
+    on_block = [u[block][:, block] for u in units]
+    return (matrix[block][:, block].tocsc(), trace,
+            pos[block % dim_rho * dim_rho + block // dim_rho], [(m, trace @ m) for m in on_block])
 
 
 def _transport_jumps(ops: OperatorSet) -> list[tuple[str, np.ndarray, bool]]:
@@ -306,10 +359,13 @@ class GeneratorPlan:
     each sandwich, that pattern's sector blocks (a zero coefficient only
     removes entries, so they hold at every point), the kept block ordered
     from that pattern once for every factorization of the run, and the
-    gather map from L's data to its :func:`trace_replaced_system`. A point's
-    generator then takes a few scaled additions of D x D and data arrays: no
-    kron, no dense product, no sparse addition. Read-only after
-    construction, so worker threads share one plan.
+    gather maps from L's data to L on the kept block and to its
+    :func:`trace_replaced_system`. On the kept block it keeps what every
+    point shares: the trace row, the block position of each index's
+    transpose, and each sandwich there in block order with its trace row. A
+    point's generator then takes a few scaled additions of D x D and data
+    arrays and two gathers: no kron, no dense product, no sparse addition.
+    Read-only after construction, so worker threads share one plan.
     """
 
     def __init__(self, n_fock: int, hamiltonian: str = "full"):
@@ -319,9 +375,8 @@ class GeneratorPlan:
         self.n_fock, self.hamiltonian, self.dim_rho = n_fock, hamiltonian, d
         self._terms = hamiltonian_terms(hamiltonian, ops)
         jumps = _transport_jumps(ops)
-        self._channels = [(cid, counted) for cid, _, counted in jumps]
         self._decays = [c.conj().T @ c for _, c, _ in jumps]
-        self._parts = [sandwich(c, c.conj().T) for _, c, _ in jumps]
+        units = [sandwich(c, c.conj().T) for _, c, _ in jumps]
         # spre(M) holds M[i, j] at (k d + i, k d + j), spost(M^dag) M^dag[j, i] at
         # (i d + k, j d + k), for every k and every (i, j) that some term reaches
         i, j = np.nonzero(sum(abs(x) for x in [x for _, x in self._terms] + self._decays))
@@ -331,29 +386,35 @@ class GeneratorPlan:
         self._sources = [np.broadcast_to(i * d + j, (d, i.size)).ravel(),
                          np.broadcast_to(j * d + i, (d, i.size)).ravel()]
         keys = [pre, post] + [np.repeat(np.arange(d2), np.diff(m.indptr)) * d2 + m.indices
-                              for m in self._parts]
+                              for m in units]
         union = np.unique(np.concatenate(keys))
         self._indptr = np.searchsorted(union, np.arange(d2 + 1) * d2).astype(np.int32)
         self._indices = (union % d2).astype(np.int32)
         self._where = [np.searchsorted(union, key).astype(np.int32) for key in keys]
-        # L's pattern with data 2 + position: the steady system built from it holds 2 +
-        # the position of each entry's source, and 1 for the trace row's ones, which
-        # generator() keeps at position -1 of its data array
+        # L's pattern with data 2 + position: L on the kept block and the steady system
+        # built from it hold 2 + the position of each entry's source, and 1 for the trace
+        # row's ones, which generator() keeps at position -1 of its data array
         coded = sp.csr_matrix((np.arange(2.0, union.size + 2), self._indices, self._indptr),
                               shape=(d2, d2))
         self.blocks = _sector_split(d, [coded])
-        gather = trace_replaced_system(coded, self.blocks[0])
-        self._gather = gather.data.real.astype(np.intp) - 2
-        self._system_pattern = (gather.indices, gather.indptr)
-        for a in (self._indptr, self._indices, self._gather, *self.blocks, *self._where,
-                  *self._sources, *self._system_pattern, *self._decays,
-                  *(m for p in self._parts for m in (p.data, p.indices, p.indptr))):
+        kept, self.trace, self.partner, on_block = _kept_constants(d, self.blocks[0], coded,
+                                                                    units)
+        self._gathers = [(m.data.real.astype(np.intp) - 2, m.indices, m.indptr)
+                         for m in (kept, trace_replaced_system(coded, self.blocks[0]))]
+        self._channels = [(cid, unit, *kept_unit, counted)
+                          for (cid, _, counted), unit, kept_unit in zip(jumps, units, on_block)]
+        for a in (self._indptr, self._indices, *self.blocks, *self._where, *self._sources,
+                  *(x for g in self._gathers for x in g), *self._decays, self.trace,
+                  self.partner, *(x for _, unit, kept, row, _ in self._channels
+                                  for x in (unit.data, unit.indices, unit.indptr, kept.data,
+                                            kept.indices, kept.indptr, row))):
             a.setflags(write=False)
 
     def generator(self, params: ModelParams) -> Superoperator:
         """The transport Liouvillian at ``params``, with its total, sector
-        blocks and steady system filled in. H_eff, each channel part and the
-        order of every addition are those of :func:`build_liouvillian`."""
+        blocks, kept block and steady system filled in. H_eff, each channel
+        rate and the order of every addition are those of
+        :func:`build_liouvillian`."""
         if params.n_fock != self.n_fock:
             raise ValueError(f"params.n_fock {params.n_fock} does not match the plan's "
                              f"{self.n_fock}")
@@ -366,26 +427,22 @@ class GeneratorPlan:
                 h_eff = h_eff - 0.5j * rate * decay
             data[pre] = (-1j * h_eff).ravel()[self._sources[0]]
             data[post] += (1j * h_eff.conj().T).ravel()[self._sources[1]]
-        shape = (self.dim_rho**2,) * 2
-        base = sp.csr_matrix((data[:-1].copy(), self._indices, self._indptr), shape=shape)
-        channels = {}
-        for (cid, counted), rate, where, m in zip(self._channels, rates, parts, self._parts):
-            part = rate * m
-            data[where] += part.data  # the total in channel order, as assemble_liouvillian adds it
-            channels[cid] = JumpChannel(part=part, counted=counted)
+        for rate, where, (_, unit, *_) in zip(rates, parts, self._channels):
+            data[where] += rate * unit.data  # in channel order, as assemble_liouvillian adds
         data[-1] = 1.0  # the trace row's ones in the steady system
         n = self.blocks[0].size
-        system = sp.csc_matrix((data[self._gather], *self._system_pattern), shape=(n, n),
-                               copy=True)
-        matrix = sp.csr_matrix((data[:-1], self._indices, self._indptr), shape=shape, copy=True)
-        for m in (system, matrix):
-            m.eliminate_zeros()  # a zero coefficient's entries would cost SuperLU as much as any
-        return Superoperator(dim_rho=self.dim_rho, base=base, channels=channels,
-                             matrix=matrix, blocks=self.blocks, system=system)
+        kept, system = (sp.csc_matrix((data[g], indices, indptr), shape=(n, n), copy=copy)
+                        for (g, indices, indptr), copy in zip(self._gathers, (False, True)))
+        system.eliminate_zeros()  # a zero coefficient's entries would cost SuperLU as much as any
+        return Superoperator(dim_rho=self.dim_rho, h_eff=h_eff, data=data[:-1],
+                             pattern=(self._indices, self._indptr), blocks=self.blocks,
+                             channels={cid: JumpChannel(rate, *shared) for (cid, *shared), rate
+                                       in zip(self._channels, rates)},
+                             kept=kept, system=system, trace=self.trace, partner=self.partner)
 
 
 def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> sp.csr_matrix:
-    """Counting-field deformation M(s) = base + sum_i s_i * channel_i, summed
+    """Counting-field deformation M(s) = L + sum_i (s_i - 1) * channel_i, summed
     in channel order.
 
     Multipliers may be given for the counted channels only; uncounted
@@ -399,8 +456,8 @@ def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> sp.csr_ma
             f"multipliers for unknown or uncounted channels: {sorted(unknown)}; "
             f"counted channels are {sorted(counted)}"
         )
-    return sum((float(s.get(cid, 1.0)) * ch.part for cid, ch in liouv.channels.items()),
-               liouv.base).tocsr()
+    return sum(((float(s[cid]) - 1.0) * ch.part for cid, ch in liouv.channels.items()
+                if cid in s), liouv.matrix).tocsr()
 
 
 def hermitian_basis(dim_rho: int, block: np.ndarray) -> sp.csc_matrix:
@@ -427,9 +484,8 @@ def hermitian_basis(dim_rho: int, block: np.ndarray) -> sp.csc_matrix:
 def real_kept_block(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarray]:
     """(u, a) with L_blk = u a u^H on the kept block ``blocks[0]``: u from
     :func:`hermitian_basis`, a = Re(u^H L_blk u) dense and Fortran-ordered."""
-    kept = liouv.blocks[0]
-    u = hermitian_basis(liouv.dim_rho, kept)
-    return u, (u.conj().T @ liouv.matrix[kept][:, kept] @ u).real.toarray(order="F")
+    u = hermitian_basis(liouv.dim_rho, liouv.blocks[0])
+    return u, (u.conj().T @ liouv.kept @ u).real.toarray(order="F")
 
 
 def kept_eig(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:

@@ -369,6 +369,41 @@ class TestChargeSectorBlock:
         assert np.all(vectorize(ss.rho_ss)[outside] == 0.0)
         assert liouv.blocks[0].size == n and ss.factor.shape == (n, n)
 
+    KEPT_POINTS = {
+        **{f"fig5b-g{g}-eps{e}": ("fig5b", dict(g=g, epsilon=e))
+           for g in (0.0, 0.4) for e in (-2.0, 2.0)},
+        "fig6a-g0-T0": ("fig6a", dict(g=0.0, temperature=0.0)),  # exact zeros in rho
+        "fig5a-T2": ("fig5a", dict(temperature=2.0)),
+    }
+
+    @pytest.mark.parametrize("name, change", KEPT_POINTS.values(), ids=KEPT_POINTS)
+    def test_kept_block_formulas_match_full_space(self, name, change):
+        """Fluxes, R(0) rows and columns and the steady residual, each taken on
+        the kept block, against their D^2 forms."""
+        spec = preset(name)
+        point = TransportPoint(replace(spec.base, **change), spec.hamiltonian)
+        liouv, ss = point.liouv, point.ss
+        block, rho = liouv.blocks[0], vectorize(ss.rho_ss)
+        tr = trace_vector(liouv.dim_rho)
+        assert np.array_equal(ss.rho_ss, ss.rho_ss.conj().T)
+        assert np.array_equal(ss.rho_kept, rho[block])
+        solver = ResolventSolver(liouv, ss)
+        rows, cols = solver._channels(list(liouv.channels))
+        for cid, ch in liouv.channels.items():
+            applied = ch.part @ rho
+            flux = (tr @ applied).real
+            assert abs(ss.fluxes[cid] - flux) <= 1e-14 * abs(flux)
+            col = solver._q(applied[block])
+            assert np.max(np.abs(cols[cid] - col)) <= 1e-14 * np.max(np.abs(col))
+            r = (tr @ ch.part)[block]
+            row = r - (r @ solver.rho) * solver.tr
+            assert np.max(np.abs(rows[cid] - row)) <= 1e-14 * np.max(np.abs(row))
+        full = liouv.matrix @ rho
+        scale = abs(liouv.matrix).max()
+        assert np.all(np.delete(full, block) == 0.0)
+        assert np.max(np.abs(full[block] - liouv.kept @ ss.rho_kept)) <= 1e-14 * scale
+        assert abs(ss.residual - np.max(np.abs(full))) <= 1e-14 * scale
+
     def test_one_sector_split_per_point(self, fig2_params, monkeypatch):
         """A plan-built point takes its blocks from the plan's one split."""
         plan = superop.GeneratorPlan(fig2_params.n_fock, "jc")

@@ -258,16 +258,26 @@ class TestGeneratorPlan:
         assert abs(ref.system - trace_replaced_system(ref.matrix, ref.blocks[0])).max() == 0.0
 
     def test_both_builders_fill_every_field(self, fig2_params):
-        """Total, blocks and steady system are set by the builder, not on first
-        use: only the eigendecomposition memos have a default."""
+        """The total's entries, blocks, L on the kept block, steady system and
+        the kept block's trace row and transpose partners are set by the
+        builder, not on first use: only the eigendecomposition memos have a
+        default. The D^2 x D^2 total is formed from its entries on use."""
         assert [f.name for f in fields(Superoperator)
                 if f.default is not MISSING] == ["_kept_eig", "_spectrum"]
         ref = build_liouvillian(build_jc_hamiltonian(fig2_params), fig2_params)
         liouv = GeneratorPlan(fig2_params.n_fock, "jc").generator(fig2_params)
         for g in (ref, liouv):
             assert isinstance(g.matrix, scipy.sparse.csr_matrix)
+            assert isinstance(g.kept, scipy.sparse.csc_matrix)
             assert isinstance(g.system, scipy.sparse.csc_matrix)
             assert len(g.blocks) == 3
+            kept, d = g.blocks[0], g.dim_rho
+            assert abs(g.kept - g.matrix[kept][:, kept]).max() == 0.0
+            assert np.array_equal(g.trace, trace_vector(d)[kept])
+            assert np.array_equal(kept[g.partner], kept % d * d + kept // d)
+            for ch in g.channels.values():
+                assert abs(ch.kept - ch.unit[kept][:, kept]).max() == 0.0
+                assert np.array_equal(ch.row, g.trace @ ch.kept)
         assert abs(liouv.matrix - ref.matrix).max() == 0.0
         assert_same_blocks(liouv, ref)
         assert abs(liouv.system - in_order_of(ref, liouv.blocks[0])).max() == 0.0

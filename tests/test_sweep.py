@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import sys
@@ -175,6 +176,46 @@ class TestLuOwnership:
         # per point: the steady LU, then one per nonzero frequency (omega = 0 reuses it)
         assert sorted(map(str, owners)) == ["compute_spectrum"] * 4 + ["solve_steady_state"] * 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_frequency_map_factors_once_and_solves_in_apply(self, monkeypatch, workers):
+        """An omega = 0 sweep makes one sparse LU per point, inside
+        ``steady.solve_steady_state``, and its noise solves only inside
+        ``ResolventSolver.apply``, the spans the benchmark's trace counts."""
+        local = threading.local()
+        targets = [(steady, "solve_steady_state"), (noise.ResolventSolver, "apply"),
+                   (spla, "splu"), (steady, "refined_solve")]
+        records = []
+        for owner, attr in targets:
+            original = getattr(owner, attr)
+
+            def wrapped(*args, _fn=original, _name=attr, **kwargs):
+                stack = local.__dict__.setdefault("stack", [])
+                if _name in ("splu", "refined_solve"):
+                    records.append((_name, stack[-1] if stack else None))
+                stack.append(_name)
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+            modules = [owner] + [m for name, m in list(sys.modules.items())
+                                 if name == "dqdnoise" or name.startswith("dqdnoise.")]
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapped)
+        spec = SweepSpec(
+            base=ModelParams(delta=0.3, temperature=0.5, n_fock=3),
+            axes=(SweepAxis(name="epsilon", values=(-0.5, 0.5)),
+                  SweepAxis(name="g", values=(0.1, 0.2, 0.3))),
+            quantities=("S_ee", "S_eb", "I_e", "F_Q"),
+        )
+        assert not run_sweep(spec, workers=workers).gaps
+        points, chans = 6, 2  # S_ee and S_eb apply R(0) to the columns of e and b
+        assert sorted(records) == sorted(
+            [("splu", "solve_steady_state")] * points
+            + [("refined_solve", "solve_steady_state")] * points
+            + [("refined_solve", "apply")] * (points * chans))
+
 
 class TestRunSweep:
     def test_deterministic_across_workers(self):
@@ -315,6 +356,46 @@ class TestRunSweep:
         assert result.data["S_ee"][0, 0] == pytest.approx(0.9998, abs=1e-4)
         assert np.all(result.data["I_b"][0] == 0.0)
         assert np.all(result.data["I_b"][1] > 0.0)
+
+    def test_zero_flux_fano_request_factors_nothing(self, monkeypatch):
+        # S_bb's Fano flux at g = 0 is checked before any solve: its per-frequency
+        # retry makes no LU, so each point factors only its steady state
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+        spec = SweepSpec(
+            base=ModelParams(delta=0.5, n_fock=4),
+            axes=(SweepAxis(name="g", values=(0.0, 0.2)),
+                  SweepAxis(name="omega", start=-1.0, stop=1.0, count=41)),
+            quantities=("S_ee", "S_eb", "S_bb", "I_b"),
+            hamiltonian="jc",
+        )
+        point = TransportPoint(replace(spec.base, g=0.2), "jc")
+        assert ResolventSolver(point.liouv, point.ss)._use_dense(40)  # no per-omega LU
+        calls.clear()
+        result = run_sweep(spec)
+        message = "cannot Fano-normalize: channel 'b' flux is 0"
+        assert result.gaps == [((0, w), message) for w in range(41)]
+        assert len(calls) == 2
+
+    def test_zero_frequency_map_matches_points_across_workers(self):
+        spec = SweepSpec(
+            base=ModelParams(delta=0.3, temperature=0.5, n_fock=3),
+            axes=(SweepAxis(name="epsilon", start=-1.0, stop=1.0, count=5),
+                  SweepAxis(name="g", values=(0.0, 0.15, 0.3))),
+            quantities=("S_ee", "S_eb", "I_e", "F_Q"),
+        )
+        r1, r2 = run_sweep(spec, workers=1), run_sweep(spec, workers=2)
+        assert not r1.gaps and not r2.gaps
+        for q in spec.quantities:
+            assert np.array_equal(r1.data[q], r2.data[q])
+        assert np.array_equal(r1.top_population, r2.top_population)
+        for (a, eps), (b, g) in itertools.product(*map(enumerate, r1.axis_values)):
+            point = TransportPoint(replace(spec.base, epsilon=float(eps), g=float(g)))
+            assert r1.data["S_ee"][a, b] == point.noise("e", "e", 0.0, "fano")
+            assert r1.data["S_eb"][a, b] == point.noise("e", "b", 0.0)
+            assert r1.data["I_e"][a, b] == point.report.current_e
+            assert r1.data["F_Q"][a, b] == point.report.fano_q
 
     def test_explicit_cutoff_respected(self):
         spec = SweepSpec(
