@@ -16,12 +16,12 @@ from .model import ModelParams, thermal_state
 from .noise import TransportPoint, compute_spectrum
 from .steady import solve_steady_state
 from .superop import (
-    GeneratorPlan,
     assemble_liouvillian,
     charge_sector,
     counting_liouvillian,
     devectorize,
     eigenvalues,
+    generator_plan,
     sector_leak,
     stationary_count,
     thermal_occupation,
@@ -163,9 +163,7 @@ def _full_checks() -> list[CheckResult]:
 
         # channel completeness: base + sum(parts) reassembles the total exactly
         parts = [ch.part for ch in liouv.channels.values()]
-        total = liouv.base
-        for part in parts:
-            total = total + part
+        total = sum(parts, liouv.base)
         out.append(_result("channel-completeness", ctx,
                            float(abs(liouv.matrix - total.tocsr()).max()), 0.0))
 
@@ -194,7 +192,7 @@ def _full_checks() -> list[CheckResult]:
         out.append(_result("high-frequency-floor", ctx, abs(hi - 1.0), 1e-3))
 
         eig_params = replace(params, n_fock=min(params.n_fock, _EIG_CHECK_CUTOFF))
-        out += _eigenvalue_checks(GeneratorPlan(eig_params.n_fock, ham).generator(eig_params),
+        out += _eigenvalue_checks(generator_plan(eig_params.n_fock, ham).generator(eig_params),
                                   f"{ctx} (N_b<={_EIG_CHECK_CUTOFF})")
     return out
 
@@ -211,10 +209,7 @@ def _eigenvalue_checks(liouv, ctx: str) -> list[CheckResult]:
 
 def _conjugate_pair_defect(alphas: np.ndarray) -> float:
     im = alphas[np.abs(alphas.imag) > 1e-12]
-    if im.size == 0:
-        return 0.0
-    conj = np.conj(im)
-    return float(max(np.min(np.abs(im[k] - conj)) for k in range(im.size)))
+    return float(max((np.min(np.abs(x - np.conj(im))) for x in im), default=0.0))
 
 
 def run_checks(level: str = FAST_LEVEL) -> list[CheckResult]:

@@ -63,10 +63,10 @@ from .steady import (
 )
 from .superop import (
     DENSE_MAX_DIM,
-    GeneratorPlan,
     LiouvillianSpectrum,
     Superoperator,
     counting_liouvillian,
+    generator_plan,
     kept_eig,
     slowest_decay_rate,
     spectrum,
@@ -220,21 +220,15 @@ class TransportPoint:
     report, and its noise through :func:`compute_spectrum`.
 
     ``hamiltonian`` names an entry of ``model.HAMILTONIANS``. The generator
-    comes from ``plan``, a :class:`superop.GeneratorPlan` for
-    (``params.n_fock``, ``hamiltonian``) that a run shares among its points;
-    without one the point builds its own. The generator and the steady
-    state are built on construction; the moment report is built on first
-    use and kept.
+    comes from the process's one plan of (``params.n_fock``, ``hamiltonian``),
+    :func:`superop.generator_plan`, which every such point shares. The
+    generator and the steady state are built on construction; the moment
+    report is built on first use and kept.
     """
 
-    def __init__(self, params: ModelParams, hamiltonian: str = "full",
-                 plan: GeneratorPlan | None = None):
-        plan = plan or GeneratorPlan(params.n_fock, hamiltonian)
-        if plan.hamiltonian != hamiltonian:
-            raise ValueError(f"plan is for hamiltonian {plan.hamiltonian!r}, "
-                             f"not {hamiltonian!r}")
+    def __init__(self, params: ModelParams, hamiltonian: str = "full"):
         self.params = params
-        self.liouv = plan.generator(params)
+        self.liouv = generator_plan(params.n_fock, hamiltonian).generator(params)
         self.ss = solve_steady_state(self.liouv)
 
     @cached_property
@@ -262,10 +256,7 @@ def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | 
     coeff = np.empty(spec.alphas.size, dtype=complex)
     for idx, vb, vbinv in spec.blocks:
         coeff[idx] = np.einsum("ij,ji->i", vbinv, part[idx][:, idx] @ vb)
-    mask = np.ones(coeff.size, dtype=bool)
-    mask[spec.zero_index] = False
-    alphas = spec.alphas[mask]
-    c = coeff[mask]
+    alphas, c = np.delete(spec.alphas, spec.zero_index), np.delete(coeff, spec.zero_index)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     terms = c[None, :] * alphas[None, :] / (w[:, None] ** 2 + alphas[None, :] ** 2)
     total = 1.0 - 2.0 * np.sum(terms, axis=1)
@@ -275,8 +266,7 @@ def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | 
             f"eigen-expansion imaginary residue {worst:.3e} above {EIGEN_IMAG_TOL:g}",
             stacklevel=2,
         )
-    vals = total.real
-    return float(vals[0]) if np.isscalar(omega) or np.ndim(omega) == 0 else vals
+    return float(total.real[0]) if np.ndim(omega) == 0 else total.real
 
 
 @dataclass

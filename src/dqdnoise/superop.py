@@ -22,16 +22,17 @@ A :class:`Superoperator` is built complete: the entries of its total, its
 sector blocks, L on the kept block and its steady system are plain fields
 that every builder fills. Its kept block lists its vec indices in one reverse Cuthill-McKee order with vec
 index 0 last, and every sparse LU of that block factors in it. Every
-command takes its transport generators from a :class:`GeneratorPlan`, built
-once per run, which forms each point's generator on one fixed sparse
-pattern without kron products; :func:`build_liouvillian` is the kron
-assembly it is tested against.
+command takes its transport generators from a :class:`GeneratorPlan`, one
+per (n_fock, Hamiltonian) per process (:func:`generator_plan`), which forms
+each point's generator on one fixed sparse pattern without kron products;
+:func:`build_liouvillian` is the kron assembly it is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "JumpChannel",
     "Superoperator",
     "GeneratorPlan",
+    "generator_plan",
     "LiouvillianSpectrum",
     "vectorize",
     "devectorize",
@@ -77,6 +79,8 @@ BIORTHOGONALITY_TOL = 1e-8
 #: failed-solve diagnosis, an automatic MacDonald t_max): n_fock 15's, where :func:`eigenvalues`
 #: takes 5.4 s (one BLAS thread) and V with the LU of its real form keep 24 n^2 bytes, 39 MB
 DENSE_MAX_DIM = 1280
+#: plans :func:`generator_plan` keeps; one holds 0.3, 3.0 and 15.8 MB at n_fock 6, 25 and 58
+PLAN_CACHE_SIZE = 8
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -178,7 +182,7 @@ class Superoperator:
     channels: dict[str, JumpChannel] = field(repr=False)
     data: np.ndarray = field(repr=False)
     pattern: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    blocks: list[np.ndarray] = field(repr=False)
+    blocks: tuple[np.ndarray, ...] = field(repr=False)
     kept: sp.csc_matrix = field(repr=False)
     system: sp.csc_matrix = field(repr=False)
     trace: np.ndarray = field(repr=False)
@@ -365,14 +369,16 @@ class GeneratorPlan:
     transpose, and each sandwich there in block order with its trace row. A
     point's generator then takes a few scaled additions of D x D and data
     arrays and two gathers: no kron, no dense product, no sparse addition.
-    Read-only after construction, so worker threads share one plan.
+    Read-only after construction, as is every array it hands a generator,
+    so every point of a process with the same (n_fock, hamiltonian), on any
+    thread, shares the one plan of :func:`generator_plan`.
     """
 
     def __init__(self, n_fock: int, hamiltonian: str = "full"):
         ops = build_operators(HilbertSpace(n_fock=n_fock))
         d = ops.space.dim
         d2 = d * d
-        self.n_fock, self.hamiltonian, self.dim_rho = n_fock, hamiltonian, d
+        self.n_fock, self.dim_rho = n_fock, d
         self._terms = hamiltonian_terms(hamiltonian, ops)
         jumps = _transport_jumps(ops)
         self._decays = [c.conj().T @ c for _, c, _ in jumps]
@@ -439,6 +445,14 @@ class GeneratorPlan:
                              channels={cid: JumpChannel(rate, *shared) for (cid, *shared), rate
                                        in zip(self._channels, rates)},
                              kept=kept, system=system, trace=self.trace, partner=self.partner)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def generator_plan(n_fock: int, hamiltonian: str, /) -> GeneratorPlan:
+    """The process's one :class:`GeneratorPlan` of (n_fock, hamiltonian), the
+    last ``PLAN_CACHE_SIZE`` kept. Two threads that miss together each build
+    one, so a run looks its plan up before its workers start."""
+    return GeneratorPlan(n_fock, hamiltonian)
 
 
 def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> sp.csr_matrix:
@@ -576,10 +590,11 @@ def sector_leak(matrices: list[sp.csr_matrix], labels: np.ndarray) -> int:
     return leak
 
 
-def _sector_split(dim_rho: int, matrices: list[sp.csr_matrix]) -> list[np.ndarray]:
+def _sector_split(dim_rho: int, matrices: list[sp.csr_matrix]) -> tuple[np.ndarray, ...]:
     """:class:`Superoperator`'s ``blocks`` for a generator whose entries, and
     its channels', are those of ``matrices``; the first block in the
-    :func:`_factor_order` of ``matrices[0]``, the others sorted."""
+    :func:`_factor_order` of ``matrices[0]``, the others sorted. A tuple, as
+    a plan shares it with every generator it forms."""
     blocks = [np.arange(dim_rho**2)]
     kept = charge_sector(dim_rho)
     if kept is not None:
@@ -587,8 +602,7 @@ def _sector_split(dim_rho: int, matrices: list[sp.csr_matrix]) -> list[np.ndarra
         labels = kept + 2 * vectorize(np.triu(devectorize(~kept), 1))
         if not sector_leak(matrices, labels):
             blocks = [np.flatnonzero(labels == k) for k in (1, 2, 0)]
-    blocks[0] = _factor_order(matrices[0], blocks[0])
-    return blocks
+    return (_factor_order(matrices[0], blocks[0]), *blocks[1:])
 
 
 def _factor_order(matrix: sp.csr_matrix, block: np.ndarray) -> np.ndarray:

@@ -4,13 +4,14 @@ Axes may vary the noise frequency ("omega") or any of the model knobs
 ("g", "delta", "epsilon", "T"). Grid points are independent; when one
 axis is the noise frequency, work factorizes over the other axis: each
 point builds its steady state once and solves its noise quantities on its
-whole frequency axis in one call. Every point of a run takes its generator
-from one ``superop.GeneratorPlan``, built before the workers start, and
-reports the top-Fock-level population of its steady state
-(``GridResult.top_population``). Results are placed by grid index, so
-output is deterministic and independent of the worker count. Per-point
-failures become explicit gap entries (NaN in the failing quantities'
-arrays, null in serialized output), never silent interpolation.
+whole frequency axis in one call. Every point takes its generator from the
+one ``superop.GeneratorPlan`` per (n_fock, Hamiltonian) per process, which
+a run looks up before its workers start, and reports the top-Fock-level
+population of its steady state (``GridResult.top_population``). Results are
+placed by grid index, so output is deterministic and independent of the
+worker count. Per-point failures become explicit gap entries (NaN in the
+failing quantities' arrays, null in serialized output), never silent
+interpolation.
 
 Each preset carries its own Fock cutoff ``n_fock``: fig2 and fig4 run at 6,
 fig3 and fig6 at 15, fig5a at 25, fig5b and fig5c at 8. :func:`resolve_cutoff`
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import ConvergenceFailure
 from .model import HAMILTONIANS, ModelParams
 from .noise import TransportPoint, compute_spectrum
 from .steady import top_fock_population
-from .superop import GeneratorPlan
+from .superop import generator_plan
 
 __all__ = [
     "SweepAxis",
@@ -143,29 +145,25 @@ class GridResult:
     gaps: list[tuple[tuple[int, ...], str]] = field(default_factory=list)
 
 
-def fock_convergence(params: ModelParams, hamiltonian: str = "full",
+def fock_convergence(*points: ModelParams, hamiltonian: str = "full",
                      max_cutoff: int = 40) -> int:
-    """Smallest cutoff N_b >= 1 whose electron current and mean phonon
-    number move by less than ``FOCK_RTOL`` relative when raised to
-    N_b + 3, under the "full" or "jc" Hamiltonian. Raises
-    ConvergenceFailure at ``max_cutoff``."""
-    cache: dict[int, tuple[float, float]] = {}
+    """The largest over ``points`` of the smallest cutoff N_b >= 1 whose
+    electron current and mean phonon number move by less than ``FOCK_RTOL``
+    relative when raised to N_b + 3, under the "full" or "jc" Hamiltonian.
+    Raises ConvergenceFailure at ``max_cutoff``. The points climb their
+    ladders rung by rung together, so each cutoff's plan serves them all."""
 
-    def values(n: int) -> tuple[float, float]:
-        if n not in cache:
-            report = TransportPoint(replace(params, n_fock=n), hamiltonian).report
-            cache[n] = (report.current_e, report.mean_n)
-        return cache[n]
+    @cache
+    def values(k: int, n: int) -> tuple[float, float]:
+        report = TransportPoint(replace(points[k], n_fock=n), hamiltonian).report
+        return report.current_e, report.mean_n
 
-    n = 1
-    while n <= max_cutoff:
-        v1, v2 = values(n), values(n + 3)
-        rel = max(
-            abs(a - b) / max(abs(a), abs(b), 1e-12) for a, b in zip(v1, v2)
-        )
-        if rel < FOCK_RTOL:
+    climbing = range(len(points))
+    for n in range(1, max_cutoff + 1):  # "not <": a NaN move keeps its point climbing
+        climbing = [k for k in climbing if not max(abs(a - b) / max(abs(a), abs(b), 1e-12)
+                    for a, b in zip(values(k, n), values(k, n + 3))) < FOCK_RTOL]
+        if not climbing:
             return n
-        n += 1
     raise ConvergenceFailure(
         f"Fock cutoff did not converge below N_b = {max_cutoff} (rtol {FOCK_RTOL:g})"
     )
@@ -176,8 +174,8 @@ def resolve_cutoff(base: ModelParams, axes: tuple[SweepAxis, ...], hamiltonian: 
     """The Fock cutoff of a run over ``axes`` around ``base``, and its report.
 
     None keeps ``base.n_fock``, an int forces that value, and "auto" takes
-    the largest of ``base.n_fock`` and :func:`fock_convergence` at every
-    corner of the non-omega axes (a single point, ``axes=()``, is its own
+    the larger of ``base.n_fock`` and :func:`fock_convergence` over the
+    corners of the non-omega axes (a single point, ``axes=()``, is its own
     one corner).
     """
     if cutoff != "auto":
@@ -189,9 +187,9 @@ def resolve_cutoff(base: ModelParams, axes: tuple[SweepAxis, ...], hamiltonian: 
             g = axis.grid()
             corners = [c + [(axis.name, v)] for c in corners
                        for v in sorted({float(g.min()), float(g.max())})]
-    n_fock = max([base.n_fock] + [
-        fock_convergence(_axis_params(base, [n for n, _ in c], [v for _, v in c], base.n_fock),
-                         hamiltonian) for c in corners])
+    n_fock = max(base.n_fock, fock_convergence(
+        *(_axis_params(base, [n for n, _ in c], [v for _, v in c], base.n_fock) for c in corners),
+        hamiltonian=hamiltonian))
     return n_fock, {"mode": "auto", "corners": len(corners), "cutoff": n_fock}
 
 
@@ -235,14 +233,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
     ``cutoff`` picks the Fock cutoff through :func:`resolve_cutoff`: None
     keeps the spec's base n_fock, an int forces a value, "auto" runs the
     convergence ladder at the grid corners. Every point takes its generator
-    from one :class:`superop.GeneratorPlan`, built here before any worker
-    starts and only read by them. Output is deterministic for a given spec
-    regardless of ``workers``.
+    from the process's one plan, :func:`superop.generator_plan`. Output is
+    deterministic for a given spec regardless of ``workers``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_fock, report = resolve_cutoff(spec.base, spec.axes, spec.hamiltonian, cutoff)
-    plan = GeneratorPlan(n_fock, spec.hamiltonian)
+    # the plan is built here, if the process has none, before any worker starts:
+    # workers that missed the cache together would each build one
+    generator_plan(n_fock, spec.hamiltonian)
 
     axis_values = tuple(a.grid() for a in spec.axes)
     shape = tuple(len(v) for v in axis_values)
@@ -264,7 +263,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1,
         pvals = [float(axis_values[k][i]) for k, i in zip(param_axes, task_idx)]
         try:
             point = TransportPoint(_axis_params(spec.base, pnames, pvals, n_fock),
-                                   spec.hamiltonian, plan)
+                                   spec.hamiltonian)
         except Exception as exc:  # noqa: BLE001 - recorded as one explicit gap per omega
             return np.nan, [({}, str(exc))] * omegas.size
         return top_fock_population(point.ss), _evaluate(point, spec.quantities, omegas)

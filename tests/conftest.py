@@ -53,7 +53,28 @@ def dense_cut(monkeypatch):
 
 
 @pytest.fixture()
-def operator_builds(monkeypatch):
+def empty_plan_cache():
+    """Empty the process's plan cache before the test, so that it builds every plan
+    it uses. A test that alters how a plan is built empties it after itself too."""
+    superop.generator_plan.cache_clear()
+
+
+@pytest.fixture()
+def plan_builds(monkeypatch, empty_plan_cache):
+    """Arguments of each ``GeneratorPlan`` built while the test runs."""
+    builds = []
+    init = superop.GeneratorPlan.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(superop.GeneratorPlan, "__init__", counting)
+    return builds
+
+
+@pytest.fixture()
+def operator_builds(monkeypatch, empty_plan_cache):
     """Spaces passed to ``build_operators`` by ``GeneratorPlan`` while the test runs."""
     calls = []
     build = superop.build_operators

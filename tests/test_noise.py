@@ -81,9 +81,26 @@ class TestTransportPoint:
         with pytest.raises(ValueError, match="hamiltonian"):
             TransportPoint(ModelParams(n_fock=2), "rwa")
 
-    def test_rejects_plan_of_another_hamiltonian(self):
-        with pytest.raises(ValueError, match="plan is for hamiltonian 'full'"):
-            TransportPoint(ModelParams(n_fock=2), "jc", superop.GeneratorPlan(2, "full"))
+    def test_points_share_only_read_only_plan_state(self, fig2_params):
+        """Two points of one cached plan share its blocks, pattern, kept-block
+        constants and channel sandwiches, and neither can rebind or write them."""
+        a, b = (TransportPoint(replace(fig2_params, g=g), "jc").liouv for g in (0.1, 0.3))
+
+        def shared(liouv):
+            out = [*liouv.blocks, *liouv.pattern, liouv.trace, liouv.partner,
+                   liouv.kept.indices, liouv.kept.indptr]
+            for ch in liouv.channels.values():
+                out += [ch.unit.data, ch.unit.indices, ch.unit.indptr,
+                        ch.kept.data, ch.kept.indices, ch.kept.indptr, ch.row]
+            return out
+
+        assert a.blocks is b.blocks
+        with pytest.raises(TypeError):
+            a.blocks[0] = a.blocks[0].copy()
+        for x, y in zip(shared(a), shared(b), strict=True):
+            assert np.shares_memory(x, y)
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = x[0]
 
     def test_builds_and_solves_once_and_caches(self, fig2_params, operator_builds,
                                                monkeypatch):
@@ -405,8 +422,8 @@ class TestChargeSectorBlock:
         assert abs(ss.residual - np.max(np.abs(full))) <= 1e-14 * scale
 
     def test_one_sector_split_per_point(self, fig2_params, monkeypatch):
-        """A plan-built point takes its blocks from the plan's one split."""
-        plan = superop.GeneratorPlan(fig2_params.n_fock, "jc")
+        """A point takes its blocks from its cached plan's one split."""
+        plan = superop.generator_plan(fig2_params.n_fock, "jc")
         calls = []
         split = superop._sector_split
 
@@ -415,7 +432,7 @@ class TestChargeSectorBlock:
             return split(*args)
 
         monkeypatch.setattr(superop, "_sector_split", counting)
-        point = TransportPoint(fig2_params, "jc", plan)
+        point = TransportPoint(fig2_params, "jc")
         compute_spectrum(point.liouv, point.ss, [(("e", "e"), "fano"), (("e", "b"), "raw")],
                          np.linspace(0.0, 1.8, 10))
         assert calls == []

@@ -19,8 +19,8 @@ from dqdnoise.steady import (
     quadrature_variance,
     solve_steady_state,
 )
-from dqdnoise.superop import (DENSE_MAX_DIM, GeneratorPlan, build_liouvillian,
-                              charge_sector, thermal_occupation, vectorize)
+from dqdnoise.superop import (DENSE_MAX_DIM, build_liouvillian, charge_sector,
+                              generator_plan, thermal_occupation, vectorize)
 from dqdnoise.sweep import PRESET_NAMES, _axis_params, preset
 
 
@@ -121,7 +121,7 @@ class TestFactorOrder:
         the plan's order meets the residual bound, agrees with SuperLU's default
         (COLAMD order, partial pivoting) and keeps every exact zero of it."""
         spec = preset(name)
-        plan = GeneratorPlan(spec.base.n_fock, spec.hamiltonian)
+        plan = generator_plan(spec.base.n_fock, spec.hamiltonian)
         axes = [a for a in spec.axes if a.name != "omega"]
         for vals in itertools.product(*[(a.grid().min(), a.grid().max()) for a in axes]):
             liouv = plan.generator(_axis_params(spec.base, [a.name for a in axes], list(vals),

@@ -17,6 +17,7 @@ from dqdnoise.superop import (
     charge_sector,
     counting_liouvillian,
     devectorize,
+    generator_plan,
     hermitian_basis,
     real_kept_block,
     sandwich,
@@ -229,7 +230,7 @@ class TestGeneratorPlan:
     def test_matches_kron_assembly(self, params, ham):
         build = build_jc_hamiltonian if ham == "jc" else build_hamiltonian
         ref = build_liouvillian(build(params), params)
-        plan = GeneratorPlan(params.n_fock, ham)
+        plan = generator_plan(params.n_fock, ham)
         liouv = plan.generator(params)
         assert liouv.blocks is plan.blocks
         # the same H_eff and additions as kron assembly: equal values, not only close ones

@@ -3,6 +3,7 @@ import json
 import pathlib
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,14 @@ class TestResolveCutoff:
         n_fock, report = resolve_cutoff(self.BASE, (axis, self.OMEGA), "full", "auto")
         assert report == {"mode": "auto", "corners": 2, "cutoff": n_fock}
         assert n_fock == max(ladders + [self.BASE.n_fock])
+
+    def test_auto_corners_share_each_rungs_plan(self, plan_builds):
+        """From an empty cache, the ladders of both corners build each rung's plan
+        once, even when there are more rungs than the cache keeps."""
+        axis = SweepAxis(name="epsilon", values=(-2.0, 1.0))
+        n_fock, _ = resolve_cutoff(self.BASE, (axis, self.OMEGA), "full", "auto")
+        assert n_fock + 3 > superop.PLAN_CACHE_SIZE
+        assert sorted(plan_builds) == [(n, "full") for n in range(1, n_fock + 4)]
 
     def test_auto_never_below_base(self):
         base = replace(self.BASE, n_fock=20)
@@ -435,27 +444,28 @@ class TestRunSweep:
         assert not result.gaps
         assert len(operator_builds) == 1
 
-    def test_one_generator_plan_per_run(self, monkeypatch):
-        plans = []
-        init = superop.GeneratorPlan.__init__
-
-        def counting(self, *args, **kwargs):
-            plans.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(superop.GeneratorPlan, "__init__", counting)
+    def test_one_generator_plan_per_run(self, plan_builds, monkeypatch):
+        """Runs of one (n_fock, Hamiltonian) share the process's one plan, and two
+        workers on an empty cache build it once, before they start."""
         spec = SweepSpec(
             base=ModelParams(delta=0.5, n_fock=3),
             axes=(SweepAxis(name="g", values=(0.0, 0.1, 0.2)),
                   SweepAxis(name="T", values=(0.0, 0.5))),
             quantities=("S_ee", "F_Q"),
         )
-        counts = []
         for workers in (1, 2):
             run_sweep(spec, workers=workers)
-            counts.append(len(plans))
-        assert counts == [1, 2]  # one per call, none kept from the call before
-        assert plans == [(3, "full")] * 2
+        assert plan_builds == [(3, "full")]  # the second call keeps the first's
+        init = superop.GeneratorPlan.__init__
+
+        def slow(self, *args):
+            time.sleep(0.05)  # long enough for workers that missed together to overlap
+            init(self, *args)
+
+        monkeypatch.setattr(superop.GeneratorPlan, "__init__", slow)
+        superop.generator_plan.cache_clear()
+        run_sweep(spec, workers=2)
+        assert plan_builds == [(3, "full")] * 2
 
     def test_shared_plan_under_thread_switching(self):
         spec = SweepSpec(
