@@ -200,7 +200,12 @@ def _full_checks() -> list[CheckResult]:
 def _eigenvalue_checks(liouv, ctx: str) -> list[CheckResult]:
     """Half-plane, unique stationary state and conjugate pairs of the
     eigenvalues of every sector block; the coherence halves (0, X) and
-    (X, 0) are solved apart, so the pairing across them is tested."""
+    (X, 0) are solved apart, so the pairing across them is tested. The
+    (0, X) half lists the transposes of the (X, 0) half's indices, so the
+    two dense halves are exact conjugates entry for entry, and LAPACK,
+    doing the same arithmetic on conjugated input, returns exactly
+    conjugate eigenvalues: on a true Lindbladian the pairing defect reads 0,
+    and one perturbed (0, X) entry shows in it."""
     alphas = eigenvalues(liouv)
     return [_result("eigenvalue-half-plane", ctx, float(alphas.real.max()), 1e-10),
             _result("unique-stationary-state", ctx, abs(stationary_count(alphas) - 1), 0.0),

@@ -24,10 +24,11 @@ macdonald (oracle)
     S(w) = 2 f_inf + 2 w int_0^T sin(w tau) (f(tau) - f_inf) dtau with
     f(tau) = Tr[L_i rho_j] + Tr[L_j rho_i] + delta_ij I_i - 2 tau I_i I_j
     and d rho_i/dtau = L rho_i + L_i rho_ss. The coupled system is
-    propagated with the exact step matrix E = exp(L dt); the N samples
-    of f are running sums of r E^m w, evaluated in sqrt(N) blocks of
-    powers of E (baby-step/giant-step). No resolvent, pseudo-inverse
-    solve or eigendecomposition enters this path.
+    propagated on the charge-sector block in its real Hermitian basis
+    (``superop.real_kept_block``) with the exact step matrix E = exp(A dt)
+    in float64; the N samples of f are running sums of (r u) E^m (u^H w),
+    evaluated in sqrt(N) blocks of powers of E (baby-step/giant-step). No
+    resolvent, pseudo-inverse solve or eigendecomposition enters this path.
 
 A zero-frequency consistency check through counting-field finite
 differences of the stationary eigenvalue completes the method triangle.
@@ -68,6 +69,7 @@ from .superop import (
     counting_liouvillian,
     generator_plan,
     kept_eig,
+    real_kept_block,
     slowest_decay_rate,
     spectrum,
     trace_vector,
@@ -299,14 +301,20 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     Auxiliary states rho_i start at zero and obey
     d rho_i / dtau = L rho_i + L_i rho_ss while rho stays at the steady
     state; the forcing, and so rho_i, stays in the charge-sector block of L
-    (``liouv.blocks[0]``). Exact stepping: rho_i(t+dt) = E rho_i(t) + w_i with
-    E = exp(L dt) and w_i the step integral of the constant forcing,
+    (``liouv.blocks[0]``). There L_blk = u A u^H with A real
+    (:func:`superop.real_kept_block`): L maps Hermitian matrices to Hermitian
+    matrices, the forcing L_i rho_ss is Hermitian and Tr[L_i .] is real on
+    them, so in the Hermitian basis u the states u^H rho_i, the forcing
+    u^H L_i rho_ss and the rows r_i u are all real, and every step runs in
+    float64.
+    Exact stepping: rho_i(t+dt) = E rho_i(t) + w_i with
+    E = exp(A dt) and w_i the step integral of the constant forcing,
     both obtained from one augmented matrix exponential. After k steps
     rho_i = sum_{m<k} E^m w_i, so f is a running sum of the scalars
-    y_m = Tr[L_i E^m w_j] + Tr[L_j E^m w_i]. These are evaluated by
+    y_m = r_i u E^m w_j + r_j u E^m w_i. These are evaluated by
     baby-step/giant-step (Paterson & Stockmeyer, SIAM J. Comput. 2, 60
     (1973)): with b = ceil(sqrt(N)), m = q b + p and
-    y_m = (r E^p)((E^b)^q w), which takes b row products, ceil(N / b)
+    y_m = (r u E^p)((E^b)^q w), which takes b row products, ceil(N / b)
     column products with E^b and one matrix product instead of N steps.
     Fails with a suggested larger t_max when the running tail has not
     flattened.
@@ -316,27 +324,27 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     n = liouv.kept.shape[0]
     ci, cj = liouv.channel(i), liouv.channel(j)
     flux_i, flux_j = ss.fluxes[i], ss.fluxes[j]
-    r_i, r_j = ci.rate * ci.row, cj.rate * cj.row  # row functionals Tr[L_i . ]
 
     n_steps = int(np.ceil(t_max / dt))
     n_steps += (-n_steps) % 4
     taus = np.arange(n_steps + 1) * dt
 
-    aug = np.zeros((n + 2, n + 2), dtype=complex)
-    aug[:n, :n] = liouv.kept.toarray()
-    aug[:n, n:] = np.column_stack([c.rate * (c.kept @ ss.rho_kept) for c in (ci, cj)])
+    aug = np.zeros((n + 2, n + 2))
+    u, aug[:n, :n] = real_kept_block(liouv)
+    aug[:n, n:] = (u.conj().T @ np.column_stack([c.rate * (c.kept @ ss.rho_kept)
+                                                 for c in (ci, cj)])).real
     eaug = la.expm(aug * dt)
     e_step = eaug[:n, :n]
-    w_step = eaug[:n, n:]  # columns: int_0^dt e^{L s} v ds
+    w_step = eaug[:n, n:]  # columns: int_0^dt e^{A s} u^H v ds
 
     b = int(np.ceil(np.sqrt(n_steps)))
     a = -(-n_steps // b)
-    rows = np.empty((b, 2, n), dtype=complex)  # baby steps [r_i E^p, r_j E^p]
-    rows[0] = (r_i, r_j)
+    rows = np.empty((b, 2, n))  # baby steps [r_i u E^p, r_j u E^p]
+    rows[0] = (u.T @ np.column_stack([c.rate * c.row for c in (ci, cj)])).real.T
     for p in range(1, b):
         rows[p] = rows[p - 1] @ e_step
     giant = np.linalg.matrix_power(e_step, b)
-    cols = np.empty((a, n, 2), dtype=complex)  # giant steps (E^b)^q [w_j, w_i]
+    cols = np.empty((a, n, 2))  # giant steps (E^b)^q [w_j, w_i]
     cols[0] = w_step[:, ::-1]
     for q in range(1, a):
         cols[q] = giant @ cols[q - 1]
@@ -345,7 +353,7 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     f = np.empty(n_steps + 1)
     delta_floor = flux_i if i == j else 0.0
     f[0] = delta_floor
-    f[1:] = np.cumsum(y.T.ravel()[:n_steps]).real + delta_floor \
+    f[1:] = np.cumsum(y.T.ravel()[:n_steps]) + delta_floor \
         - 2.0 * taus[1:] * flux_i * flux_j
 
     n_tail = max(8, (n_steps + 1) // 10)

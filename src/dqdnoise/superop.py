@@ -77,7 +77,8 @@ STATIONARY_TOL = 1e-8
 BIORTHOGONALITY_TOL = 1e-8
 #: largest kept block ``blocks[0]`` taken dense (the resolvent's pole-residue sweep, a
 #: failed-solve diagnosis, an automatic MacDonald t_max): n_fock 15's, where :func:`eigenvalues`
-#: takes 5.4 s (one BLAS thread) and V with the LU of its real form keep 24 n^2 bytes, 39 MB
+#: takes 1.3-1.4 s at T = 0 (one BLAS thread, 2-core Xeon) and V with the LU of its real form
+#: keep 24 n^2 bytes, 39 MB
 DENSE_MAX_DIM = 1280
 #: plans :func:`generator_plan` keeps; one holds 0.3, 3.0 and 15.8 MB at n_fock 6, 25 and 58
 PLAN_CACHE_SIZE = 8
@@ -165,7 +166,8 @@ class Superoperator:
     the coherences (0, X) and (X, 0); all indices as one block when L is not
     dot (x) Fock or they leak. The first, kept block lists its indices in the
     order every sparse LU of it factors them in (:func:`_factor_order`, vec
-    index 0 last), the others sorted. On it, in that order, ``kept`` is L,
+    index 0 last), the (X, 0) half sorted and the (0, X) half as their
+    transposes (:func:`_sector_split`). On it, in that order, ``kept`` is L,
     ``system`` the :func:`trace_replaced_system` the steady state is solved
     with, ``trace`` the trace row and ``partner`` the position of each index's
     transpose. Both builders, :func:`assemble_liouvillian` and
@@ -593,7 +595,12 @@ def sector_leak(matrices: list[sp.csr_matrix], labels: np.ndarray) -> int:
 def _sector_split(dim_rho: int, matrices: list[sp.csr_matrix]) -> tuple[np.ndarray, ...]:
     """:class:`Superoperator`'s ``blocks`` for a generator whose entries, and
     its channels', are those of ``matrices``; the first block in the
-    :func:`_factor_order` of ``matrices[0]``, the others sorted. A tuple, as
+    :func:`_factor_order` of ``matrices[0]``, the (X, 0) half sorted and the
+    (0, X) half as the transposes of its indices, element for element. Both
+    halves then list the empty-dot Fock index outermost, so at T = 0, where
+    only a rho a^dag acts across it, each dense half is block upper-triangular
+    and LAPACK's QR deflates it; and L(rho^dag) = L(rho)^dag makes the dense
+    (0, X) half the entry-for-entry conjugate of the (X, 0) half. A tuple, as
     a plan shares it with every generator it forms."""
     blocks = [np.arange(dim_rho**2)]
     kept = charge_sector(dim_rho)
@@ -601,7 +608,9 @@ def _sector_split(dim_rho: int, matrices: list[sp.csr_matrix]) -> tuple[np.ndarr
         # 1 kept, 2 (0, X) above the diagonal of rho, 0 (X, 0) below it
         labels = kept + 2 * vectorize(np.triu(devectorize(~kept), 1))
         if not sector_leak(matrices, labels):
-            blocks = [np.flatnonzero(labels == k) for k in (1, 2, 0)]
+            below = np.flatnonzero(labels == 0)
+            blocks = [np.flatnonzero(labels == 1), below % dim_rho * dim_rho + below // dim_rho,
+                      below]
     return (_factor_order(matrices[0], blocks[0]), *blocks[1:])
 
 

@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
@@ -22,7 +24,7 @@ from dqdnoise.cli import (
 from dqdnoise.errors import ConfigError
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import TransportPoint
-from dqdnoise.superop import DENSE_MAX_DIM, generator_plan
+from dqdnoise.superop import DENSE_MAX_DIM, generator_plan, spectrum
 from dqdnoise.sweep import preset
 
 
@@ -404,6 +406,34 @@ class TestCheckCommand:
         assert sum(sizes) == d2  # the kept block and both coherence halves
         assert sorted(sizes) == [2 * d2 // 9, 2 * d2 // 9, 5 * d2 // 9]
         assert [r.passed for r in results] == [True, True, True]
+
+    def test_spectrum_solves_each_coherence_half_once(self, monkeypatch):
+        calls = []
+        eig = scipy.linalg.eig
+        monkeypatch.setattr(scipy.linalg, "eig", lambda a, *r, **k:
+                            calls.append((a.shape[0], a.dtype.kind)) or eig(a, *r, **k))
+        liouv = TransportPoint(ModelParams(delta=0.5, g=0.2, temperature=1.0, n_fock=4)).liouv
+        spectrum(liouv)
+        d2 = liouv.dim_rho**2
+        # the kept block's real eig, then one complex eig per coherence half
+        assert calls == [(5 * d2 // 9, "f"), (2 * d2 // 9, "c"), (2 * d2 // 9, "c")]
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_conjugate_pair_check_sees_one_perturbed_coherence_entry(self, temperature):
+        """The mirrored halves are exact conjugates, so a true generator's pairing
+        defect can read 0; the check must still see one (0, X) entry moved by 1e-6."""
+        liouv = TransportPoint(ModelParams(delta=0.5, g=0.2, temperature=temperature,
+                                           n_fock=4)).liouv
+        assert all(r.passed for r in checks._eigenvalue_checks(liouv, "unit-test"))
+        k = liouv.blocks[1][0]  # a diagonal entry of the (0, X) half
+        indices, indptr = liouv.pattern
+        data = liouv.data.copy()
+        data[indptr[k] + np.flatnonzero(indices[indptr[k]:indptr[k + 1]] == k)] *= 1 + 1e-6
+        results = {r.name: r for r in checks._eigenvalue_checks(replace(liouv, data=data),
+                                                                "unit-test")}
+        assert not results["conjugate-pair-symmetry"].passed
+        assert results["eigenvalue-half-plane"].passed
+        assert results["unique-stationary-state"].passed
 
     def test_fast_suite_passes(self, capsys):
         assert cli.main(["check", "--check", "fast"]) == EXIT_OK

@@ -522,35 +522,40 @@ class TestMacdonald:
 
     @pytest.mark.parametrize("pair", [("e", "e"), ("e", "b")])
     @pytest.mark.parametrize("n_steps", [4, 40, 1000])  # b = ceil(sqrt N) divides 4 only
-    def test_blocked_sum_matches_plain_stepping(self, pair, n_steps):
+    def test_blocked_sum_matches_plain_stepping(self, random_lindbladian, pair, n_steps):
+        # the generic generator's rows Tr[L_e .] and forcing L_e rho_ss reach off the vec
+        # diagonal, where the Hermitian basis u mixes rho[i, j] with rho[j, i]; it has no b
         i, j = pair
         dt = 0.25
         point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=2))
-        liouv, ss = point.liouv, point.ss
-        trace = macdonald_correlation_trace(liouv, ss, i, j, t_max=n_steps * dt, dt=dt,
-                                            tail_rtol=1.0)
-        assert trace.f.size == n_steps + 1
+        cases = [(point.liouv, point.ss)]
+        if pair == ("e", "e"):
+            cases.append((random_lindbladian, solve_steady_state(random_lindbladian)))
+        for liouv, ss in cases:
+            trace = macdonald_correlation_trace(liouv, ss, i, j, t_max=n_steps * dt, dt=dt,
+                                                tail_rtol=1.0)
+            assert trace.f.size == n_steps + 1
 
-        d2 = liouv.dim_rho**2
-        rho_vec = vectorize(ss.rho_ss)
-        tr = trace_vector(liouv.dim_rho)
-        ci, cj = liouv.channel(i).part, liouv.channel(j).part
-        aug = np.zeros((d2 + 2, d2 + 2), dtype=complex)
-        aug[:d2, :d2] = liouv.matrix.toarray()
-        aug[:d2, d2] = ci @ rho_vec
-        aug[:d2, d2 + 1] = cj @ rho_vec
-        eaug = la.expm(aug * dt)
-        e_step, w_step = eaug[:d2, :d2], eaug[:d2, d2:]
-        flux_i, flux_j = (tr @ aug[:d2, d2:]).real
-        floor = flux_i if i == j else 0.0
-        u = np.zeros((d2, 2), dtype=complex)
-        expected = [floor]
-        for k in range(1, n_steps + 1):
-            u = e_step @ u + w_step
-            expected.append((tr @ (ci @ u[:, 1]) + tr @ (cj @ u[:, 0])).real + floor
-                            - 2.0 * k * dt * flux_i * flux_j)
-        expected = np.array(expected)
-        assert np.max(np.abs(trace.f - expected)) <= 1e-9 * np.max(np.abs(expected))
+            d2 = liouv.dim_rho**2
+            rho_vec = vectorize(ss.rho_ss)
+            tr = trace_vector(liouv.dim_rho)
+            ci, cj = liouv.channel(i).part, liouv.channel(j).part
+            aug = np.zeros((d2 + 2, d2 + 2), dtype=complex)
+            aug[:d2, :d2] = liouv.matrix.toarray()
+            aug[:d2, d2] = ci @ rho_vec
+            aug[:d2, d2 + 1] = cj @ rho_vec
+            eaug = la.expm(aug * dt)
+            e_step, w_step = eaug[:d2, :d2], eaug[:d2, d2:]
+            flux_i, flux_j = (tr @ aug[:d2, d2:]).real
+            floor = flux_i if i == j else 0.0
+            u = np.zeros((d2, 2), dtype=complex)
+            expected = [floor]
+            for k in range(1, n_steps + 1):
+                u = e_step @ u + w_step
+                expected.append((tr @ (ci @ u[:, 1]) + tr @ (cj @ u[:, 0])).real + floor
+                                - 2.0 * k * dt * flux_i * flux_j)
+            expected = np.array(expected)
+            assert np.max(np.abs(trace.f - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_expm_runs_on_the_charge_sector_block(self, fig2_bundle, monkeypatch):
         shapes = []

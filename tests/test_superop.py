@@ -495,6 +495,31 @@ class TestChargeSector:
                               np.flatnonzero(charge_sector(fig2_bundle.liouv.dim_rho)))
         assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d2))
 
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    @pytest.mark.parametrize("ham", ["jc", "full"])
+    @pytest.mark.parametrize("builder", ["plan", "kron"])
+    def test_coherence_halves_are_mirrored(self, builder, ham, temperature):
+        """The (0, X) half lists the transposes of the sorted (X, 0) half's vec
+        indices, element for element, so L(rho^dag) = L(rho)^dag makes the dense
+        halves exact conjugates. Both list the empty-dot Fock index outermost; at
+        T = 0 only a rho a^dag acts across it, lowering it, so each half is block
+        upper-triangular in it, and at T > 0 a^dag rho a fills the blocks below."""
+        p = ModelParams(delta=0.5, g=0.3, epsilon=0.2, temperature=temperature, n_fock=4)
+        build = build_jc_hamiltonian if ham == "jc" else build_hamiltonian
+        liouv = (generator_plan(p.n_fock, ham).generator(p) if builder == "plan"
+                 else build_liouvillian(build(p), p))
+        d = liouv.dim_rho
+        zero_x, x_zero = liouv.blocks[1:]
+        assert np.array_equal(x_zero, np.sort(x_zero))
+        assert np.array_equal(zero_x, x_zero % d * d + x_zero // d)
+        halves = [liouv.matrix[idx][:, idx].toarray() for idx in (zero_x, x_zero)]
+        assert np.array_equal(halves[0], halves[1].conj())
+        fock = x_zero // d  # rho[i, j] of the (X, 0) half: j is the empty dot's Fock state
+        assert fock.max() == p.n_fock
+        below = fock[:, None] > fock[None, :]
+        for half in halves:
+            assert (np.count_nonzero(half[below]) == 0) == (temperature == 0.0)
+
     def test_not_dot_times_fock_is_one_block(self):
         liouv = assemble_liouvillian(np.diag([0.0, 1.0]).astype(complex),
                                      [("e", 0.1, np.array([[0, 1], [0, 0]], complex), True)])
