@@ -31,7 +31,10 @@ macdonald (oracle)
     resolvent, pseudo-inverse solve or eigendecomposition enters this path.
 
 A zero-frequency consistency check through counting-field finite
-differences of the stationary eigenvalue completes the method triangle.
+differences of the stationary eigenvalue completes the method triangle. It
+too runs on the charge-sector block, by inverse iteration on the
+counting-deformed block (``superop.counting_liouvillian``) factored by
+``steady.factor_kept_block``, the one sparse LU of every route.
 
 :func:`compute_spectrum` is the one entry from a generator and its steady
 state to spectra: it checks each request, runs one of the three routes,
@@ -49,14 +52,12 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, ConvergenceFailure, MethodUnavailable, NumericalError
 from .model import ModelParams
 from .steady import (
     MomentReport,
     SteadyState,
-    channel_flux,
     factor_kept_block,
     moment_report,
     refined_solve,
@@ -72,8 +73,6 @@ from .superop import (
     real_kept_block,
     slowest_decay_rate,
     spectrum,
-    trace_vector,
-    vectorize,
 )
 
 __all__ = [
@@ -258,7 +257,8 @@ def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | 
     coeff = np.empty(spec.alphas.size, dtype=complex)
     for idx, vb, vbinv in spec.blocks:
         coeff[idx] = np.einsum("ij,ji->i", vbinv, part[idx][:, idx] @ vb)
-    alphas, c = np.delete(spec.alphas, spec.zero_index), np.delete(coeff, spec.zero_index)
+    zero = np.argmin(np.abs(spec.alphas))
+    alphas, c = np.delete(spec.alphas, zero), np.delete(coeff, zero)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     terms = c[None, :] * alphas[None, :] / (w[:, None] ** 2 + alphas[None, :] ** 2)
     total = 1.0 - 2.0 * np.sum(terms, axis=1)
@@ -392,9 +392,10 @@ def macdonald_evaluate(trace: MacdonaldTrace, omega) -> float | np.ndarray:
 
 
 def _smallest_eigenvalue(m: sp.csc_matrix, v0: np.ndarray, w0: np.ndarray) -> complex:
-    """Eigenvalue of m nearest zero by three steps of two-sided inverse iteration."""
+    """Eigenvalue of m, a matrix on the kept block, nearest zero by three steps
+    of two-sided inverse iteration on its :func:`steady.factor_kept_block`."""
     try:
-        lu = spla.splu(m)
+        lu = factor_kept_block(m)
     except RuntimeError as exc:
         raise NumericalError(f"counting generator singular: {exc}") from exc
     v, w = v0.astype(complex), w0.astype(complex)
@@ -416,20 +417,19 @@ def counting_fd_check(liouv: Superoperator, ss: SteadyState, i: str, j: str,
     Differentiates the stationary eigenvalue lambda0(s) of the deformed
     generator M(s) around s = 1 with Richardson-corrected central
     stencils: S(0) = 2 (d2 lambda0/ds_i ds_j + delta_ij d lambda0/ds_i).
-    ``include_delta=False`` drops the first-derivative shot-noise floor
+    M(s) is taken on the kept block (:func:`superop.counting_liouvillian`),
+    where the stationary eigenvector lives; the inverse iteration starts from
+    the steady state there and the trace row, and factors in the block's
+    order. ``include_delta=False`` drops the first-derivative shot-noise floor
     (whose value is the mean current, 2 I_i in these units). When the
     correction moves the plain stencil by more than 10%, the step is raised
     from ``FD_STEP`` to 4 ``FD_STEP`` once, and ConvergenceFailure is raised
     if it still does.
     Validation role only; agrees with the resolvent value at omega = 0.
     """
-    v0 = vectorize(ss.rho_ss)
-    w0 = trace_vector(liouv.dim_rho)
-
     def lam(si: float, sj: float | None = None) -> float:
         s = {i: si} if (i == j or sj is None) else {i: si, j: sj}
-        m = counting_liouvillian(liouv, s).tocsc()
-        val = _smallest_eigenvalue(m, v0, w0)
+        val = _smallest_eigenvalue(counting_liouvillian(liouv, s), ss.rho_kept, liouv.trace)
         if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
             warnings.warn(f"counting eigenvalue has imaginary part {val.imag:.3e}",
                           stacklevel=3)
@@ -475,10 +475,11 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState,
     "fano" (S / 2 I_i, autocorrelation only), at a frequency (floats) or on
     an array of frequencies, by one method.
 
-    The resolvent solves every request with one factorization per
-    frequency. MacDonald's ``t_max`` defaults to 12 / (slowest decay rate),
-    which needs a dense eigensolve of a kept block no larger than
-    ``superop.DENSE_MAX_DIM``. The eigen expansion is in Fano units already
+    Every request's channel ids are checked first, so an unknown one raises
+    KeyError, naming the known ones, before any method solves. The resolvent
+    solves every request with one factorization per frequency. MacDonald's
+    ``t_max`` defaults to 12 / (slowest decay rate), which needs a dense
+    eigensolve of a kept block no larger than ``superop.DENSE_MAX_DIM``. The eigen expansion is in Fano units already
     and is scaled by 2 I_i for "raw" only; the other two methods check a
     "fano" request's flux before they solve anything.
     """
@@ -487,14 +488,15 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState,
             raise ValueError(f"unknown normalization {normalization!r}")
         if normalization == "fano" and i != j:
             raise ValueError("fano normalization applies to autocorrelation pairs only")
+        liouv.channel(i), liouv.channel(j)  # an unknown id raises, naming the known ones
     if method == "eigen":
         if any(i != j for (i, j), _ in requests):
             raise MethodUnavailable("eigen-expansion covers autocorrelation pairs only")
         spec = spectrum(liouv)
         fano = [noise_eigen_expansion(spec, liouv.channel(i), omega) for (i, _), _ in requests]
-        return [v if norm == "fano" else v * 2.0 * channel_flux(ss, liouv, i)
+        return [v if norm == "fano" else v * 2.0 * ss.fluxes[i]
                 for v, ((i, _), norm) in zip(fano, requests)]
-    fano = {i: channel_flux(ss, liouv, i) for (i, _), norm in requests if norm == "fano"}
+    fano = {i: ss.fluxes[i] for (i, _), norm in requests if norm == "fano"}
     for i, flux in fano.items():
         if flux <= 0:
             raise NumericalError(f"cannot Fano-normalize: channel {i!r} flux is {flux:g}")

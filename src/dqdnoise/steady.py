@@ -10,7 +10,8 @@ cached factorization. The block, L on it and that system
 (``superop.Superoperator.kept`` and ``.system``) are fields of the
 generator, set by whichever builder made it. The block lists its indices in
 a fill-reducing order, and every sparse LU of it (:func:`factor_kept_block`,
-here and per frequency in ``noise``) keeps that order. The state is
+here, and per frequency and for the counting check in ``noise``) keeps that
+order; it is the program's one sparse LU. The state is
 Hermitized and normalized on the block, and its residual is reported
 against L on the whole block, the trace row's equation included; no other
 entry of L reaches the block. Each channel's stationary flux is taken there
@@ -40,7 +41,6 @@ __all__ = [
     "factor_kept_block",
     "refined_solve",
     "solve_steady_state",
-    "channel_flux",
     "currents",
     "mode_moments",
     "top_fock_population",
@@ -190,13 +190,6 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
         )
     fluxes = {cid: ch.rate * float((ch.row @ x).real) for cid, ch in liouv.channels.items()}
     return SteadyState(rho_ss=rho, residual=residual, factor=lu, rho_kept=x, fluxes=fluxes)
-
-
-def channel_flux(ss: SteadyState, liouv: Superoperator, cid: str) -> float:
-    """Stationary flux Tr[L_cid rho_ss] of one jump channel of ``liouv``, as
-    :func:`solve_steady_state` took it."""
-    liouv.channel(cid)  # an unknown id raises, naming the known ones
-    return ss.fluxes[cid]
 
 
 def currents(ss: SteadyState, liouv: Superoperator) -> Currents:

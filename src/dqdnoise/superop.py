@@ -172,11 +172,10 @@ class Superoperator:
     with, ``trace`` the trace row and ``partner`` the position of each index's
     transpose. Both builders, :func:`assemble_liouvillian` and
     :meth:`GeneratorPlan.generator`, set every field; ``base``, ``matrix`` and
-    the channel parts, D^2 x D^2 operators that no steady solve and no
-    omega = 0 noise reads, are formed on each use, and the eigendecompositions
-    (:func:`kept_eig`, :func:`spectrum`) on first use and kept. Instances are
-    treated as immutable after construction and are safe to share across
-    threads.
+    the channel parts, D^2 x D^2 operators that no solve reads, are formed on
+    each use, and the eigendecompositions (:func:`kept_eig`, :func:`spectrum`)
+    on first use and kept. Instances are treated as immutable after
+    construction and are safe to share across threads.
     """
 
     dim_rho: int
@@ -221,7 +220,6 @@ class LiouvillianSpectrum:
 
     alphas: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    zero_index: int
 
     @property
     def n_stationary(self) -> int:
@@ -457,13 +455,15 @@ def generator_plan(n_fock: int, hamiltonian: str, /) -> GeneratorPlan:
     return GeneratorPlan(n_fock, hamiltonian)
 
 
-def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> sp.csr_matrix:
-    """Counting-field deformation M(s) = L + sum_i (s_i - 1) * channel_i, summed
-    in channel order.
+def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> sp.csc_matrix:
+    """Counting-field deformation M(s) = L + sum_c (s_c - 1) rate_c X_c . X_c^dag
+    on the kept block ``blocks[0]`` in block order: ``kept`` plus each counted
+    channel's sandwich there, summed in channel order. No channel leaves the
+    block (:func:`_sector_split`), so its stationary eigenvalue is that of the
+    whole space.
 
     Multipliers may be given for the counted channels only; uncounted
-    channels stay at 1. M(1, ..., 1) equals the undeformed generator
-    exactly.
+    channels stay at 1. M(1, ..., 1) equals ``kept`` exactly.
     """
     counted = {cid for cid, ch in liouv.channels.items() if ch.counted}
     unknown = set(s) - counted
@@ -472,8 +472,8 @@ def counting_liouvillian(liouv: Superoperator, s: dict[str, float]) -> sp.csr_ma
             f"multipliers for unknown or uncounted channels: {sorted(unknown)}; "
             f"counted channels are {sorted(counted)}"
         )
-    return sum(((float(s[cid]) - 1.0) * ch.part for cid, ch in liouv.channels.items()
-                if cid in s), liouv.matrix).tocsr()
+    return sum(((float(s[cid]) - 1.0) * (ch.rate * ch.kept) for cid, ch in liouv.channels.items()
+                if cid in s), liouv.kept)
 
 
 def hermitian_basis(dim_rho: int, block: np.ndarray) -> sp.csc_matrix:
@@ -549,10 +549,8 @@ def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
                 "eigen-expansion method unavailable for this generator"
             )
         blocks.append((idx, u @ vb, vbinv @ u.conj().T) if dense is None else (idx, vb, vbinv))
-    result = LiouvillianSpectrum(alphas=alphas, blocks=blocks,
-                                 zero_index=int(np.argmin(np.abs(alphas))))
-    liouv._spectrum = result
-    return result
+    liouv._spectrum = LiouvillianSpectrum(alphas=alphas, blocks=blocks)
+    return liouv._spectrum
 
 
 def eigenvalues(liouv: Superoperator) -> np.ndarray:

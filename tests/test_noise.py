@@ -674,7 +674,46 @@ class TestCountingFiniteDifference:
         assert (with_delta - without) / 2.0 == pytest.approx(flux, rel=1e-6)
 
 
+class TestOneSparseLu:
+    def test_every_lu_factors_the_kept_block(self, monkeypatch, dense_cut):
+        # the steady solve, the resolvent's per-omega LUs and the counting check all
+        # factor matrices of the kept block's size, none of the whole space's
+        shapes = {"steady": [], "resolvent": [], "counting": []}
+        phase = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda m, *a, **k:
+                            shapes[phase[-1]].append(m.shape) or splu(m, *a, **k))
+        dense_cut("lu")
+        phase.append("steady")
+        point = TransportPoint(ModelParams(delta=0.5, g=0.2, temperature=0.5, n_fock=3))
+        liouv, ss = point.liouv, point.ss
+        phase.append("resolvent")
+        compute_spectrum(liouv, ss, [(("e", "e"), "raw"), (("e", "b"), "raw")],
+                         np.array([0.0, 0.5, 1.0]))
+        phase.append("counting")
+        counting_fd_check(liouv, ss, "e", "e")
+        counting_fd_check(liouv, ss, "e", "b")
+        n = liouv.blocks[0].size
+        assert n < liouv.dim_rho**2
+        assert [len(v) > 0 for v in shapes.values()] == [True] * 3
+        assert {s for v in shapes.values() for s in v} == {(n, n)}
+
+
 class TestComputeSpectrum:
+    @pytest.mark.parametrize("method", ["resolvent", "eigen", "macdonald"])
+    def test_unknown_channel_raises_before_any_solve(self, monkeypatch, method):
+        # a fresh point, so that no eigendecomposition is kept from an earlier call
+        point = TransportPoint(ModelParams(delta=0.5, g=0.2, n_fock=3))
+        calls = []
+        for owner, name in ((la, "eig"), (la, "eigvals"), (spla, "splu")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        with pytest.raises(KeyError, match=r"unknown channel 'x'; have \['b', 'b_abs', 'e', 'in'\]"):
+            compute_spectrum(point.liouv, point.ss, [(("e", "e"), "raw"), (("x", "x"), "raw")],
+                             np.array([0.0, 0.5]), method)
+        assert calls == []
+
     def test_methods_agree_on_grid(self, fig2_bundle):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         grid = np.linspace(0.8, 1.2, 9)

@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from dqdnoise.checks import _preset_point
 from dqdnoise.errors import MethodUnavailable
 from dqdnoise.model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
+from dqdnoise.steady import solve_steady_state
 from dqdnoise.superop import (
     GeneratorPlan,
     Superoperator,
@@ -343,12 +344,23 @@ class TestThermalGrouping:
             thermal_dissipator(np.zeros((2, 2)), 0.1, 0.0, grouping="other")
 
 
+@pytest.fixture()
+def counted(fig2_bundle, random_lindbladian):
+    """(generator, steady state) of fig2, whose kept block is the charge sector,
+    and of the generic generator, whose kept block is the whole space."""
+    return [(fig2_bundle.liouv, fig2_bundle.ss),
+            (random_lindbladian, solve_steady_state(random_lindbladian))]
+
+
 class TestCounting:
-    def test_unit_multipliers_reproduce_generator(self, fig2_bundle):
-        liouv = fig2_bundle.liouv
-        m = counting_liouvillian(liouv, {"e": 1.0, "b": 1.0})
-        assert isinstance(m, scipy.sparse.csr_matrix)
-        assert abs(m - liouv.matrix).max() == 0.0
+    def test_unit_multipliers_reproduce_generator(self, counted):
+        # M(1, ..., 1) is L on the kept block, in block order
+        for liouv, _ in counted:
+            m = counting_liouvillian(liouv, dict.fromkeys(
+                [cid for cid, ch in liouv.channels.items() if ch.counted], 1.0))
+            assert isinstance(m, scipy.sparse.csc_matrix)
+            assert m.shape == (liouv.blocks[0].size,) * 2
+            assert abs(m - liouv.kept).max() == 0.0
 
     def test_unknown_channel_rejected(self, fig2_bundle):
         liouv = fig2_bundle.liouv
@@ -357,24 +369,22 @@ class TestCounting:
         with pytest.raises(KeyError):
             counting_liouvillian(liouv, {"in": 0.5})  # not a counted channel
 
-    def test_blocked_channel_leaks_counted_flux(self, fig2_bundle):
+    def test_blocked_channel_leaks_counted_flux(self, counted):
         # with s_e = 0 the trace decays at the counted emission rate
-        liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
-        m = counting_liouvillian(liouv, {"e": 0.0})
-        tr = trace_vector(liouv.dim_rho)
-        rho_vec = vectorize(ss.rho_ss)
-        leak = (tr @ (m @ rho_vec)).real
-        flux = (tr @ (liouv.channels["e"].part @ rho_vec)).real
-        assert leak == pytest.approx(-flux, abs=1e-14)
+        for liouv, ss in counted:
+            m = counting_liouvillian(liouv, {"e": 0.0})
+            leak = (liouv.trace @ (m @ ss.rho_kept)).real
+            assert ss.fluxes["e"] > 0.0
+            assert leak == pytest.approx(-ss.fluxes["e"], abs=1e-14)
 
-    def test_linearity_in_multiplier(self, fig2_bundle):
-        liouv = fig2_bundle.liouv
+    def test_linearity_in_multiplier(self, counted):
         h = 0.3
-        second = (counting_liouvillian(liouv, {"e": 1 + h})
-                  + counting_liouvillian(liouv, {"e": 1 - h})
-                  - 2 * liouv.matrix)
-        scale = abs(liouv.matrix).max()
-        assert abs(second).max() <= 1e-14 * scale
+        for liouv, _ in counted:
+            second = (counting_liouvillian(liouv, {"e": 1 + h})
+                      + counting_liouvillian(liouv, {"e": 1 - h})
+                      - 2 * liouv.kept)
+            scale = abs(liouv.kept).max()
+            assert abs(second).max() <= 1e-14 * scale
 
 
 class TestSpectrum:
