@@ -20,10 +20,9 @@ from .superop import (
     charge_sector,
     counting_liouvillian,
     devectorize,
-    eigenvalues,
     generator_plan,
     sector_leak,
-    stationary_count,
+    spectrum,
     thermal_occupation,
     trace_defect,
     vectorize,
@@ -206,10 +205,10 @@ def _eigenvalue_checks(liouv, ctx: str) -> list[CheckResult]:
     doing the same arithmetic on conjugated input, returns exactly
     conjugate eigenvalues: on a true Lindbladian the pairing defect reads 0,
     and one perturbed (0, X) entry shows in it."""
-    alphas = eigenvalues(liouv)
-    return [_result("eigenvalue-half-plane", ctx, float(alphas.real.max()), 1e-10),
-            _result("unique-stationary-state", ctx, abs(stationary_count(alphas) - 1), 0.0),
-            _result("conjugate-pair-symmetry", ctx, _conjugate_pair_defect(alphas), 1e-10)]
+    spec = spectrum(liouv)
+    return [_result("eigenvalue-half-plane", ctx, float(spec.alphas.real.max()), 1e-10),
+            _result("unique-stationary-state", ctx, abs(spec.n_stationary - 1), 0.0),
+            _result("conjugate-pair-symmetry", ctx, _conjugate_pair_defect(spec.alphas), 1e-10)]
 
 
 def _conjugate_pair_defect(alphas: np.ndarray) -> float:

@@ -10,14 +10,16 @@ resolvent (primary, ``ResolventSolver.noises``)
     solves the trace-row-augmented block (pseudo-inverse restricted to
     range Q) with the factorization the steady-state solve already made;
     nonzero w, for a large grid on a small block, in pole-residue form from
-    the real eigendecomposition of the block that ``superop.spectrum`` shares,
-    else (or for an ill-conditioned eigenvector basis) by one sparse
-    factorization per frequency in the block's own fill-reducing order.
+    the block's real eigendecomposition ``superop.kept_eig``, which the eigen
+    method shares, else (or for an ill-conditioned eigenvector basis) by one
+    sparse factorization per frequency in the block's own fill-reducing order.
 
 eigen (diagnostic)
     S(w)/2I = 1 - 2 sum_k c_k alpha_k / (w^2 + alpha_k^2) over the
-    non-stationary eigenvalues, c_k = (V^-1 L_i V)_kk. Peak locations
-    only; requires a diagonalizable generator.
+    non-stationary eigenvalues, c_k = (V^-1 L_i V)_kk, V block diagonal:
+    ``superop.kept_eig`` on the kept block, a complex ``eig`` per coherence
+    half, each inverted and checked for biorthogonality here. Peak locations
+    only; needs a diagonalizable generator, kept block <= ``DENSE_MAX_DIM``.
 
 macdonald (oracle)
     Time-domain sine transform of the counted-moment correlator,
@@ -65,13 +67,11 @@ from .steady import (
 )
 from .superop import (
     DENSE_MAX_DIM,
-    LiouvillianSpectrum,
     Superoperator,
     counting_liouvillian,
     generator_plan,
     kept_eig,
     real_kept_block,
-    slowest_decay_rate,
     spectrum,
 )
 
@@ -88,6 +88,7 @@ __all__ = [
 
 REALITY_TOL = 1e-10
 EIGEN_IMAG_TOL = 1e-8
+BIORTHOGONALITY_TOL = 1e-8
 FD_STEP = 5e-3  # the counting-field step of counting_fd_check
 
 
@@ -111,7 +112,7 @@ class ResolventSolver:
     that ``ss.factor`` already factors, refined as the steady solve is
     (:meth:`apply`). Above the cut of :meth:`_use_dense` all nonzero w come
     from the block's eigendecomposition L_blk = u V diag(lambda) V^-1 u^H
-    (:func:`superop.kept_eig`, shared with :func:`superop.spectrum`) in
+    (:func:`superop.kept_eig`, shared with :func:`noise_eigen_expansion`) in
     pole-residue form, r (i w + L_blk)^-1 c = sum_k ((r u) V)_k (V^-1 u^H c)_k
     / (i w + lambda_k) (Antoulas, *Approximation of Large-Scale Dynamical
     Systems*, SIAM 2005, ch. 4). Below the cut, or when V is ill-conditioned,
@@ -242,23 +243,43 @@ class TransportPoint:
         return compute_spectrum(self.liouv, self.ss, [((i, j), normalization)], omega)[0]
 
 
-def noise_eigen_expansion(spec: LiouvillianSpectrum, channel, omega) -> float | np.ndarray:
+def noise_eigen_expansion(liouv: Superoperator, channel, omega) -> float | np.ndarray:
     """Normalized autocorrelation noise 1 - 2 sum_k c_k a_k / (w^2 + a_k^2).
 
-    ``channel`` is the counted JumpChannel correlated with itself; its
-    coefficients c_k = (V_b^-1 L_i V_b)_kk, block by block, are summed as
-    written over the complex conjugate-paired spectrum (the sum is then
-    real up to roundoff). The stationary eigenvalue is excluded; its
-    coefficient is the mean current and its term vanishes identically.
-    Diagnostic method: peak locations only, values are approximate away
-    from the validity conditions.
+    ``channel`` is the counted JumpChannel correlated with itself. Its
+    coefficients c_k = (V_b^-1 L_i V_b)_kk sit at their sector block's vec
+    indices: the kept block's from :func:`superop.kept_eig` in its Hermitian
+    basis u (V_b = u V, V_b^-1 = V^-1 u^H), each coherence half's from a
+    complex ``eig``. They are summed as written over the conjugate-paired
+    spectrum (real up to roundoff); the stationary eigenvalue, whose term
+    vanishes identically, is excluded. Diagnostic method: peak locations
+    only, values are approximate away from the validity conditions.
+
+    Raises MethodUnavailable if a block's eigenvector basis fails the
+    biorthogonality tolerance (defective or severely ill-conditioned L).
     """
     part = channel.part
-    coeff = np.empty(spec.alphas.size, dtype=complex)
-    for idx, vb, vbinv in spec.blocks:
+    alphas = np.empty(liouv.dim_rho**2, dtype=complex)
+    coeff = np.empty(alphas.size, dtype=complex)
+    u, alphas[liouv.blocks[0]], vb = kept_eig(liouv)
+    matrix = liouv.matrix
+    for b, idx in enumerate(liouv.blocks):
+        if b:
+            alphas[idx], vb = la.eig(matrix[idx][:, idx].toarray())
+        try:
+            vbinv = la.inv(vb)
+        except la.LinAlgError as exc:
+            raise MethodUnavailable(f"eigenvector basis is singular: {exc}") from exc
+        defect = np.max(np.abs(vbinv @ vb - np.eye(idx.size)))
+        if defect > BIORTHOGONALITY_TOL:
+            raise MethodUnavailable(f"eigendecomposition failed biorthogonality check (defect "
+                                    f"{defect:.3e} > {BIORTHOGONALITY_TOL:g}); eigen-expansion "
+                                    "method unavailable for this generator")
+        if not b:
+            vb, vbinv = u @ vb, vbinv @ u.conj().T
         coeff[idx] = np.einsum("ij,ji->i", vbinv, part[idx][:, idx] @ vb)
-    zero = np.argmin(np.abs(spec.alphas))
-    alphas, c = np.delete(spec.alphas, zero), np.delete(coeff, zero)
+    zero = np.argmin(np.abs(alphas))
+    alphas, c = np.delete(alphas, zero), np.delete(coeff, zero)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     terms = c[None, :] * alphas[None, :] / (w[:, None] ** 2 + alphas[None, :] ** 2)
     total = 1.0 - 2.0 * np.sum(terms, axis=1)
@@ -476,12 +497,14 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState,
     an array of frequencies, by one method.
 
     Every request's channel ids are checked first, so an unknown one raises
-    KeyError, naming the known ones, before any method solves. The resolvent
-    solves every request with one factorization per frequency. MacDonald's
-    ``t_max`` defaults to 12 / (slowest decay rate), which needs a dense
-    eigensolve of a kept block no larger than ``superop.DENSE_MAX_DIM``. The eigen expansion is in Fano units already
-    and is scaled by 2 I_i for "raw" only; the other two methods check a
-    "fano" request's flux before they solve anything.
+    KeyError, naming the known ones, and then every "fano" request's flux,
+    so a zero one raises NumericalError, before any method solves. The
+    resolvent solves every request with one factorization per frequency.
+    The eigen expansion and MacDonald's default ``t_max``, 12 / (slowest
+    decay rate of :func:`superop.spectrum`), take the kept block dense, so
+    above ``superop.DENSE_MAX_DIM`` they raise ConfigError before any dense
+    solve. The eigen expansion is in Fano units already and is scaled by
+    2 I_i for "raw" only.
     """
     for (i, j), normalization in requests:
         if normalization not in ("raw", "fano"):
@@ -489,25 +512,29 @@ def compute_spectrum(liouv: Superoperator, ss: SteadyState,
         if normalization == "fano" and i != j:
             raise ValueError("fano normalization applies to autocorrelation pairs only")
         liouv.channel(i), liouv.channel(j)  # an unknown id raises, naming the known ones
-    if method == "eigen":
-        if any(i != j for (i, j), _ in requests):
-            raise MethodUnavailable("eigen-expansion covers autocorrelation pairs only")
-        spec = spectrum(liouv)
-        fano = [noise_eigen_expansion(spec, liouv.channel(i), omega) for (i, _), _ in requests]
-        return [v if norm == "fano" else v * 2.0 * ss.fluxes[i]
-                for v, ((i, _), norm) in zip(fano, requests)]
     fano = {i: ss.fluxes[i] for (i, _), norm in requests if norm == "fano"}
     for i, flux in fano.items():
         if flux <= 0:
             raise NumericalError(f"cannot Fano-normalize: channel {i!r} flux is {flux:g}")
+    dense = liouv.blocks[0].size <= DENSE_MAX_DIM
+    if method == "eigen":
+        if any(i != j for (i, j), _ in requests):
+            raise MethodUnavailable("eigen-expansion covers autocorrelation pairs only")
+        if not dense:
+            raise ConfigError(f"eigen method: the kept block's dimension "
+                              f"{liouv.blocks[0].size} exceeds DENSE_MAX_DIM = {DENSE_MAX_DIM}")
+        expansions = [noise_eigen_expansion(liouv, liouv.channel(i), omega)
+                      for (i, _), _ in requests]
+        return [v if norm == "fano" else v * 2.0 * ss.fluxes[i]
+                for v, ((i, _), norm) in zip(expansions, requests)]
     if method == "resolvent":
         values = ResolventSolver(liouv, ss).noises([pair for pair, _ in requests], omega)
     elif method == "macdonald":
         if t_max is None:
-            if liouv.blocks[0].size > DENSE_MAX_DIM:
+            if not dense:
                 raise ConfigError("macdonald.t_max required (system too large to "
                                   "auto-derive the relaxation time)")
-            t_max = 12.0 / slowest_decay_rate(liouv)
+            t_max = 12.0 / spectrum(liouv).slowest_decay_rate()
         values = [macdonald_evaluate(macdonald_correlation_trace(liouv, ss, i, j, t_max, dt),
                                      omega) for (i, j), _ in requests]
     else:

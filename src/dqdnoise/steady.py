@@ -31,8 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
-from .superop import (DENSE_MAX_DIM, STATIONARY_TOL, Superoperator, devectorize,
-                      eigenvalues, stationary_count)
+from .superop import DENSE_MAX_DIM, STATIONARY_TOL, Superoperator, devectorize, spectrum
 
 __all__ = [
     "SteadyState",
@@ -111,7 +110,7 @@ class MomentReport:
 
 def _diagnose_failure(liouv: Superoperator, residual: float) -> Exception:
     if liouv.blocks[0].size <= DENSE_MAX_DIM:
-        n_zero = stationary_count(eigenvalues(liouv))
+        n_zero = spectrum(liouv).n_stationary
         if n_zero >= 2:
             return DegenerateSteadyState(
                 f"stationary subspace is degenerate ({n_zero} eigenvalues below "

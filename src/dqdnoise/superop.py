@@ -33,14 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import MethodUnavailable
 from .model import HilbertSpace, ModelParams, OperatorSet, build_operators, hamiltonian_terms
 
 __all__ = [
@@ -61,12 +59,9 @@ __all__ = [
     "build_liouvillian",
     "counting_liouvillian",
     "spectrum",
-    "eigenvalues",
     "hermitian_basis",
     "real_kept_block",
     "kept_eig",
-    "slowest_decay_rate",
-    "stationary_count",
     "charge_sector",
     "sector_leak",
     "trace_replaced_system",
@@ -74,11 +69,10 @@ __all__ = [
 ]
 
 STATIONARY_TOL = 1e-8
-BIORTHOGONALITY_TOL = 1e-8
-#: largest kept block ``blocks[0]`` taken dense (the resolvent's pole-residue sweep, a
-#: failed-solve diagnosis, an automatic MacDonald t_max): n_fock 15's, where :func:`eigenvalues`
-#: takes 1.3-1.4 s at T = 0 (one BLAS thread, 2-core Xeon) and V with the LU of its real form
-#: keep 24 n^2 bytes, 39 MB
+#: largest kept block ``blocks[0]`` taken dense (the resolvent's pole-residue sweep, the eigen
+#: method, a failed-solve diagnosis, an automatic MacDonald t_max): n_fock 15's, where
+#: :func:`spectrum` takes 0.9-1.0 s at T = 0 and 1.3-1.4 s at T = 1 (one BLAS thread, 2-core
+#: Xeon) and V with the LU of its real form keep 24 n^2 bytes, 39 MB
 DENSE_MAX_DIM = 1280
 #: plans :func:`generator_plan` keeps; one holds 0.3, 3.0 and 15.8 MB at n_fock 6, 25 and 58
 PLAN_CACHE_SIZE = 8
@@ -173,8 +167,8 @@ class Superoperator:
     transpose. Both builders, :func:`assemble_liouvillian` and
     :meth:`GeneratorPlan.generator`, set every field; ``base``, ``matrix`` and
     the channel parts, D^2 x D^2 operators that no solve reads, are formed on
-    each use, and the eigendecompositions (:func:`kept_eig`, :func:`spectrum`)
-    on first use and kept. Instances are treated as immutable after
+    each use, and the kept block's eigendecomposition (:func:`kept_eig`) on
+    first use and kept. Instances are treated as immutable after
     construction and are safe to share across threads.
     """
 
@@ -189,7 +183,6 @@ class Superoperator:
     trace: np.ndarray = field(repr=False)
     partner: np.ndarray = field(repr=False)
     _kept_eig: tuple | None = field(default=None, repr=False)
-    _spectrum: "LiouvillianSpectrum | None" = field(default=None, repr=False)
 
     def channel(self, channel_id: str) -> JumpChannel:
         try:
@@ -214,35 +207,24 @@ class Superoperator:
 
 @dataclass
 class LiouvillianSpectrum:
-    """Eigendecomposition L = V diag(alphas) V^-1 with V block diagonal:
-    ``blocks`` holds (vec indices, V_b, V_b^-1) per sector block of
-    :class:`Superoperator`, and ``alphas`` the eigenvalues at their block's vec indices."""
+    """Eigenvalues of a generator, ``alphas[k]`` at vec index k of its sector block."""
 
     alphas: np.ndarray
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     @property
     def n_stationary(self) -> int:
-        return stationary_count(self.alphas)
+        """Number of eigenvalues within ``STATIONARY_TOL`` of zero."""
+        return int(np.sum(np.abs(self.alphas) <= STATIONARY_TOL))
 
     def slowest_decay_rate(self) -> float:
         """|Re alpha| of the slowest non-stationary mode (sets relaxation t_max)."""
-        return _slowest_rate(self.alphas)
-
-
-def stationary_count(alphas: np.ndarray) -> int:
-    """Number of eigenvalues within ``STATIONARY_TOL`` of zero."""
-    return int(np.sum(np.abs(alphas) <= STATIONARY_TOL))
-
-
-def _slowest_rate(alphas: np.ndarray) -> float:
-    mask = np.abs(alphas) > STATIONARY_TOL
-    if not np.any(mask):
-        raise ValueError("no non-stationary modes")
-    slowest = float((-alphas[mask].real).min())
-    if slowest <= 1e-12:
-        raise ValueError(f"undamped non-stationary mode (rate {slowest:.3e})")
-    return slowest
+        mask = np.abs(self.alphas) > STATIONARY_TOL
+        if not np.any(mask):
+            raise ValueError("no non-stationary modes")
+        slowest = float((-self.alphas[mask].real).min())
+        if slowest <= 1e-12:
+            raise ValueError(f"undamped non-stationary mode (rate {slowest:.3e})")
+        return slowest
 
 
 def thermal_dissipator(a_op: np.ndarray, gamma_b: float, n_bar: float,
@@ -258,18 +240,22 @@ def thermal_dissipator(a_op: np.ndarray, gamma_b: float, n_bar: float,
     """
     adag = a_op.conj().T
     if grouping == "lindblad":
-        return assemble_liouvillian(np.zeros_like(a_op), [
-            ("b", gamma_b * (1.0 + n_bar), a_op, True),
-            ("b_abs", gamma_b * n_bar, adag, False),
-        ]).matrix
+        return (_dissipator(a_op, gamma_b * (1.0 + n_bar))
+                + _dissipator(adag, gamma_b * n_bar)).tocsr()
     if grouping == "printed":
         num = adag @ a_op
-        decay = 0.5 * gamma_b * (2.0 * sandwich(a_op, adag) - spre(num) - spost(num))
         thermal = (gamma_b * n_bar) * (
             sandwich(a_op, adag) + sandwich(adag, a_op) - spre(num) - spost(num)
         )
-        return (decay + thermal).tocsr()
+        return (_dissipator(a_op, gamma_b) + thermal).tocsr()
     raise ValueError(f"unknown grouping {grouping!r}")
+
+
+def _dissipator(c: np.ndarray, rate: float) -> sp.csr_matrix:
+    """rate D[c] = (rate / 2)(2 c . c^dag - {c^dag c, .})."""
+    cdag = c.conj().T
+    num = cdag @ c
+    return 0.5 * rate * (2.0 * sandwich(c, cdag) - spre(num) - spost(num))
 
 
 def assemble_liouvillian(h: np.ndarray,
@@ -506,66 +492,24 @@ def real_kept_block(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarray]:
 
 def kept_eig(liouv: Superoperator) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
     """(u, lambda, V), L_blk = u V diag(lambda) V^-1 u^H on the kept block: one real
-    ``eig`` of :func:`real_kept_block`, kept for :func:`spectrum` and the resolvent."""
+    ``eig`` of :func:`real_kept_block`, kept for the resolvent's pole-residue sweep
+    and the eigen method (``noise.noise_eigen_expansion``)."""
     if liouv._kept_eig is None:
         u, a = real_kept_block(liouv)
         liouv._kept_eig = (u, *la.eig(a, overwrite_a=True))
     return liouv._kept_eig
 
 
-def _coherence_blocks(liouv: Superoperator):
-    """(vec indices, dense block) of each sector block after the kept one, one at a time."""
-    for idx in liouv.blocks[1:]:
-        yield idx, liouv.matrix[idx][:, idx].toarray()
-
-
 def spectrum(liouv: Superoperator) -> LiouvillianSpectrum:
-    """Dense eigendecomposition of the generator, one of its sector ``blocks``
-    at a time; a mode sits at its block's vec indices. The kept block takes
-    :func:`kept_eig`, a real ``eig`` in its Hermitian basis u, so there
-    V_b = u V and V_b^-1 = V^-1 u^H; the coherence blocks take a complex one.
-
-    Raises MethodUnavailable if the eigenvector basis fails the
-    biorthogonality tolerance (defective or severely ill-conditioned L);
-    the resolvent-based noise path does not depend on this.
-    """
-    if liouv._spectrum is not None:
-        return liouv._spectrum
+    """The generator's eigenvalues, one dense ``eigvals`` per sector block at
+    that block's vec indices, the kept block's real in its Hermitian basis
+    (:func:`real_kept_block`). Formed on each call; no eigenvector is computed."""
     alphas = np.empty(liouv.dim_rho**2, dtype=complex)
-    u, alphas[liouv.blocks[0]], vb = kept_eig(liouv)
-    blocks = []
-    for idx, dense in chain([(liouv.blocks[0], None)], _coherence_blocks(liouv)):
-        if dense is not None:
-            alphas[idx], vb = la.eig(dense)
-        try:
-            vbinv = la.inv(vb)
-        except la.LinAlgError as exc:
-            raise MethodUnavailable(f"eigenvector basis is singular: {exc}") from exc
-        defect = np.max(np.abs(vbinv @ vb - np.eye(idx.size)))
-        if defect > BIORTHOGONALITY_TOL:
-            raise MethodUnavailable(
-                f"eigendecomposition failed biorthogonality check "
-                f"(defect {defect:.3e} > {BIORTHOGONALITY_TOL:g}); "
-                "eigen-expansion method unavailable for this generator"
-            )
-        blocks.append((idx, u @ vb, vbinv @ u.conj().T) if dense is None else (idx, vb, vbinv))
-    liouv._spectrum = LiouvillianSpectrum(alphas=alphas, blocks=blocks)
-    return liouv._spectrum
-
-
-def eigenvalues(liouv: Superoperator) -> np.ndarray:
-    """Eigenvalues of the generator, one dense ``eigvals`` per sector block, the
-    kept block's real in its Hermitian basis (:func:`real_kept_block`)."""
-    return np.concatenate([la.eigvals(real_kept_block(liouv)[1]),
-                           *(la.eigvals(dense) for _, dense in _coherence_blocks(liouv))])
-
-
-def slowest_decay_rate(liouv: Superoperator) -> float:
-    """|Re alpha| of the generator's slowest non-stationary mode, from the
-    cached eigendecomposition if there is one, else from eigenvalues alone."""
-    if liouv._spectrum is not None:
-        return liouv._spectrum.slowest_decay_rate()
-    return _slowest_rate(eigenvalues(liouv))
+    alphas[liouv.blocks[0]] = la.eigvals(real_kept_block(liouv)[1])
+    matrix = liouv.matrix
+    for idx in liouv.blocks[1:]:
+        alphas[idx] = la.eigvals(matrix[idx][:, idx].toarray())
+    return LiouvillianSpectrum(alphas)
 
 
 def charge_sector(dim_rho: int) -> np.ndarray | None:

@@ -23,8 +23,8 @@ from dqdnoise.cli import (
 )
 from dqdnoise.errors import ConfigError
 from dqdnoise.model import ModelParams
-from dqdnoise.noise import TransportPoint
-from dqdnoise.superop import DENSE_MAX_DIM, generator_plan, spectrum
+from dqdnoise.noise import TransportPoint, compute_spectrum
+from dqdnoise.superop import DENSE_MAX_DIM, generator_plan
 from dqdnoise.sweep import preset
 
 
@@ -218,6 +218,21 @@ class TestExitCodes:
         assert "macdonald.t_max required" in capsys.readouterr().err
         assert calls == []
 
+    def test_eigen_above_dense_cap_is_2_without_eig(self, tmp_path, monkeypatch, capsys):
+        def no_eig(*args, **kwargs):
+            raise AssertionError("dense eig of a kept block above DENSE_MAX_DIM")
+
+        monkeypatch.setattr(scipy.linalg, "eig", no_eig)
+        n_fock = 16
+        assert generator_plan(n_fock, "full").blocks[0].size == 1445 > DENSE_MAX_DIM
+        path = write(tmp_path, f"model.delta = 0.5\nmodel.n_fock = {n_fock}\n"
+                               "spectrum.omega_count = 2\n")
+        out = tmp_path / "out.csv"
+        rc = cli.main(["spectrum", "--config", path, "--methods", "eigen", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert f"DENSE_MAX_DIM = {DENSE_MAX_DIM}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eigen_cross_pair_is_2_before_any_factorization(self, tmp_path, monkeypatch,
                                                               capsys):
         calls = []
@@ -287,6 +302,22 @@ class TestSpectrumCommand:
         assert data["schema"] == "dqdnoise.spectrum.v1"
         assert len(data["curves"][0]["omega"]) == 3
 
+    def test_macdonald_column_does_not_depend_on_the_other_methods(self, tmp_path):
+        """MacDonald's automatic t_max reads the generator's eigenvalues alone,
+        so an eigen or resolvent run before it leaves its bits as they are."""
+        cfg = write(tmp_path, "model.delta = 0.3\nmodel.g = 0\nmodel.temperature = 0.5\n"
+                              "model.n_fock = 6\nspectrum.hamiltonian = jc\n")
+        columns = []
+        for k, methods in enumerate(["macdonald", "eigen,macdonald",
+                                     "resolvent,eigen,macdonald"]):
+            out = tmp_path / f"{k}.csv"
+            assert cli.main(["spectrum", "--config", cfg, "--methods", methods,
+                             "--out", str(out)]) == EXIT_OK
+            rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+            columns.append([(w, v) for w, v, m, *_ in rows if m == "macdonald"])
+        assert len(columns[0]) == 300
+        assert columns[0] == columns[1] == columns[2]
+
 
 class TestSteadyCommand:
     def test_thermal_fano_reference(self, tmp_path):
@@ -346,6 +377,26 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
         rows = out.read_text().splitlines()[2:]
         assert all(row.endswith(",") for row in rows)  # empty value markers
+
+
+    def test_unsolvable_point_is_a_null_gap_in_json(self, tmp_path, capsys):
+        # epsilon = 1e308 overflows the generator, so that point fails at every omega
+        cfg = write(tmp_path, "model.delta = 0.5\nmodel.g = 0.2\nmodel.n_fock = 3\n"
+                              "sweep.axis1.name = epsilon\nsweep.axis1.values = 0,1e308\n"
+                              "sweep.axis2.name = omega\nsweep.axis2.values = 0.5,1\n"
+                              "sweep.quantities = S_ee,I_e\n")
+        out = tmp_path / "gaps.json"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                         "--format", "json"]) == EXIT_OK
+        assert "warning: 2 grid point(s) failed and were recorded as gaps" in \
+            capsys.readouterr().err
+        data = json.loads(out.read_text())
+        assert [g["index"] for g in data["gaps"]] == [[1, 0], [1, 1]]
+        assert all(g["error"].startswith("generator has non-finite entries")
+                   for g in data["gaps"])
+        for q in ("S_ee", "I_e"):
+            assert data["data"][q][1] == [None, None]
+            assert all(isinstance(v, float) for v in data["data"][q][0])
 
 
 class TestFockCutoffAuto:
@@ -412,10 +463,10 @@ class TestCheckCommand:
         eig = scipy.linalg.eig
         monkeypatch.setattr(scipy.linalg, "eig", lambda a, *r, **k:
                             calls.append((a.shape[0], a.dtype.kind)) or eig(a, *r, **k))
-        liouv = TransportPoint(ModelParams(delta=0.5, g=0.2, temperature=1.0, n_fock=4)).liouv
-        spectrum(liouv)
-        d2 = liouv.dim_rho**2
-        # the kept block's real eig, then one complex eig per coherence half
+        point = TransportPoint(ModelParams(delta=0.5, g=0.2, temperature=1.0, n_fock=4))
+        compute_spectrum(point.liouv, point.ss, [(("e", "e"), "fano")], 0.5, method="eigen")
+        d2 = point.liouv.dim_rho**2
+        # the eigen method: the kept block's real eig, then one complex eig per coherence half
         assert calls == [(5 * d2 // 9, "f"), (2 * d2 // 9, "c"), (2 * d2 // 9, "c")]
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])

@@ -21,8 +21,8 @@ from dqdnoise.noise import (
     noise_eigen_expansion,
 )
 from dqdnoise.steady import currents, factor_kept_block, refined_solve, solve_steady_state
-from dqdnoise.superop import (assemble_liouvillian, charge_sector, slowest_decay_rate,
-                              spectrum, trace_replaced_system, trace_vector, vectorize)
+from dqdnoise.superop import (assemble_liouvillian, charge_sector, kept_eig, spectrum,
+                              trace_replaced_system, trace_vector, vectorize)
 from dqdnoise.sweep import SweepAxis, SweepSpec, preset, run_sweep
 
 
@@ -249,10 +249,8 @@ class TestFrequencyGrid:
         fresh = TransportPoint(params, spec.hamiltonian)
         alone, = compute_spectrum(fresh.liouv, fresh.ss, requests, FIG2_GRID, method="eigen")
         assert np.array_equal(shared, alone)
-        got, ref = spectrum(point.liouv), spectrum(fresh.liouv)
-        assert np.array_equal(got.alphas, ref.alphas)
-        for block, ref_block in zip(got.blocks, ref.blocks):
-            assert all(np.array_equal(x, y) for x, y in zip(block, ref_block))
+        got, ref = kept_eig(point.liouv), kept_eig(fresh.liouv)
+        assert all(abs(x - y).max() == 0.0 for x, y in zip(got, ref))
 
     def test_threads_share_one_solver(self, fig2_params):
         point = TransportPoint(fig2_params)
@@ -597,25 +595,22 @@ class TestEigenExpansion:
     def test_single_level_exact(self):
         # fixes the coefficient normalization of the expansion
         liouv, ss = single_level(0.1, 0.025)
-        spec = spectrum(liouv)
-        val = noise_eigen_expansion(spec, liouv.channel("e"), 0.0)
+        val = noise_eigen_expansion(liouv, liouv.channel("e"), 0.0)
         assert val == pytest.approx(analytic_fano(0.1, 0.025), abs=1e-10)
 
     def test_high_frequency_limit(self, fig2_bundle):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
-        spec = spectrum(liouv)
-        val = noise_eigen_expansion(spec, liouv.channel("e"), 1e4)
+        val = noise_eigen_expansion(liouv, liouv.channel("e"), 1e4)
         assert abs(val - 1.0) <= 1e-3
 
     def test_reality_of_conjugate_pair_sum(self, fig2_bundle):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
-        spec = spectrum(liouv)
         grid = np.linspace(0.2, 1.8, 50)
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # imaginary residue must stay quiet
-            vals = noise_eigen_expansion(spec, liouv.channel("e"), grid)
+            vals = noise_eigen_expansion(liouv, liouv.channel("e"), grid)
         assert vals.shape == (50,)
 
     @pytest.mark.parametrize("cid", ["e", "b"])
@@ -629,16 +624,15 @@ class TestEigenExpansion:
         grid = np.array([0.0, 0.3, 1.0, 1.7])
         terms = coeff[keep] * alphas[keep] / (grid[:, None] ** 2 + alphas[keep] ** 2)
         whole = 1.0 - 2.0 * np.sum(terms, axis=1).real
-        got = noise_eigen_expansion(spectrum(liouv), liouv.channel(cid), grid)
+        got = noise_eigen_expansion(liouv, liouv.channel(cid), grid)
         assert np.max(np.abs(got - whole)) <= 1e-8
 
     def test_locates_rabi_branch(self):
         # diagnostic role: a strong mode at the upper branch is resolved
         p = ModelParams(delta=0.5, g=0.4, n_fock=6)
         liouv = TransportPoint(p, hamiltonian="jc").liouv
-        spec = spectrum(liouv)
         grid = np.linspace(1.2, 1.6, 801)
-        vals = np.atleast_1d(noise_eigen_expansion(spec, liouv.channel("e"), grid))
+        vals = np.atleast_1d(noise_eigen_expansion(liouv, liouv.channel("e"), grid))
         peaks = find_peaks_xy(grid, vals)
         assert peaks and min(abs(w - 1.4) for w, _ in peaks) < 0.05
 
@@ -714,6 +708,21 @@ class TestComputeSpectrum:
                              np.array([0.0, 0.5]), method)
         assert calls == []
 
+    @pytest.mark.parametrize("method", ["resolvent", "eigen", "macdonald"])
+    def test_zero_flux_fano_raises_before_any_solve(self, monkeypatch, method):
+        # gamma_R = 0: no electron leaves, so S_ee / 2 I_e is undefined for every method
+        point = TransportPoint(ModelParams(delta=0.5, g=0.2, gamma_R=0.0, n_fock=4), "jc")
+        assert point.ss.fluxes["e"] == 0.0
+        calls = []
+        for owner, name in ((la, "eig"), (la, "eigvals"), (spla, "splu")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        with pytest.raises(NumericalError, match="cannot Fano-normalize: channel 'e'"):
+            compute_spectrum(point.liouv, point.ss, [(("e", "e"), "fano")],
+                             np.array([0.0, 0.5, 1.0]), method)
+        assert calls == []
+
     def test_methods_agree_on_grid(self, fig2_bundle):
         liouv, ss = fig2_bundle.liouv, fig2_bundle.ss
         grid = np.linspace(0.8, 1.2, 9)
@@ -754,7 +763,7 @@ class TestComputeSpectrum:
         grid = np.array([0.0, 0.6, 1.0, 1.4])
         fano, raw = compute_spectrum(liouv, ss, [(("e", "e"), "fano"), (("e", "e"), "raw")],
                                      grid, method="eigen")
-        expansion = noise_eigen_expansion(spectrum(liouv), liouv.channel("e"), grid)
+        expansion = noise_eigen_expansion(liouv, liouv.channel("e"), grid)
         assert np.array_equal(fano, expansion)
         assert np.array_equal(raw, expansion * 2.0 * currents(ss, liouv).e)
 
@@ -764,7 +773,7 @@ class TestComputeSpectrum:
         requests = [(("e", "e"), "fano"), (("e", "b"), "raw")]
         auto = compute_spectrum(liouv, ss, requests, grid, method="macdonald", dt=0.04)
         given = compute_spectrum(liouv, ss, requests, grid, method="macdonald",
-                                 t_max=12.0 / slowest_decay_rate(liouv), dt=0.04)
+                                 t_max=12.0 / spectrum(liouv).slowest_decay_rate(), dt=0.04)
         for a, b in zip(auto, given):
             assert np.array_equal(a, b)
 

@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from dqdnoise.checks import _preset_point
 from dqdnoise.errors import MethodUnavailable
+from dqdnoise.noise import noise_eigen_expansion
 from dqdnoise.model import ModelParams, build_hamiltonian, build_jc_hamiltonian, build_operators
 from dqdnoise.steady import solve_steady_state
 from dqdnoise.superop import (
@@ -20,10 +21,10 @@ from dqdnoise.superop import (
     devectorize,
     generator_plan,
     hermitian_basis,
+    kept_eig,
     real_kept_block,
     sandwich,
     sector_leak,
-    slowest_decay_rate,
     spectrum,
     spre,
     spost,
@@ -262,10 +263,10 @@ class TestGeneratorPlan:
     def test_both_builders_fill_every_field(self, fig2_params):
         """The total's entries, blocks, L on the kept block, steady system and
         the kept block's trace row and transpose partners are set by the
-        builder, not on first use: only the eigendecomposition memos have a
-        default. The D^2 x D^2 total is formed from its entries on use."""
+        builder, not on first use: only the kept block's eigendecomposition memo
+        has a default. The D^2 x D^2 total is formed from its entries on use."""
         assert [f.name for f in fields(Superoperator)
-                if f.default is not MISSING] == ["_kept_eig", "_spectrum"]
+                if f.default is not MISSING] == ["_kept_eig"]
         ref = build_liouvillian(build_jc_hamiltonian(fig2_params), fig2_params)
         liouv = GeneratorPlan(fig2_params.n_fock, "jc").generator(fig2_params)
         for g in (ref, liouv):
@@ -394,11 +395,21 @@ class TestSpectrum:
         assert spec.n_stationary == 1
         assert spec.alphas.real.max() <= 1e-10
 
-    def test_biorthogonality(self, fig2_bundle):
-        blocks = spectrum(fig2_bundle.liouv).blocks
-        assert len(blocks) == 3
-        for idx, vb, vbinv in blocks:
-            assert np.max(np.abs(vbinv @ vb - np.eye(idx.size))) <= 1e-8
+    def test_biorthogonality(self, fig2_bundle, monkeypatch):
+        """The eigen method inverts one basis per sector block, each within the gate."""
+        pairs = []
+        inv = scipy.linalg.inv
+
+        def recording(a, *args, **kwargs):
+            pairs.append((a, inv(a, *args, **kwargs)))
+            return pairs[-1][1]
+
+        monkeypatch.setattr(scipy.linalg, "inv", recording)
+        liouv = fig2_bundle.liouv
+        noise_eigen_expansion(liouv, liouv.channel("e"), 0.5)
+        assert [v.shape[0] for v, _ in pairs] == [b.size for b in liouv.blocks]
+        for v, vinv in pairs:
+            assert np.max(np.abs(vinv @ v - np.eye(v.shape[0]))) <= 1e-8
 
     def test_conjugate_pair_symmetry(self, fig2_bundle):
         liouv = fig2_bundle.liouv
@@ -421,30 +432,22 @@ class TestSpectrum:
         rate = spectrum(liouv).slowest_decay_rate()
         assert 0 < rate < 0.05
 
-    def test_cached_on_generator(self, fig2_bundle):
-        liouv = fig2_bundle.liouv
-        assert spectrum(liouv) is spectrum(liouv)
-
     def test_slowest_decay_rate_takes_eigenvalues_only(self, fig2_params, monkeypatch):
+        """``spectrum`` computes no eigenvector and inverts nothing, and its rate
+        matches the eigenvalues of the whole generator."""
         liouv = build_liouvillian(build_hamiltonian(fig2_params), fig2_params)
-        expected = spectrum(build_liouvillian(build_hamiltonian(fig2_params),
-                                              fig2_params)).slowest_decay_rate()
+        lam = np.linalg.eigvals(liouv.matrix.toarray())
+        expected = float((-lam.real[np.abs(lam) > 1e-8]).min())
 
         def no_eigenvectors(*args, **kwargs):
             raise AssertionError("eigenvectors computed")
 
         monkeypatch.setattr(scipy.linalg, "eig", no_eigenvectors)
-        assert slowest_decay_rate(liouv) == pytest.approx(expected, rel=1e-10)
-        assert liouv._spectrum is None
-
-    def test_slowest_decay_rate_reuses_cached_spectrum(self, fig2_bundle, monkeypatch):
-        expected = spectrum(fig2_bundle.liouv).slowest_decay_rate()
-
-        def no_dense_solve(*args, **kwargs):
-            raise AssertionError("second dense eigenvalue solve")
-
-        monkeypatch.setattr(scipy.linalg, "eigvals", no_dense_solve)
-        assert slowest_decay_rate(fig2_bundle.liouv) == expected
+        monkeypatch.setattr(scipy.linalg, "inv", no_eigenvectors)
+        spec = spectrum(liouv)
+        assert spec.n_stationary == 1
+        assert spec.slowest_decay_rate() == pytest.approx(expected, rel=1e-10)
+        assert liouv._kept_eig is None
 
     @staticmethod
     def _patch_eig_basis(monkeypatch, basis):
@@ -461,7 +464,7 @@ class TestSpectrum:
         liouv = build_liouvillian(build_hamiltonian(fig2_params), fig2_params)
         self._patch_eig_basis(monkeypatch, lambda v: np.column_stack([v[:, :-1], 0 * v[:, 0]]))
         with pytest.raises(MethodUnavailable, match="eigenvector basis is singular"):
-            spectrum(liouv)
+            noise_eigen_expansion(liouv, liouv.channel("e"), 0.5)
 
     @pytest.mark.filterwarnings("ignore:An ill-conditioned matrix")
     def test_nearly_parallel_basis_fails_biorthogonality(self, fig2_params, monkeypatch):
@@ -469,7 +472,7 @@ class TestSpectrum:
         self._patch_eig_basis(monkeypatch, lambda v: np.column_stack(
             [v[:, :-1], v[:, 0] + 1e-14 * v[:, -1]]))
         with pytest.raises(MethodUnavailable, match="failed biorthogonality check"):
-            spectrum(liouv)
+            noise_eigen_expansion(liouv, liouv.channel("e"), 0.5)
 
 
 class TestChargeSector:
@@ -631,9 +634,10 @@ class TestHermitianBasis:
     @pytest.mark.parametrize("make", KEPT_MAKES)
     def test_kept_eigenvectors_reconstruct_the_block(self, kept, make):
         liouv = kept(make)
-        idx, vb, vbinv = spectrum(liouv).blocks[0]
+        u, lam, v = kept_eig(liouv)
+        idx = liouv.blocks[0]
         l_blk = liouv.matrix[idx][:, idx].toarray()
-        got = (vb * spectrum(liouv).alphas[idx]) @ vbinv
+        got = ((u @ v) * lam) @ (scipy.linalg.inv(v) @ u.conj().T)
         assert np.max(np.abs(got - l_blk)) <= 1e-10 * np.max(np.abs(l_blk))
 
 

@@ -302,6 +302,23 @@ class TestRunSweep:
         assert len(result.gaps) == 2
         assert np.all(np.isnan(result.data["S_ee"]))
 
+    def test_unsolvable_point_is_a_gap_at_every_omega(self):
+        # epsilon = 1e308 overflows the generator: its point fails before any noise
+        def spec(eps):
+            return SweepSpec(base=ModelParams(delta=0.5, g=0.2, n_fock=3),
+                             axes=(SweepAxis(name="epsilon", values=eps),
+                                   SweepAxis(name="omega", start=0.5, stop=1.5, count=5)),
+                             quantities=("S_ee", "S_eb", "I_e"))
+
+        result, ref = run_sweep(spec((0.0, 1e308, 0.5))), run_sweep(spec((0.0, 0.5)))
+        assert [idx for idx, _ in result.gaps] == [(1, w) for w in range(5)]
+        assert all(msg.startswith("generator has non-finite entries") for _, msg in result.gaps)
+        assert np.isnan(result.top_population[1])
+        assert np.array_equal(result.top_population[[0, 2]], ref.top_population)
+        for q in ("S_ee", "S_eb", "I_e"):
+            assert np.all(np.isnan(result.data[q][1]))
+            assert np.array_equal(result.data[q][[0, 2]], ref.data[q])
+
     def test_batched_failure_is_one_gap_per_omega(self):
         spec = SweepSpec(
             base=ModelParams(delta=0.0, g=0.0, n_fock=2),
