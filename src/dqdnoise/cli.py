@@ -37,7 +37,7 @@ from .sweep import (
     run_sweep,
 )
 
-__all__ = ["main", "parse_config", "serialize_config", "RunConfig", "SpectrumSpec"]
+__all__ = ["main", "parse_config", "serialize_config", "RunConfig"]
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INVARIANT = 0, 2, 3, 4
 
@@ -46,24 +46,17 @@ _METHODS = ("resolvent", "eigen", "macdonald")
 
 
 @dataclass
-class SpectrumSpec:
-    """Frequency-grid request for a single-point spectrum run."""
+class RunConfig:
+    """Validated configuration for one CLI invocation."""
 
+    model: ModelParams = field(default_factory=ModelParams)
+    sweep_spec: SweepSpec | None = None
     pair: str = "ee"
     omega_start: float = 0.2
     omega_stop: float = 1.8
     omega_count: int = 300
     normalization: str = "fano"
     hamiltonian: str = "full"
-
-
-@dataclass
-class RunConfig:
-    """Validated configuration for one CLI invocation."""
-
-    model: ModelParams = field(default_factory=ModelParams)
-    sweep_spec: SweepSpec | None = None
-    spectrum: SpectrumSpec = field(default_factory=SpectrumSpec)
     output_path: str | None = None
     output_format: str = "csv"
     methods: tuple[str, ...] = ("resolvent",)
@@ -133,9 +126,8 @@ _MODEL_FIELDS = {
     "temperature": _number, "n_fock": _integer,
 }
 
-# The run settings: config key, the field it sets (of SpectrumSpec for the
-# spectrum.* keys, of RunConfig for the rest), its parser, and its flag.
-# A flag overrides DQDNOISE_WORKERS, which overrides the config file.
+# The run settings: config key, the RunConfig field it sets, its parser, and
+# its flag. A flag overrides DQDNOISE_WORKERS, which overrides the config file.
 _SETTINGS = (
     ("output.path", "output_path", str, "--out"),
     ("output.format", "output_format", _one_of("csv", "json"), "--format"),
@@ -282,18 +274,16 @@ def _config_from_pairs(pairs: dict[str, tuple[object, str]]) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"sweep.* : {exc}") from exc
 
-    run_kw, spectrum_kw = {}, {}
+    settings = {}
     for key, name, parse, _ in _SETTINGS:
         item = consume(key)
         if item is not None:
-            (spectrum_kw if key.startswith("spectrum.") else run_kw)[name] = \
-                _value(key, item, parse)
+            settings[name] = _value(key, item, parse)
 
     if remaining:
         key = sorted(remaining)[0]
         raise ConfigError(f"{key} ({remaining[key][1]}): unknown key")
-    return RunConfig(model=model, sweep_spec=sweep_spec,
-                     spectrum=SpectrumSpec(**spectrum_kw), **run_kw)
+    return RunConfig(model=model, sweep_spec=sweep_spec, **settings)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -326,7 +316,7 @@ def serialize_config(cfg: RunConfig) -> str:
     for key, name, _, _ in _SETTINGS:
         if has_preset and _preset_supplies(cfg.sweep_spec, key):
             continue
-        value = getattr(cfg.spectrum if key.startswith("spectrum.") else cfg, name)
+        value = getattr(cfg, name)
         if isinstance(value, tuple):
             value = ",".join(value)
         if value is not None:
@@ -397,8 +387,7 @@ def _single_point(cfg: RunConfig) -> TransportPoint:
     """A preset's base point and Hamiltonian, else model.* and spectrum.hamiltonian,
     at the Fock cutoff :func:`sweep.resolve_cutoff` picks for that one point."""
     spec = _preset(cfg)
-    params, hamiltonian = (spec.base, spec.hamiltonian) if spec else \
-        (cfg.model, cfg.spectrum.hamiltonian)
+    params, hamiltonian = (spec.base, spec.hamiltonian) if spec else (cfg.model, cfg.hamiltonian)
     n_fock, _ = resolve_cutoff(params, (), hamiltonian, cfg.fock_cutoff)
     point = TransportPoint(replace(params, n_fock=n_fock), hamiltonian)
     _warn_truncation(np.array(top_fock_population(point.ss)))
@@ -406,15 +395,14 @@ def _single_point(cfg: RunConfig) -> TransportPoint:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    sp = cfg.spectrum
     spec = _preset(cfg)
     omega = [a.grid() for a in spec.axes if a.name == "omega"] if spec else []
-    grid = omega[0] if omega else np.linspace(sp.omega_start, sp.omega_stop, sp.omega_count)
-    pair = _PAIRS[sp.pair]
+    grid = omega[0] if omega else np.linspace(cfg.omega_start, cfg.omega_stop, cfg.omega_count)
+    pair = _PAIRS[cfg.pair]
     if pair[0] != pair[1] and "eigen" in cfg.methods:
-        raise ConfigError(f"spectrum.pair = {sp.pair}: the eigen method covers "
+        raise ConfigError(f"spectrum.pair = {cfg.pair}: the eigen method covers "
                           "autocorrelation pairs only")
-    normalization = sp.normalization
+    normalization = cfg.normalization
     if pair[0] != pair[1] and normalization == "fano":
         normalization = "raw"
 
@@ -424,7 +412,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         values, = compute_spectrum(point.liouv, point.ss, [(pair, normalization)], grid,
                                    method=method, t_max=cfg.macdonald_t_max,
                                    dt=cfg.macdonald_dt)
-        rows += [(w, v, method, sp.pair, normalization) for w, v in zip(grid, values)]
+        rows += [(w, v, method, cfg.pair, normalization) for w, v in zip(grid, values)]
 
     if cfg.output_format == "csv":
         lines = ["#schema=dqdnoise.spectrum.v1;columns=omega,value,method,pair,normalization",
@@ -434,7 +422,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     else:
         payload = {
             "schema": "dqdnoise.spectrum.v1",
-            "pair": sp.pair,
+            "pair": cfg.pair,
             "normalization": normalization,
             "curves": [
                 {
@@ -499,11 +487,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     results = run_checks(cfg.check_level)
-    for r in results:
-        print(r.line())
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} invariants passed "
-          f"({cfg.check_level} suite)")
+    lines = [r.line() for r in results]
+    lines.append(f"{len(results) - len(failed)}/{len(results)} invariants passed "
+                 f"({cfg.check_level} suite)")
+    _write(cfg.output_path, "\n".join(lines) + "\n")
     return EXIT_INVARIANT if failed else EXIT_OK
 
 

@@ -104,20 +104,13 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Truncated dot (x) Fock product space.
-
-    ``dot_dim`` is 3 for the transport qubit (empty, L, R) and 2 for the
-    lead-free spin-resonator variant.
-    """
+    """Truncated transport-qubit (empty, L, R) (x) Fock product space."""
 
     n_fock: int
-    dot_dim: int = 3
 
     def __post_init__(self):
         if self.n_fock < 1:
             raise ValueError(f"n_fock must be >= 1, got {self.n_fock}")
-        if self.dot_dim not in (2, 3):
-            raise ValueError(f"dot_dim must be 2 or 3, got {self.dot_dim}")
 
     @property
     def fock_dim(self) -> int:
@@ -125,12 +118,12 @@ class HilbertSpace:
 
     @property
     def dim(self) -> int:
-        return self.dot_dim * (self.n_fock + 1)
+        return 3 * (self.n_fock + 1)
 
     def index(self, dot_state: int, n: int) -> int:
         """Composite basis index of |dot_state, n>."""
-        if not 0 <= dot_state < self.dot_dim:
-            raise ValueError(f"dot_state {dot_state} outside 0..{self.dot_dim - 1}")
+        if not 0 <= dot_state <= DOT_R:
+            raise ValueError(f"dot_state {dot_state} outside 0..{DOT_R}")
         if not 0 <= n <= self.n_fock:
             raise ValueError(f"Fock index {n} outside 0..{self.n_fock}")
         return dot_state * self.fock_dim + n
@@ -195,9 +188,6 @@ def build_operators(space: HilbertSpace) -> OperatorSet:
     (hard truncation), so [a, a^dag] deviates from the identity only in
     the n = n_fock block.
     """
-    if space.dot_dim != 3:
-        raise ValueError("build_operators requires the 3-level transport space")
-
     nf = space.fock_dim
     id_dot = np.eye(3, dtype=complex)
     id_fock = np.eye(nf, dtype=complex)
@@ -292,17 +282,17 @@ def build_jc_hamiltonian(params: ModelParams, space: HilbertSpace | None = None,
 
 
 def build_spin_hamiltonian(sigma_gap: float, omega_b: float, lambda_coupling: float,
-                           space_2level: HilbertSpace) -> np.ndarray:
+                           n_fock: int) -> np.ndarray:
     """Spin-resonator variant -Sigma*sz/2 + omega_b*n + lambda*(a+a^dag)*sx.
 
-    Lives on a two-level (x) Fock space with no empty state; this variant
-    is not attached to leads and supports spectrum inspection only. The
-    qubit term is diagonal in the energy basis, only the transverse
-    coupling mixes it with the mode.
+    Lives on a two-level (x) Fock space (Fock states 0..n_fock) with no
+    empty state; this variant is not attached to leads and supports
+    spectrum inspection only. The qubit term is diagonal in the energy
+    basis, only the transverse coupling mixes it with the mode.
     """
-    if space_2level.dot_dim != 2:
-        raise ValueError("spin-resonator Hamiltonian requires a 2-level qubit space")
-    nf = space_2level.fock_dim
+    if n_fock < 1:
+        raise ValueError(f"n_fock must be >= 1, got {n_fock}")
+    nf = n_fock + 1
     id_fock = np.eye(nf, dtype=complex)
     a_f = _fock_ladder(nf)
     sz = np.diag([1.0, -1.0]).astype(complex)
@@ -340,12 +330,9 @@ def resonance_branches(params: ModelParams) -> tuple[float, float, float]:
     from the ground energy -Delta); on resonance (Omega = 0) they reduce
     to 2*Delta +- g. dE3 = 2*Delta is the bare internal splitting.
     """
-    wb, d, g = params.omega_b, params.delta, params.g
-    omega_det = wb - 2.0 * d
-    half_split = 0.5 * math.sqrt(omega_det**2 + 4.0 * g**2)
-    de1 = abs(wb / 2.0 + half_split + d)
-    de2 = abs(wb / 2.0 - half_split + d)
-    return (de1, de2, 2.0 * d)
+    e_plus, e_minus = jc_multiplet_energies(params, 0)
+    d = params.delta
+    return (abs(e_plus + d), abs(e_minus + d), 2.0 * d)
 
 
 def energy_spectrum(h: np.ndarray, pairs: tuple[tuple[int, int], ...] = ()) -> EnergySpectrum:

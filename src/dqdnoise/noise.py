@@ -90,6 +90,7 @@ REALITY_TOL = 1e-10
 EIGEN_IMAG_TOL = 1e-8
 BIORTHOGONALITY_TOL = 1e-8
 FD_STEP = 5e-3  # the counting-field step of counting_fd_check
+TAIL_RTOL = 3e-5  # how flat macdonald_correlation_trace's last tenth must be
 
 
 #: Dense path cut (:meth:`ResolventSolver._use_dense`), from the break-even table in
@@ -315,8 +316,7 @@ def _boole_weights(n_points: int, dx: float) -> np.ndarray:
 
 
 def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j: str,
-                                t_max: float, dt: float,
-                                tail_rtol: float = 3e-5) -> MacdonaldTrace:
+                                t_max: float, dt: float) -> MacdonaldTrace:
     """Propagate the coupled counted-moment system and sample f(tau).
 
     Auxiliary states rho_i start at zero and obey
@@ -337,8 +337,10 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     (1973)): with b = ceil(sqrt(N)), m = q b + p and
     y_m = (r u E^p)((E^b)^q w), which takes b row products, ceil(N / b)
     column products with E^b and one matrix product instead of N steps.
-    Fails with a suggested larger t_max when the running tail has not
-    flattened.
+    The step count is t_max / dt rounded up, less 1e-9 so that roundoff in
+    a t_max derived from an eigenvalue cannot add a step, then up to a
+    multiple of 4. Fails with a suggested larger t_max when the running
+    tail has not flattened to ``TAIL_RTOL``.
     """
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
@@ -346,7 +348,7 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     ci, cj = liouv.channel(i), liouv.channel(j)
     flux_i, flux_j = ss.fluxes[i], ss.fluxes[j]
 
-    n_steps = int(np.ceil(t_max / dt))
+    n_steps = int(np.ceil(t_max / dt - 1e-9))
     n_steps += (-n_steps) % 4
     taus = np.arange(n_steps + 1) * dt
 
@@ -382,7 +384,7 @@ def macdonald_correlation_trace(liouv: Superoperator, ss: SteadyState, i: str, j
     f_inf = float(tail.mean())
     tail_dev = float(np.max(np.abs(tail - f_inf)))
     span = float(np.max(np.abs(f - f_inf)))
-    if tail_dev > tail_rtol * max(span, abs(f_inf), 1e-300):
+    if tail_dev > TAIL_RTOL * max(span, abs(f_inf), 1e-300):
         raise ConvergenceFailure(
             f"correlator tail not converged (dev {tail_dev:.3e} over scale "
             f"{max(span, abs(f_inf)):.3e}); increase t_max (suggest >= {2 * t_max:g})"
@@ -431,8 +433,7 @@ def _smallest_eigenvalue(m: sp.csc_matrix, v0: np.ndarray, w0: np.ndarray) -> co
     return complex(np.vdot(w, m @ v) / denom)
 
 
-def counting_fd_check(liouv: Superoperator, ss: SteadyState, i: str, j: str,
-                      include_delta: bool = True) -> float:
+def counting_fd_check(liouv: Superoperator, ss: SteadyState, i: str, j: str) -> float:
     """Zero-frequency noise from counting-field finite differences.
 
     Differentiates the stationary eigenvalue lambda0(s) of the deformed
@@ -441,11 +442,9 @@ def counting_fd_check(liouv: Superoperator, ss: SteadyState, i: str, j: str,
     M(s) is taken on the kept block (:func:`superop.counting_liouvillian`),
     where the stationary eigenvector lives; the inverse iteration starts from
     the steady state there and the trace row, and factors in the block's
-    order. ``include_delta=False`` drops the first-derivative shot-noise floor
-    (whose value is the mean current, 2 I_i in these units). When the
-    correction moves the plain stencil by more than 10%, the step is raised
-    from ``FD_STEP`` to 4 ``FD_STEP`` once, and ConvergenceFailure is raised
-    if it still does.
+    order. When the correction moves the plain stencil by more than 10%,
+    the step is raised from ``FD_STEP`` to 4 ``FD_STEP`` once, and
+    ConvergenceFailure is raised if it still does.
     Validation role only; agrees with the resolvent value at omega = 0.
     """
     def lam(si: float, sj: float | None = None) -> float:
@@ -472,9 +471,8 @@ def counting_fd_check(liouv: Superoperator, ss: SteadyState, i: str, j: str,
             d1_h = (lp1 - lm1) / (2 * step)
             d1_2h = (lp2 - lm2) / (4 * step)
             d1 = (4.0 * d1_h - d1_2h) / 3.0
-            delta_term = d1 if include_delta else 0.0
-            value = 2.0 * (d2 + delta_term)
-            rough = 2.0 * (d2_h + (d1_h if include_delta else 0.0))
+            value = 2.0 * (d2 + d1)
+            rough = 2.0 * (d2_h + d1_h)
         else:
             d_h, d_2h = cross(step), cross(2 * step)
             value = 2.0 * (4.0 * d_h - d_2h) / 3.0

@@ -49,6 +49,7 @@ __all__ = [
 AXIS_NAMES = ("omega", "g", "delta", "epsilon", "T")
 #: relative change of the probes below which a Fock cutoff counts as converged
 FOCK_RTOL = 1e-6
+FOCK_MAX_CUTOFF = 40  # the top rung of the fock_convergence ladder
 _PARAM_FIELD = {"g": "g", "delta": "delta", "epsilon": "epsilon", "T": "temperature"}
 
 #: quantity -> (channel pair, normalization) of a noise spectrum, or the
@@ -145,12 +146,11 @@ class GridResult:
     gaps: list[tuple[tuple[int, ...], str]] = field(default_factory=list)
 
 
-def fock_convergence(*points: ModelParams, hamiltonian: str = "full",
-                     max_cutoff: int = 40) -> int:
+def fock_convergence(*points: ModelParams, hamiltonian: str = "full") -> int:
     """The largest over ``points`` of the smallest cutoff N_b >= 1 whose
     electron current and mean phonon number move by less than ``FOCK_RTOL``
     relative when raised to N_b + 3, under the "full" or "jc" Hamiltonian.
-    Raises ConvergenceFailure at ``max_cutoff``. The points climb their
+    Raises ConvergenceFailure at ``FOCK_MAX_CUTOFF``. The points climb their
     ladders rung by rung together, so each cutoff's plan serves them all."""
 
     @cache
@@ -159,13 +159,13 @@ def fock_convergence(*points: ModelParams, hamiltonian: str = "full",
         return report.current_e, report.mean_n
 
     climbing = range(len(points))
-    for n in range(1, max_cutoff + 1):  # "not <": a NaN move keeps its point climbing
+    for n in range(1, FOCK_MAX_CUTOFF + 1):  # "not <": a NaN move keeps its point climbing
         climbing = [k for k in climbing if not max(abs(a - b) / max(abs(a), abs(b), 1e-12)
                     for a, b in zip(values(k, n), values(k, n + 3))) < FOCK_RTOL]
         if not climbing:
             return n
     raise ConvergenceFailure(
-        f"Fock cutoff did not converge below N_b = {max_cutoff} (rtol {FOCK_RTOL:g})"
+        f"Fock cutoff did not converge below N_b = {FOCK_MAX_CUTOFF} (rtol {FOCK_RTOL:g})"
     )
 
 

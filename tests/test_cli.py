@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,9 +110,13 @@ class TestParseConfig:
             cfg2 = parse_config(write(tmp_path, serialize_config(cfg), "round.cfg"))
             assert cfg2 == cfg
             for key, name, _, _ in cli._SETTINGS:
-                owner = cfg.spectrum if key.startswith("spectrum.") else cfg
-                default = cli.SpectrumSpec() if key.startswith("spectrum.") else cli.RunConfig()
-                assert getattr(owner, name) != getattr(default, name), key
+                assert getattr(cfg, name) != getattr(cli.RunConfig(), name), key
+
+    def test_settings_table_covers_run_config(self):
+        # one row per RunConfig field; model.* and sweep.* are parsed apart
+        names = [name for _, name, _, _ in cli._SETTINGS]
+        assert sorted(names) == sorted({f.name for f in fields(cli.RunConfig)}
+                                       - {"model", "sweep_spec"})
 
     @pytest.mark.parametrize("text", [
         "sweep.preset = fig5a\nsweep.hamiltonian = jc\n",
@@ -158,6 +162,21 @@ class TestExitCodes:
             lambda level: [CheckResult("forced", "unit-test", False, 1.0, 0.0)],
         )
         assert cli.main(["check", "--check", "fast"]) == EXIT_INVARIANT
+
+    @pytest.mark.parametrize("passed, code", [(True, EXIT_OK), (False, EXIT_INVARIANT)],
+                             ids=["pass", "fail"])
+    def test_check_writes_out(self, tmp_path, monkeypatch, capsys, passed, code):
+        monkeypatch.setattr(
+            cli, "run_checks",
+            lambda level: [CheckResult("a", "unit-test", True, 0.0, 1.0),
+                           CheckResult("b", "unit-test", passed, 1.0, 0.0)],
+        )
+        assert cli.main(["check", "--check", "fast"]) == code
+        stdout = capsys.readouterr().out
+        out = tmp_path / "check.txt"
+        assert cli.main(["check", "--check", "fast", "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout
 
     @pytest.mark.parametrize("argv, config, env, key, origin", [
         (["steady", "--fock-cutoff", "abc"], None, None, "fock_cutoff", "--fock-cutoff"),

@@ -107,10 +107,6 @@ class TestOperators:
         with pytest.raises(ValueError):
             ops.a[0, 0] = 1.0
 
-    def test_requires_transport_space(self):
-        with pytest.raises(ValueError):
-            build_operators(HilbertSpace(n_fock=2, dot_dim=2))
-
 
 class TestHamiltonian:
     def test_decoupled_oscillator_diagonal(self):
@@ -287,16 +283,14 @@ class TestResonanceBranches:
 
 class TestSpinHamiltonian:
     def test_decoupled_spectrum(self):
-        space = HilbertSpace(n_fock=4, dot_dim=2)
-        h = build_spin_hamiltonian(0.8, 1.0, 0.0, space)
+        h = build_spin_hamiltonian(0.8, 1.0, 0.0, 4)
         expected = sorted(s * 0.4 + n for n in range(5) for s in (-1, 1))
         assert np.allclose(np.linalg.eigvalsh(h), expected, atol=1e-12)
 
     def test_avoided_crossing_gap(self):
         # degenerate perturbation theory at Sigma = omega_b: gap = 2 lambda
-        space = HilbertSpace(n_fock=8, dot_dim=2)
         lam = 0.01
-        h = build_spin_hamiltonian(1.0, 1.0, lam, space)
+        h = build_spin_hamiltonian(1.0, 1.0, lam, 8)
         vals = np.linalg.eigvalsh(h)
         crossing = vals[(vals > 0.3) & (vals < 0.7)]
         assert crossing.size == 2
@@ -304,14 +298,13 @@ class TestSpinHamiltonian:
         assert gap == pytest.approx(2 * lam, abs=lam**2 / 1.0 * 5)
 
     def test_coupling_sign_invariance(self):
-        space = HilbertSpace(n_fock=5, dot_dim=2)
-        v1 = np.linalg.eigvalsh(build_spin_hamiltonian(0.7, 1.0, 0.2, space))
-        v2 = np.linalg.eigvalsh(build_spin_hamiltonian(0.7, 1.0, -0.2, space))
+        v1 = np.linalg.eigvalsh(build_spin_hamiltonian(0.7, 1.0, 0.2, 5))
+        v2 = np.linalg.eigvalsh(build_spin_hamiltonian(0.7, 1.0, -0.2, 5))
         assert np.allclose(v1, v2, atol=1e-12)
 
-    def test_rejects_transport_space(self):
+    def test_rejects_empty_fock_space(self):
         with pytest.raises(ValueError):
-            build_spin_hamiltonian(1.0, 1.0, 0.1, HilbertSpace(n_fock=3))
+            build_spin_hamiltonian(1.0, 1.0, 0.1, 0)
 
 
 class TestEnergySpectrum:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from dqdnoise import noise, steady, superop
+from dqdnoise import noise, steady, superop, sweep
 from dqdnoise.errors import ConvergenceFailure, NumericalError
 from dqdnoise.model import ModelParams
 from dqdnoise.noise import ResolventSolver, TransportPoint
@@ -65,10 +65,11 @@ class TestFockConvergence:
         hot = fock_convergence(ModelParams(delta=0.5, g=0.2, temperature=1.0))
         assert hot > cold
 
-    def test_cap_failure(self):
+    def test_cap_failure(self, monkeypatch):
+        monkeypatch.setattr(sweep, "FOCK_MAX_CUTOFF", 4)
         p = ModelParams(delta=0.5, g=0.2, temperature=2.0)
         with pytest.raises(ConvergenceFailure):
-            fock_convergence(p, max_cutoff=4)
+            fock_convergence(p)
 
 
 class TestResolveCutoff:
