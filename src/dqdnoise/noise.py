@@ -8,7 +8,8 @@ resolvent (primary, ``ResolventSolver.noises``)
     whole frequency axis, for every requested channel pair, is solved on
     the charge-sector block of L that the steady state was solved on. w = 0
     solves the trace-row-augmented block (pseudo-inverse restricted to
-    range Q) with the factorization the steady-state solve already made;
+    range Q) by the solver the steady-state solve already made (its LU,
+    or GMRES preconditioned by the point's g = 0 generator);
     nonzero w, for a large grid on a small block, in pole-residue form from
     the block's real eigendecomposition ``superop.kept_eig``, which the eigen
     method shares, else (or for an ill-conditioned eigenvector basis) by one
@@ -62,7 +63,6 @@ from .steady import (
     SteadyState,
     factor_kept_block,
     moment_report,
-    refined_solve,
     solve_steady_state,
 )
 from .superop import (
@@ -110,12 +110,14 @@ class ResolventSolver:
     complement. rho_ss, the trace functional and every channel's
     L_c rho_ss and Tr[L_c .] live on the block, so Q keeps it and the
     noise needs no other vec index. w = 0 solves the trace-replaced block
-    that ``ss.factor`` already factors, refined as the steady solve is
-    (:meth:`apply`). Above the cut of :meth:`_use_dense` all nonzero w come
-    from the block's eigendecomposition L_blk = u V diag(lambda) V^-1 u^H
-    (:func:`superop.kept_eig`, shared with :func:`noise_eigen_expansion`) in
-    pole-residue form, r (i w + L_blk)^-1 c = sum_k ((r u) V)_k (V^-1 u^H c)_k
-    / (i w + lambda_k) (Antoulas, *Approximation of Large-Scale Dynamical
+    with ``ss.inverse``, by the path that solved the steady state: its LU,
+    refined, or GMRES preconditioned by the point's g = 0 generator
+    (:meth:`apply`, ``steady.SystemInverse``). Above the cut of
+    :meth:`_use_dense` all nonzero w come from the block's eigendecomposition
+    L_blk = u V diag(lambda) V^-1 u^H (:func:`superop.kept_eig`, shared with
+    :func:`noise_eigen_expansion`) in pole-residue form,
+    r (i w + L_blk)^-1 c = sum_k ((r u) V)_k (V^-1 u^H c)_k / (i w + lambda_k)
+    (Antoulas, *Approximation of Large-Scale Dynamical
     Systems*, SIAM 2005, ch. 4). Below the cut, or when V is ill-conditioned,
     each nonzero w takes one sparse LU of (i w + L_blk) in the block's order
     (``steady.factor_kept_block``) for all pairs.
@@ -133,7 +135,7 @@ class ResolventSolver:
         """R(0) x = Q L^{-1} Q x of a block vector, the range-Q solution."""
         rhs = self._q(np.asarray(x, dtype=complex))
         rhs[-1] = 0.0  # trace constraint row, vec index 0's: selects the range-Q solution
-        return self._q(refined_solve(self.ss.factor, self.liouv.system, rhs))
+        return self._q(self.ss.inverse(rhs))
 
     def _channels(self, chans: list[str]) -> tuple[dict, dict]:
         """(rows Tr[L_c Q], columns Q L_c rho_ss) of the channels c in ``chans``

@@ -4,21 +4,28 @@ The solver works on the charge-sector ("kept") block of the generator, the
 first of its ``blocks``: it holds vec index 0 and every diagonal index, so
 the stationary state lives there. The row of vec index 0 (a diagonal vec
 position, where the generator's one row dependency lives), which the block
-lists last, is replaced with the vectorized trace constraint and the system
-is solved directly, with a couple of iterative-refinement passes on the
-cached factorization. The block, L on it and that system
-(``superop.Superoperator.kept`` and ``.system``) are fields of the
-generator, set by whichever builder made it. The block lists its indices in
-a fill-reducing order, and every sparse LU of it (:func:`factor_kept_block`,
-here, and per frequency and for the counting check in ``noise``) keeps that
-order; it is the program's one sparse LU. The state is
-Hermitized and normalized on the block, and its residual is reported
-against L on the whole block, the trace row's equation included; no other
-entry of L reaches the block. Each channel's stationary flux is taken there
-once. The D x D state holds exact zeros in the dropped coherence blocks.
-The factorization is kept on the returned SteadyState, and the omega = 0
-projected resolvent solves with it on the generator's ``blocks[0]``
-instead of factoring the same matrix again.
+lists last, is replaced with the vectorized trace constraint. The block, L
+on it and that system (``superop.Superoperator.kept`` and ``.system``) are
+fields of the generator, set by whichever builder made it.
+
+The system is solved by one of two paths (:class:`SystemInverse`). A
+generator that carries its g = 0 form (``Superoperator.uncoupled``, which
+a plan sets for a kept block above ``DENSE_MAX_DIM``) is solved by GMRES
+on the block, right-preconditioned by the inverse of that form, applied as
+a Kronecker sum. Every other one, and a point whose GMRES misses
+``KRYLOV_MAX_ITER`` iterations, is solved directly, with a couple of
+iterative-refinement passes on the factorization. The block lists its
+indices in a fill-reducing order, and every sparse LU of it
+(:func:`factor_kept_block`, here, and per frequency and for the counting
+check in ``noise``) keeps that order; it is the program's one sparse LU.
+
+The state is Hermitized and normalized on the block, and its residual is
+reported against L on the whole block, the trace row's equation included;
+no other entry of L reaches the block. Each channel's stationary flux is
+taken there once. The D x D state holds exact zeros in the dropped
+coherence blocks. The solver is kept on the returned SteadyState, and the
+omega = 0 projected resolvent solves with it on the generator's
+``blocks[0]`` by the same path, instead of factoring the same matrix again.
 """
 
 from __future__ import annotations
@@ -27,14 +34,23 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
-from .superop import DENSE_MAX_DIM, STATIONARY_TOL, Superoperator, devectorize, spectrum
+from .superop import (
+    DENSE_MAX_DIM,
+    STATIONARY_TOL,
+    KroneckerSum,
+    Superoperator,
+    devectorize,
+    spectrum,
+)
 
 __all__ = [
     "SteadyState",
+    "SystemInverse",
     "Currents",
     "MomentReport",
     "factor_kept_block",
@@ -56,28 +72,169 @@ CHARGE_DOT_DIM = 3
 #: top-Fock-level population above which a state counts as truncated: 2.4e-4 moves S_ee(0)
 #: by 3% (fig5b); fig5a's 1.5e-6 (T 2) by 1.1e-12 at eps 0 but 1.2e-6 relative at eps 0.5
 TRUNCATION_TOL = 1e-5
+#: GMRES iterations a kept-block solve may take before it falls back to the sparse LU: fig5a's
+#: points (g 8e-4) take at most 8, while at g 0.1-0.4 the count is 24-349, where a miss costs
+#: these iterations on top of the LU
+KRYLOV_MAX_ITER = 20
+
+
+class _Uncoupled:
+    """P, the inverse of a point's g = 0 generator L0 = A (x) 1 + 1 (x) B
+    (``superop.KroneckerSum``) on the kept block's trace-zero vectors, and
+    rho0 = rho_dot (x) rho_th, with L0 rho0 = 0 and Tr rho0 = 1.
+
+    With A = V diag(lambda) V^-1, L0 x = y is (B + lambda_k) z_k = (V^-1 y)_k
+    for the rows z_k of V^-1 x (Bartels & Stewart, Commun. ACM 15, 820
+    (1972)): five tridiagonal systems, factored once as one (LAPACK
+    ``gttrf``). At A's zero mode, B is singular on the populations. There
+    the (0, 0) row, which a trace-zero y makes redundant, is replaced by
+    z = 0, and the multiple of rho0 that makes Tr x = 0 is added. Raises
+    LinAlgError when a shifted B is singular (an undamped dot or resonator).
+    """
+
+    def __init__(self, ks: KroneckerSum, trace: np.ndarray):
+        lam, self.v = np.linalg.eig(ks.dot)
+        self.vinv = np.linalg.inv(self.v)
+        self.order, self.trace = ks.order, trace
+        sub, diag, sup = ks.bands
+        main, upper = (diag + lam[:, None]).ravel(), np.tile(sup.astype(complex), lam.size)
+        self.pin = (int(np.argmin(np.abs(lam))), ks.populations.start)
+        at = np.ravel_multi_index(self.pin, (lam.size, diag.size))
+        main[at], upper[at] = 1.0, 0.0
+        gttrf = la.get_lapack_funcs("gttrf", (main,))
+        *self.lu, info = gttrf(np.tile(sub.astype(complex), lam.size)[:-1], main, upper[:-1])
+        if info:
+            raise la.LinAlgError(f"shifted resonator generator is singular (gttrf info {info})")
+        self.gttrs = la.get_lapack_funcs("gttrs", (main,))
+        unit = np.zeros((lam.size, diag.size), dtype=complex)
+        unit[self.pin] = 1.0  # its solution is B's null vector, the thermal populations
+        rho0 = self._block(np.outer(self.v[:, self.pin[0]], self._solve(unit)[self.pin[0]]))
+        self.rho0 = rho0 / (trace @ rho0)
+
+    def _solve(self, w: np.ndarray) -> np.ndarray:
+        return self.gttrs(*self.lu, w.ravel(), overwrite_b=True)[0].reshape(w.shape)
+
+    def _block(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.size, dtype=complex)
+        out[self.order] = x.ravel()
+        return out
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        w = self.vinv @ y[self.order].reshape(self.v.shape[0], -1)
+        w[self.pin] = 0.0
+        x = self._block(self.v @ self._solve(w))
+        return x - (self.trace @ x) * self.rho0
+
+
+def _gmres(op, b: np.ndarray, tol: float) -> tuple[np.ndarray | None, int]:
+    """(z, iterations) with |b - op(z)| <= tol, by GMRES from z = 0 (Saad & Schultz,
+    SIAM J. Sci. Stat. Comput. 7, 856 (1986)) with the Arnoldi vectors orthogonalized
+    twice by classical Gram-Schmidt and the Hessenberg matrix reduced by Givens
+    rotations; z is None when ``KRYLOV_MAX_ITER`` iterations do not reach ``tol``."""
+    cap = KRYLOV_MAX_ITER
+    basis = np.empty((cap + 1, b.size), dtype=complex)
+    r = np.zeros((cap + 1, cap), dtype=complex)  # the Hessenberg matrix, rotated to triangular
+    g = np.zeros(cap + 1, dtype=complex)  # |b| e_1, rotated alike: |g[j + 1]| is the residual
+    g[0] = np.linalg.norm(b)
+    if g[0] <= tol:
+        return np.zeros_like(b), 0
+    basis[0] = b / g[0]
+    rotations = []
+    for j in range(cap):
+        w = op(basis[j])
+        for _ in range(2):
+            h = basis[:j + 1].conj() @ w
+            w -= h @ basis[:j + 1]
+            r[:j + 1, j] += h
+        norm = np.linalg.norm(w)
+        for i, (c, s) in enumerate(rotations):  # s is real
+            r[i:i + 2, j] = (c.conjugate() * r[i, j] + s * r[i + 1, j],
+                             c * r[i + 1, j] - s * r[i, j])
+        rho = np.hypot(abs(r[j, j]), norm)
+        if not 0.0 < rho < np.inf:  # a non-finite product, or a breakdown short of tol
+            return None, j + 1
+        c, s = r[j, j] / rho, norm / rho
+        rotations.append((c, s))
+        r[j, j], g[j:j + 2] = rho, (c.conjugate() * g[j], -s * g[j])
+        if abs(g[j + 1]) <= tol:
+            return la.solve_triangular(r[:j + 1, :j + 1], g[:j + 1]) @ basis[:j + 1], j + 1
+        basis[j + 1] = w / norm
+    return None, cap
+
+
+class SystemInverse:
+    """x = S^-1 b for S, a generator's ``system``, the trace-replaced kept block.
+
+    Path "lu": the sparse LU of S (:func:`factor_kept_block`) and
+    :func:`refined_solve`. Path "krylov", taken when the generator carries
+    its g = 0 form (``Superoperator.uncoupled``): x = b_last rho0 + P z, with
+    rho0 and P of ``_Uncoupled`` and z from GMRES on L P z = r, r being b
+    less b_last L rho0 with the trace row's entry set so that Tr r = 0
+    (Nation, arXiv:1504.06768 (2015)). It stops at a residual of 1e-13 |r|
+    or 1e-15 |b|. A miss, at ``KRYLOV_MAX_ITER`` iterations, factors S once
+    and solves by the LU from then on (path "krylov-lu"). ``iterations``
+    lists the GMRES iteration count of each Krylov solve.
+    """
+
+    def __init__(self, liouv: Superoperator):
+        self.liouv, self.lu, self.iterations = liouv, None, []
+        self.path, self.uncoupled = "lu", None
+        if liouv.uncoupled is not None:
+            try:
+                self.uncoupled = _Uncoupled(liouv.uncoupled, liouv.trace)
+            except la.LinAlgError:
+                pass
+            else:
+                self.path, self.l_rho0 = "krylov", liouv.kept @ self.uncoupled.rho0
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        if self.lu is None and self.uncoupled is not None:
+            p = self.uncoupled
+            r = b - b[-1] * self.l_rho0
+            r[-1] -= self.liouv.trace @ r  # the trace row is vec index 0's, last
+            z, count = _gmres(lambda v: self.liouv.kept @ p(v), r,
+                              max(1e-13 * np.linalg.norm(r), 1e-15 * np.linalg.norm(b)))
+            self.iterations.append(count)
+            if z is not None:
+                return b[-1] * p.rho0 + p(z)
+            self.path = "krylov-lu"
+        if self.lu is None:
+            self.lu = factor_kept_block(self.liouv.system)
+        return refined_solve(self.lu, self.liouv.system, b)
 
 
 @dataclass
 class SteadyState:
     """Normalized Hermitian stationary state with its solve diagnostics.
 
-    ``factor`` is the sparse LU (``SuperLU``) of the generator's ``system``,
-    the trace-replaced charge-sector block ``blocks[0]`` the state was solved
-    on; the omega = 0 projected resolvent solves with it. ``rho_kept`` is
-    the state on that block in block order, and ``fluxes`` maps each channel
-    id to its stationary flux Tr[L_c rho_ss].
+    ``inverse`` solves the generator's ``system``, the trace-replaced
+    charge-sector block ``blocks[0]`` the state was solved on, by the path
+    that solved the state (:class:`SystemInverse`); the omega = 0 projected
+    resolvent solves with it. ``rho_kept`` is the state on that block in
+    block order, ``fluxes`` maps each channel id to its stationary flux
+    Tr[L_c rho_ss], and ``min_eig`` is the smallest eigenvalue of rho_ss.
     """
 
     rho_ss: np.ndarray
     residual: float
-    factor: spla.SuperLU = field(repr=False, compare=False)
+    inverse: SystemInverse = field(repr=False, compare=False)
     rho_kept: np.ndarray = field(repr=False, compare=False)
     fluxes: dict[str, float]
+    min_eig: float
 
     @property
     def dim(self) -> int:
         return self.rho_ss.shape[0]
+
+    @property
+    def path(self) -> str:
+        """The solve path, "lu", "krylov" or "krylov-lu" (:class:`SystemInverse`)."""
+        return self.inverse.path
+
+    @property
+    def iterations(self) -> list[int]:
+        """GMRES iterations of the steady state and then of each R(0) column solved."""
+        return self.inverse.iterations
 
 
 class Currents(NamedTuple):
@@ -155,19 +312,18 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
     kept block, DegenerateSteadyState when the stationary subspace is not
     one-dimensional and ConvergenceFailure when the residual against the
     unmodified generator stays above tolerance. The returned state keeps
-    the factorization of the generator's ``system``.
+    the :class:`SystemInverse` that solved the generator's ``system``.
     """
     if not np.all(np.isfinite(liouv.kept.data)):
         raise NumericalError("generator has non-finite entries (inf or NaN): "
                              "a model parameter overflows double precision")
-    m = liouv.system
-    b = np.zeros(m.shape[0], dtype=complex)
+    b = np.zeros(liouv.system.shape[0], dtype=complex)
     b[-1] = 1.0  # the trace row, that of vec index 0, which the block lists last
+    inverse = SystemInverse(liouv)
     try:
-        lu = factor_kept_block(m)
+        x = inverse(b)
     except RuntimeError as exc:
         raise _diagnose_failure(liouv, float("inf")) from exc
-    x = refined_solve(lu, m, b)
     x = 0.5 * (x + x[liouv.partner].conj())  # rho[i, j] and rho[j, i]^*
     tr = (liouv.trace @ x).real
     if abs(tr) < 1e-300:
@@ -188,7 +344,8 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
             "the Fock cutoff is likely too small, increase n_fock"
         )
     fluxes = {cid: ch.rate * float((ch.row @ x).real) for cid, ch in liouv.channels.items()}
-    return SteadyState(rho_ss=rho, residual=residual, factor=lu, rho_kept=x, fluxes=fluxes)
+    return SteadyState(rho_ss=rho, residual=residual, inverse=inverse, rho_kept=x,
+                       fluxes=fluxes, min_eig=min_eig)
 
 
 def currents(ss: SteadyState, liouv: Superoperator) -> Currents:

@@ -44,6 +44,7 @@ from .model import HilbertSpace, ModelParams, OperatorSet, build_operators, hami
 __all__ = [
     "JumpChannel",
     "Superoperator",
+    "KroneckerSum",
     "GeneratorPlan",
     "generator_plan",
     "LiouvillianSpectrum",
@@ -129,23 +130,37 @@ def thermal_occupation(omega_b: float, temperature: float) -> float:
     return x / (1.0 - x)
 
 
+def _wrap(m: sp.csr_matrix) -> sp.csr_matrix:
+    """A new CSR matrix over the arrays of ``m``: rebinding its attributes changes no other."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 @dataclass
 class JumpChannel:
     """One completely positive jump term Gamma X rho X^dag of the generator,
     kept in :attr:`Superoperator.channels` under its id: ``unit`` is X . X^dag,
     ``kept`` that on the kept block in block order and ``row`` its trace row
-    there, all three shared by a :class:`GeneratorPlan`'s generators."""
+    there. A :class:`GeneratorPlan`'s generators share the arrays of all
+    three; ``unit`` and ``kept`` are each a new matrix over them on every read."""
 
     rate: float
-    unit: sp.csr_matrix
-    kept: sp.csr_matrix
+    _unit: sp.csr_matrix
+    _kept: sp.csr_matrix
     row: np.ndarray
     counted: bool
 
     @property
+    def unit(self) -> sp.csr_matrix:
+        return _wrap(self._unit)
+
+    @property
+    def kept(self) -> sp.csr_matrix:
+        return _wrap(self._kept)
+
+    @property
     def part(self) -> sp.csr_matrix:
         """The jump term Gamma X . X^dag, formed on each use."""
-        return self.rate * self.unit
+        return self.rate * self._unit
 
 
 @dataclass
@@ -164,7 +179,9 @@ class Superoperator:
     transposes (:func:`_sector_split`). On it, in that order, ``kept`` is L,
     ``system`` the :func:`trace_replaced_system` the steady state is solved
     with, ``trace`` the trace row and ``partner`` the position of each index's
-    transpose. Both builders, :func:`assemble_liouvillian` and
+    transpose. ``uncoupled`` is the generator at g = 0 on the kept block as
+    a :class:`KroneckerSum`, or None (a plan sets it above
+    ``DENSE_MAX_DIM``). Both builders, :func:`assemble_liouvillian` and
     :meth:`GeneratorPlan.generator`, set every field; ``base``, ``matrix`` and
     the channel parts, D^2 x D^2 operators that no solve reads, are formed on
     each use, and the kept block's eigendecomposition (:func:`kept_eig`) on
@@ -182,6 +199,7 @@ class Superoperator:
     system: sp.csc_matrix = field(repr=False)
     trace: np.ndarray = field(repr=False)
     partner: np.ndarray = field(repr=False)
+    uncoupled: KroneckerSum | None = field(repr=False)
     _kept_eig: tuple | None = field(default=None, repr=False)
 
     def channel(self, channel_id: str) -> JumpChannel:
@@ -203,6 +221,26 @@ class Superoperator:
         m = sp.csr_matrix((self.data, *self.pattern), shape=(self.dim_rho**2,) * 2, copy=True)
         m.eliminate_zeros()
         return m
+
+
+@dataclass(frozen=True)
+class KroneckerSum:
+    """A transport generator at g = 0 on its kept block, L0 = A (x) 1 + 1 (x) B.
+
+    The block's vector ``x`` reads in the (dot pair p, resonator pair r)
+    layout as ``x[order].reshape(5, -1)[p, r]``. ``dot`` is A, the dot's
+    generator on its charge-sector vec indices, those of (empty, empty),
+    (L, L), (R, L), (L, R) and (R, R). B is the resonator's, with its pairs
+    (n, n') listed by coherence order m = n - n' and then by n, where it is
+    tridiagonal: ``bands`` holds B[i + 1, i], B[i, i] and B[i, i + 1] at i,
+    the last of the first and third rows 0. ``populations`` is the run of
+    the m = 0 pairs, n = 0 first.
+    """
+
+    order: np.ndarray
+    dot: np.ndarray
+    bands: np.ndarray
+    populations: slice
 
 
 @dataclass
@@ -286,7 +324,8 @@ def assemble_liouvillian(h: np.ndarray,
         blocks=blocks, kept=kept,
         channels={cid: JumpChannel(rate, units[cid], *kept_unit, counted)
                   for (cid, rate, _, counted), kept_unit in zip(jumps, on_block)},
-        system=trace_replaced_system(matrix, blocks[0]), trace=trace, partner=partner)
+        system=trace_replaced_system(matrix, blocks[0]), trace=trace, partner=partner,
+        uncoupled=None)
 
 
 def _no_jump(h_eff: np.ndarray) -> sp.csr_matrix:
@@ -395,6 +434,9 @@ class GeneratorPlan:
                          for m in (kept, trace_replaced_system(coded, self.blocks[0]))]
         self._channels = [(cid, unit, *kept_unit, counted)
                           for (cid, _, counted), unit, kept_unit in zip(jumps, units, on_block)]
+        self._kronecker = None
+        if len(self.blocks) > 1 and self.blocks[0].size > DENSE_MAX_DIM:
+            self._kronecker = _kronecker_units(n_fock, self._terms, jumps, self.blocks[0])
         for a in (self._indptr, self._indices, *self.blocks, *self._where, *self._sources,
                   *(x for g in self._gathers for x in g), *self._decays, self.trace,
                   self.partner, *(x for _, unit, kept, row, _ in self._channels
@@ -430,7 +472,57 @@ class GeneratorPlan:
                              pattern=(self._indices, self._indptr), blocks=self.blocks,
                              channels={cid: JumpChannel(rate, *shared) for (cid, *shared), rate
                                        in zip(self._channels, rates)},
-                             kept=kept, system=system, trace=self.trace, partner=self.partner)
+                             kept=kept, system=system, trace=self.trace, partner=self.partner,
+                             uncoupled=None if self._kronecker is None else
+                             self._kronecker_sum(params))
+
+    def _kronecker_sum(self, params: ModelParams) -> KroneckerSum:
+        """The generator at ``params`` with g = 0 on the kept block, as a :class:`KroneckerSum`."""
+        coefficients = [getattr(params, name) for name, _ in self._terms]
+        coefficients += _transport_rates(params)
+        order, dot, resonator, populations = self._kronecker
+        return KroneckerSum(order, sum(coefficients[k] * a for k, a in dot),
+                            sum(coefficients[k] * b for k, b in resonator), populations)
+
+
+def _kronecker_units(n_fock: int, terms: list[tuple[str, np.ndarray]],
+                     jumps: list[tuple[str, np.ndarray, bool]], block: np.ndarray):
+    """(order, dot units, resonator units, populations) of a :class:`KroneckerSum`: the
+    generator of each Hamiltonian term but g's, -i[X, .], and of each channel at unit rate,
+    X . X^dag - {X^dag X, .} / 2, with its coefficient's index in the term fields and then
+    the rates. A dot unit is 5 x 5, a resonator unit three bands, each read-only. None when
+    one of them acts on both the dot and the resonator, or a resonator unit is not
+    tridiagonal."""
+    def local(y: np.ndarray, coherent: bool) -> sp.csr_matrix:
+        return spre(-1j * y) + spost(1j * y) if coherent else _dissipator(y, 1.0)
+
+    nf = n_fock + 1
+    sector = np.flatnonzero(charge_sector(3))
+    n, n2 = np.arange(nf * nf) % nf, np.arange(nf * nf) // nf
+    fock = np.lexsort((n, n - n2))  # by coherence order, then n
+    dot, resonator = [], []
+    generators = [(k, x, True) for k, (name, x) in enumerate(terms) if name != "g"]
+    generators += [(len(terms) + k, x, False) for k, (_, x, _) in enumerate(jumps)]
+    for k, x, coherent in generators:
+        if np.array_equal(x, np.kron(x[::nf, ::nf], np.eye(nf))):
+            dot.append((k, local(x[::nf, ::nf], coherent).toarray()[np.ix_(sector, sector)]))
+        elif np.array_equal(x, np.kron(np.eye(3), x[:nf, :nf])):
+            b = local(x[:nf, :nf], coherent)[fock][:, fock]
+            if sp.triu(b, 2).nnz or sp.tril(b, -2).nnz:
+                return None
+            resonator.append((k, np.stack([np.append(b.diagonal(-1), 0.0), b.diagonal(),
+                                           np.append(b.diagonal(1), 0.0)])))
+        else:
+            return None
+    at_pair = np.empty(nf * nf, dtype=np.intp)
+    at_pair[fock] = np.arange(nf * nf)
+    at_dot = np.full(9, -1)
+    at_dot[sector] = np.arange(sector.size)
+    (dot_row, row), (dot_col, col) = divmod(block % (3 * nf), nf), divmod(block // (3 * nf), nf)
+    order = np.argsort(at_dot[dot_row + 3 * dot_col] * nf * nf + at_pair[row + nf * col])
+    for a in (order, *(u for _, u in dot + resonator)):
+        a.setflags(write=False)
+    return order, dot, resonator, slice(at_pair[0], at_pair[0] + nf)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

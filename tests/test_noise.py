@@ -102,6 +102,14 @@ class TestTransportPoint:
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = x[0]
 
+    def test_rebinding_a_points_channel_reaches_no_other_point(self):
+        params = ModelParams(delta=0.5, g=0.2, temperature=0.5, n_fock=3)
+        before = TransportPoint(params).noise("e", "e", 0.0)
+        channel = TransportPoint(params).liouv.channels["e"]
+        channel.kept.data = np.zeros_like(channel.kept.data)
+        channel.unit.data = np.zeros_like(channel.unit.data)
+        assert TransportPoint(params).noise("e", "e", 0.0) == before
+
     def test_builds_and_solves_once_and_caches(self, fig2_params, operator_builds,
                                                monkeypatch):
         solves = []
@@ -382,7 +390,7 @@ class TestChargeSectorBlock:
         outside = np.ones(d2, dtype=bool)
         outside[liouv.blocks[0]] = False
         assert np.all(vectorize(ss.rho_ss)[outside] == 0.0)
-        assert liouv.blocks[0].size == n and ss.factor.shape == (n, n)
+        assert liouv.blocks[0].size == n and ss.inverse.lu.shape == (n, n)
 
     KEPT_POINTS = {
         **{f"fig5b-g{g}-eps{e}": ("fig5b", dict(g=g, epsilon=e))

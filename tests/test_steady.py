@@ -6,10 +6,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from dqdnoise import cli, steady
 from dqdnoise.errors import DegenerateSteadyState, NumericalError
 from dqdnoise.model import ModelParams, build_hamiltonian, build_operators, thermal_state
-from dqdnoise.noise import TransportPoint
+from dqdnoise.noise import TransportPoint, compute_spectrum, counting_fd_check
 from dqdnoise.steady import (
+    KRYLOV_MAX_ITER,
+    POSITIVITY_TOL,
     RESIDUAL_TOL,
     currents,
     fano_number,
@@ -112,6 +115,108 @@ class TestSolve:
         with pytest.raises(NumericalError):
             solve_steady_state(liouv)
         assert calls == []
+
+
+def fig5a_point(n_fock=25, **change):
+    return replace(preset("fig5a").base, n_fock=n_fock, **change)
+
+
+def fano_zero(liouv, ss):
+    return compute_spectrum(liouv, ss, [(("e", "e"), "fano")], 0.0)[0]
+
+
+class TestKrylovPath:
+    """Kept blocks above DENSE_MAX_DIM solved by GMRES, preconditioned by the
+    point's own g = 0 generator."""
+
+    @pytest.mark.parametrize("params, hamiltonian", [
+        (fig5a_point(temperature=2.0, epsilon=0.5), "full"),
+        (ModelParams(delta=0.5, g=0.3, temperature=1.0, n_fock=16), "jc")])
+    def test_kronecker_sum_is_the_g0_block(self, params, hamiltonian):
+        plan = generator_plan(params.n_fock, hamiltonian)
+        ks = plan.generator(params).uncoupled
+        sub, diag, sup = ks.bands
+        b = scipy.sparse.diags([sub[:-1], diag, sup[:-1]], [-1, 0, 1])
+        total = scipy.sparse.kron(ks.dot, scipy.sparse.identity(diag.size)) \
+            + scipy.sparse.kron(scipy.sparse.identity(5), b)
+        l0 = plan.generator(replace(params, g=0.0)).kept[ks.order][:, ks.order]
+        assert abs(total - l0).max() <= 1e-15 * abs(l0).max()
+
+    def test_only_blocks_above_the_dense_cap_carry_it(self):
+        assert generator_plan(15, "full").generator(fig5a_point(15)).uncoupled is None
+        liouv = build_liouvillian(build_hamiltonian(fig5a_point()), fig5a_point())
+        assert liouv.uncoupled is None and solve_steady_state(liouv).path == "lu"
+
+    @pytest.mark.parametrize("n_fock", [25, 40])
+    def test_matches_the_lu_at_fig5a_points(self, n_fock):
+        """rho and S_ee(0) within 1e-12 of their maxima of the LU's, T 0 and 2, eps -1
+        and 0.5."""
+        for temperature, epsilon in itertools.product((0.0, 2.0), (-1.0, 0.5)):
+            point = TransportPoint(fig5a_point(n_fock, temperature=temperature,
+                                               epsilon=epsilon))
+            liouv, ss = point.liouv, point.ss
+            lu = solve_steady_state(replace(liouv, uncoupled=None))
+            assert (ss.path, lu.path) == ("krylov", "lu")
+            scale = np.max(np.abs(lu.rho_kept))
+            assert np.max(np.abs(ss.rho_kept - lu.rho_kept)) <= 1e-12 * scale
+            assert ss.residual <= RESIDUAL_TOL
+            s_lu = fano_zero(liouv, lu)
+            assert abs(fano_zero(liouv, ss) - s_lu) <= 1e-12 * abs(s_lu)
+            assert len(ss.iterations) == 2 and max(ss.iterations) <= 8
+
+    def test_cap_zero_takes_the_lu_bits_with_one_factorization(self, monkeypatch):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        monkeypatch.setattr(steady, "KRYLOV_MAX_ITER", 0)
+        for epsilon in (-1.0, 0.5):
+            liouv = generator_plan(25, "full").generator(fig5a_point(temperature=2.0,
+                                                                     epsilon=epsilon))
+            ss = solve_steady_state(liouv)
+            value = fano_zero(liouv, ss)
+            assert len(calls) == 1 and ss.path == "krylov-lu"
+            calls.clear()
+            lu_only = replace(liouv, uncoupled=None)
+            lu = solve_steady_state(lu_only)
+            assert np.array_equal(ss.rho_kept, lu.rho_kept)
+            assert fano_zero(lu_only, lu) == value
+            calls.clear()
+
+    def test_fig5a_sized_sweep_is_identical_at_two_workers(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"model.{k} = {v!r}\n" for k, v in vars(fig5a_point()).items())
+                       + "sweep.axis1.name = epsilon\nsweep.axis1.values = -1,0.5\n"
+                       "sweep.axis2.name = T\nsweep.axis2.values = 0,2\n"
+                       "sweep.quantities = S_ee\n")
+        outs = [tmp_path / f"w{w}.csv" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                             "--workers", str(w)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_counting_field_check_agrees(self):
+        point = TransportPoint(fig5a_point(temperature=0.5, epsilon=0.5))
+        assert point.ss.path == "krylov"
+        value = point.noise("e", "e", 0.0)
+        assert abs(counting_fd_check(point.liouv, point.ss, "e", "e") - value) <= 1e-4 * abs(value)
+
+
+class TestSolveRecord:
+    def test_lu_point(self, fig2_bundle):
+        ss = fig2_bundle.ss
+        fig2_bundle.noise("e", "e", 0.0)
+        assert ss.path == "lu" and ss.iterations == []
+        assert ss.min_eig == np.linalg.eigvalsh(ss.rho_ss).min() >= POSITIVITY_TOL
+
+    def test_krylov_point(self):
+        point = TransportPoint(fig5a_point(temperature=1.0, epsilon=-0.5))
+        assert point.ss.path == "krylov" and len(point.ss.iterations) == 1
+        point.noise("e", "e", 0.0)
+        point.noise("b", "b", 0.0)
+        assert len(point.ss.iterations) == 3
+        assert all(1 <= k <= KRYLOV_MAX_ITER for k in point.ss.iterations)
+        assert point.ss.min_eig == np.linalg.eigvalsh(point.ss.rho_ss).min()
 
 
 class TestFactorOrder:
