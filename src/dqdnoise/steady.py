@@ -89,11 +89,16 @@ class _Uncoupled:
     ``gttrf``). At A's zero mode, B is singular on the populations. There
     the (0, 0) row, which a trace-zero y makes redundant, is replaced by
     z = 0, and the multiple of rho0 that makes Tr x = 0 is added. Raises
-    LinAlgError when a shifted B is singular (an undamped dot or resonator).
+    LinAlgError when L0 has more than one stationary state: when more than
+    one eigenvalue of A lies within ``STATIONARY_TOL`` max|lambda| of zero
+    (a dot cut off from both leads, whose further zeros ``eig`` may return
+    as 1e-17), or when a shifted B is singular (an undamped resonator).
     """
 
     def __init__(self, ks: KroneckerSum, trace: np.ndarray):
         lam, self.v = np.linalg.eig(ks.dot)
+        if np.sum(np.abs(lam) <= STATIONARY_TOL * np.abs(lam).max()) > 1:
+            raise la.LinAlgError("the dot generator has more than one stationary mode")
         self.vinv = np.linalg.inv(self.v)
         self.order, self.trace = ks.order, trace
         sub, diag, sup = ks.bands
@@ -167,7 +172,8 @@ class SystemInverse:
 
     Path "lu": the sparse LU of S (:func:`factor_kept_block`) and
     :func:`refined_solve`. Path "krylov", taken when the generator carries
-    its g = 0 form (``Superoperator.uncoupled``): x = b_last rho0 + P z, with
+    its g = 0 form (``Superoperator.uncoupled``) and that form has a single
+    stationary state: x = b_last rho0 + P z, with
     rho0 and P of ``_Uncoupled`` and z from GMRES on L P z = r, r being b
     less b_last L rho0 with the trace row's entry set so that Tr r = 0
     (Nation, arXiv:1504.06768 (2015)). It stops at a residual of 1e-13 |r|

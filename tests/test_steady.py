@@ -147,6 +147,22 @@ class TestKrylovPath:
         liouv = build_liouvillian(build_hamiltonian(fig5a_point()), fig5a_point())
         assert liouv.uncoupled is None and solve_steady_state(liouv).path == "lu"
 
+    def test_dot_cut_off_from_the_leads_takes_the_lu_path(self):
+        """Both leads off: the dot generator's three zero modes, two of them returned
+        by eig as 1e-17, leave a 2-dimensional stationary family, so the point is
+        solved by the LU and raises its error."""
+        p = ModelParams(delta=0.5, epsilon=0.5, gamma_L=0.0, gamma_R=0.0, gamma_b=0.05,
+                        n_fock=16)
+        liouv = generator_plan(16, "full").generator(p)
+        assert liouv.uncoupled is not None and liouv.blocks[0].size > DENSE_MAX_DIM
+        assert steady.SystemInverse(liouv).path == "lu"
+        errors = []
+        for case in (liouv, replace(liouv, uncoupled=None)):
+            with pytest.raises(NumericalError) as info:
+                solve_steady_state(case)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
     @pytest.mark.parametrize("n_fock", [25, 40])
     def test_matches_the_lu_at_fig5a_points(self, n_fock):
         """rho and S_ee(0) within 1e-12 of their maxima of the LU's, T 0 and 2, eps -1

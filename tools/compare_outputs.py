@@ -1,11 +1,12 @@
 """Compare every shipped output of the working tree against a reference tree.
 
-Usage: python tools/compare_outputs.py REF [--only NAME ...] [--scratch DIR]
+Usage: python tools/compare_outputs.py REF [--only NAME ...]
 
 REF is a git revision of this repository or a directory holding a copy of it.
 The script copies the ``src`` tree of REF and of the working tree into a
-scratch directory, runs each output in a fresh process at one BLAS thread on
-both sides, and prints one line per output:
+temporary directory, which it removes at the end, runs each output in a
+fresh process at one BLAS thread on both sides, and prints one line per
+output:
 
 * ``identical`` when the output file's bytes are the same, or else the
   largest move of a number over its CSV column's maximum (in any other
@@ -106,29 +107,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="a git revision or a directory holding the repository")
     parser.add_argument("--only", nargs="+", metavar="NAME", help="outputs to compare")
-    parser.add_argument("--scratch", help="directory for the two trees (default: a new one)")
     args = parser.parse_args(argv)
     runs = outputs()
     unknown = set(args.only or ()) - set(runs)
     if unknown:
         parser.error(f"unknown outputs {sorted(unknown)}; known: {', '.join(runs)}")
-    scratch = Path(args.scratch or tempfile.mkdtemp(prefix="compare-outputs-"))
-    sides = [scratch / "ref", scratch / "work"]
-    for side in sides:
-        shutil.rmtree(side, ignore_errors=True)
-        side.mkdir(parents=True)
-    copy_tree(args.ref, sides[0])
-    copy_tree(str(ROOT), sides[1])
     clean = True
-    for name, cmd in runs.items():
-        if args.only and name not in args.only:
-            continue
-        (code_a, out_a, err_a), (code_b, out_b, err_b) = (run(s, name, cmd) for s in sides)
-        result = move(out_a, out_b)
-        codes = f"exit {code_a}" if code_a == code_b else f"exit {code_a} -> {code_b}"
-        stderr = "stderr same" if err_a == err_b else "stderr differs"
-        clean &= result == "identical" and code_a == code_b and err_a == err_b
-        print(f"{name:<18} {result:<58} {codes:<12} {stderr}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
+        sides = [Path(scratch) / "ref", Path(scratch) / "work"]
+        copy_tree(args.ref, sides[0])
+        copy_tree(str(ROOT), sides[1])
+        for name, cmd in runs.items():
+            if args.only and name not in args.only:
+                continue
+            (code_a, out_a, err_a), (code_b, out_b, err_b) = (run(s, name, cmd) for s in sides)
+            result = move(out_a, out_b)
+            codes = f"exit {code_a}" if code_a == code_b else f"exit {code_a} -> {code_b}"
+            stderr = "stderr same" if err_a == err_b else "stderr differs"
+            clean &= result == "identical" and code_a == code_b and err_a == err_b
+            print(f"{name:<18} {result:<58} {codes:<12} {stderr}", flush=True)
     return 0 if clean else 1
 
 
