@@ -31,6 +31,7 @@ omega = 0 projected resolvent solves with it on the generator's
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +42,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceFailure, DegenerateSteadyState, NumericalError
 from .superop import (
     DENSE_MAX_DIM,
+    PLAN_CACHE_SIZE,
     STATIONARY_TOL,
     KroneckerSum,
     Superoperator,
@@ -88,7 +90,9 @@ class _Uncoupled:
     (1972)): five tridiagonal systems, factored once as one (LAPACK
     ``gttrf``). At A's zero mode, B is singular on the populations. There
     the (0, 0) row, which a trace-zero y makes redundant, is replaced by
-    z = 0, and the multiple of rho0 that makes Tr x = 0 is added. Raises
+    z = 0, and the multiple of rho0 that makes Tr x = 0 is added. An apply
+    works in the (dot pair, resonator pair) layout, where the trace row and
+    rho0 are kept, with one gather in and one out. Raises
     LinAlgError when L0 has more than one stationary state: when more than
     one eigenvalue of A lies within ``STATIONARY_TOL`` max|lambda| of zero
     (a dot cut off from both leads, whose further zeros ``eig`` may return
@@ -100,7 +104,7 @@ class _Uncoupled:
         if np.sum(np.abs(lam) <= STATIONARY_TOL * np.abs(lam).max()) > 1:
             raise la.LinAlgError("the dot generator has more than one stationary mode")
         self.vinv = np.linalg.inv(self.v)
-        self.order, self.trace = ks.order, trace
+        self.order, self.position = ks.order, ks.position
         sub, diag, sup = ks.bands
         main, upper = (diag + lam[:, None]).ravel(), np.tile(sup.astype(complex), lam.size)
         self.pin = (int(np.argmin(np.abs(lam))), ks.populations.start)
@@ -113,42 +117,46 @@ class _Uncoupled:
         self.gttrs = la.get_lapack_funcs("gttrs", (main,))
         unit = np.zeros((lam.size, diag.size), dtype=complex)
         unit[self.pin] = 1.0  # its solution is B's null vector, the thermal populations
-        rho0 = self._block(np.outer(self.v[:, self.pin[0]], self._solve(unit)[self.pin[0]]))
-        self.rho0 = rho0 / (trace @ rho0)
+        rho0 = np.outer(self.v[:, self.pin[0]], self._solve(unit)[self.pin[0]]).ravel()
+        self.trace = trace[self.order]
+        self.rho0_layout = rho0 / (self.trace @ rho0)
+        self.rho0 = self.rho0_layout[self.position]
 
     def _solve(self, w: np.ndarray) -> np.ndarray:
         return self.gttrs(*self.lu, w.ravel(), overwrite_b=True)[0].reshape(w.shape)
 
-    def _block(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.size, dtype=complex)
-        out[self.order] = x.ravel()
-        return out
-
     def __call__(self, y: np.ndarray) -> np.ndarray:
         w = self.vinv @ y[self.order].reshape(self.v.shape[0], -1)
         w[self.pin] = 0.0
-        x = self._block(self.v @ self._solve(w))
-        return x - (self.trace @ x) * self.rho0
+        x = (self.v @ self._solve(w)).ravel()
+        x -= (self.trace @ x) * self.rho0_layout
+        return x[self.position]
 
 
-def _gmres(op, b: np.ndarray, tol: float) -> tuple[np.ndarray | None, int]:
-    """(z, iterations) with |b - op(z)| <= tol, by GMRES from z = 0 (Saad & Schultz,
-    SIAM J. Sci. Stat. Comput. 7, 856 (1986)) with the Arnoldi vectors orthogonalized
-    twice by classical Gram-Schmidt and the Hessenberg matrix reduced by Givens
-    rotations; z is None when ``KRYLOV_MAX_ITER`` iterations do not reach ``tol``."""
+def _gmres(product, precondition, b: np.ndarray,
+           tol: float) -> tuple[np.ndarray | None, int]:
+    """(x, iterations) with |b - product(x)| <= tol and x = precondition(z), by GMRES on
+    product(precondition(z)) = b from z = 0 (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+    856 (1986)) with the Arnoldi vectors orthogonalized twice by classical Gram-Schmidt
+    and the Hessenberg matrix reduced by Givens rotations. Each Arnoldi vector's
+    preconditioned image is kept, so x is their combination, with no further
+    ``precondition``. x is None when ``KRYLOV_MAX_ITER`` iterations do not reach ``tol``."""
     cap = KRYLOV_MAX_ITER
-    basis = np.empty((cap + 1, b.size), dtype=complex)
+    # one allocation for both: two of this size each solve let malloc return their pages
+    # to the system, and the next solve then faults them in again
+    basis, images = np.split(np.empty((2 * cap + 1, b.size), dtype=complex), [cap + 1])
     r = np.zeros((cap + 1, cap), dtype=complex)  # the Hessenberg matrix, rotated to triangular
     g = np.zeros(cap + 1, dtype=complex)  # |b| e_1, rotated alike: |g[j + 1]| is the residual
-    g[0] = np.linalg.norm(b)
-    if g[0] <= tol:
+    g[0] = norm = np.linalg.norm(b)
+    if norm <= tol:
         return np.zeros_like(b), 0
-    basis[0] = b / g[0]
+    np.multiply(b, 1.0 / norm, out=basis[0])  # a real factor: no complex division
     rotations = []
     for j in range(cap):
-        w = op(basis[j])
+        images[j] = precondition(basis[j])
+        w = product(images[j])
         for _ in range(2):
-            h = basis[:j + 1].conj() @ w
+            h = (basis[:j + 1] @ w.conj()).conj()  # no conjugate copy of the basis
             w -= h @ basis[:j + 1]
             r[:j + 1, j] += h
         norm = np.linalg.norm(w)
@@ -162,8 +170,8 @@ def _gmres(op, b: np.ndarray, tol: float) -> tuple[np.ndarray | None, int]:
         rotations.append((c, s))
         r[j, j], g[j:j + 2] = rho, (c.conjugate() * g[j], -s * g[j])
         if abs(g[j + 1]) <= tol:
-            return la.solve_triangular(r[:j + 1, :j + 1], g[:j + 1]) @ basis[:j + 1], j + 1
-        basis[j + 1] = w / norm
+            return la.solve_triangular(r[:j + 1, :j + 1], g[:j + 1]) @ images[:j + 1], j + 1
+        np.multiply(w, 1.0 / norm, out=basis[j + 1])
     return None, cap
 
 
@@ -179,7 +187,11 @@ class SystemInverse:
     (Nation, arXiv:1504.06768 (2015)). It stops at a residual of 1e-13 |r|
     or 1e-15 |b|. A miss, at ``KRYLOV_MAX_ITER`` iterations, factors S once
     and solves by the LU from then on (path "krylov-lu"). ``iterations``
-    lists the GMRES iteration count of each Krylov solve.
+    lists the GMRES iteration count of each Krylov solve. An LU whose
+    :func:`_inverse_condition` estimate is below n eps (S numerically
+    singular: more than one stationary state) raises DegenerateSteadyState,
+    or, on a block of at most ``DENSE_MAX_DIM``, the error its dense
+    spectrum names.
     """
 
     def __init__(self, liouv: Superoperator):
@@ -198,14 +210,21 @@ class SystemInverse:
             p = self.uncoupled
             r = b - b[-1] * self.l_rho0
             r[-1] -= self.liouv.trace @ r  # the trace row is vec index 0's, last
-            z, count = _gmres(lambda v: self.liouv.kept @ p(v), r,
+            x, count = _gmres(self.liouv.kept.dot, p, r,
                               max(1e-13 * np.linalg.norm(r), 1e-15 * np.linalg.norm(b)))
             self.iterations.append(count)
-            if z is not None:
-                return b[-1] * p.rho0 + p(z)
+            if x is not None:
+                return b[-1] * p.rho0 + x
             self.path = "krylov-lu"
         if self.lu is None:
-            self.lu = factor_kept_block(self.liouv.system)
+            try:
+                lu = factor_kept_block(self.liouv.system)
+            except RuntimeError as exc:  # an exactly zero pivot
+                raise _diagnose_failure(self.liouv, float("inf")) from exc
+            estimate = _inverse_condition(lu, self.liouv.system)
+            if not estimate >= b.size * np.finfo(float).eps:
+                raise _diagnose_failure(self.liouv, float("inf"), estimate)
+            self.lu = lu
         return refined_solve(self.lu, self.liouv.system, b)
 
 
@@ -218,7 +237,9 @@ class SteadyState:
     that solved the state (:class:`SystemInverse`); the omega = 0 projected
     resolvent solves with it. ``rho_kept`` is the state on that block in
     block order, ``fluxes`` maps each channel id to its stationary flux
-    Tr[L_c rho_ss], and ``min_eig`` is the smallest eigenvalue of rho_ss.
+    Tr[L_c rho_ss], and ``min_eig`` is the smallest eigenvalue of rho_ss,
+    taken from its two charge-sector blocks when the coherences between them
+    are dropped.
     """
 
     rho_ss: np.ndarray
@@ -271,7 +292,12 @@ class MomentReport:
                 for k, v in asdict(self).items()}
 
 
-def _diagnose_failure(liouv: Superoperator, residual: float) -> Exception:
+def _diagnose_failure(liouv: Superoperator, residual: float,
+                      estimate: float | None = None) -> Exception:
+    """The error of a failed steady solve: DegenerateSteadyState when the kept block's
+    dense spectrum (at most ``DENSE_MAX_DIM``) has more than one stationary eigenvalue, or,
+    above that, when the system's :func:`_inverse_condition` ``estimate`` says it is
+    singular; else ConvergenceFailure."""
     if liouv.blocks[0].size <= DENSE_MAX_DIM:
         n_zero = spectrum(liouv).n_stationary
         if n_zero >= 2:
@@ -280,6 +306,11 @@ def _diagnose_failure(liouv: Superoperator, residual: float) -> Exception:
                 f"{STATIONARY_TOL:g}); "
                 "the trace-constrained solve is not well posed"
             )
+    elif estimate is not None:
+        return DegenerateSteadyState(
+            f"steady system is singular (inverse condition estimate {estimate:.1e}); "
+            "the stationary subspace is degenerate"
+        )
     return ConvergenceFailure(
         f"steady-state solve did not converge (residual {residual:.3e} > {RESIDUAL_TOL:g})"
     )
@@ -292,6 +323,26 @@ def factor_kept_block(m: sp.csc_matrix) -> spla.SuperLU:
     least 0.01 of its column's largest entry, which keeps the exact zeros of
     decoupled points."""
     return spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0.01)
+
+
+def _inverse_condition(lu: spla.SuperLU, m: sp.csc_matrix) -> float:
+    """max|c| / (max|m_ij| max|m^-1 c|) for a fixed pseudo-random c, by one solve with
+    ``lu``, the :func:`factor_kept_block` of m: at least 1/kappa(m) in the max norm, up to
+    the length of m's longest row, so a small value means m is numerically singular. A
+    steady system with a second stationary state (both leads off) reads 6e-20 to 7e-16,
+    every preset point 8.9e-6 or more. It tells what the pivot ratio min|U_ii| / max|U_ii|
+    does, at a fraction of the cost of reading ``lu.U``."""
+    c = _probe(m.shape[0])
+    return float(np.abs(c).max() / (np.abs(m.data).max() * np.abs(lu.solve(c)).max()))
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _probe(n: int) -> np.ndarray:
+    """The fixed pseudo-random vector of :func:`_inverse_condition` at dimension n, one per
+    kept-block size, as plans are kept."""
+    c = np.random.default_rng(0).standard_normal(n).astype(complex)
+    c.setflags(write=False)
+    return c
 
 
 def refined_solve(lu: spla.SuperLU, m: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
@@ -320,16 +371,13 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
     unmodified generator stays above tolerance. The returned state keeps
     the :class:`SystemInverse` that solved the generator's ``system``.
     """
-    if not np.all(np.isfinite(liouv.kept.data)):
+    if not np.isfinite(liouv.kept.data.view(float)).all():
         raise NumericalError("generator has non-finite entries (inf or NaN): "
                              "a model parameter overflows double precision")
-    b = np.zeros(liouv.system.shape[0], dtype=complex)
+    b = np.zeros(liouv.kept.shape[0], dtype=complex)
     b[-1] = 1.0  # the trace row, that of vec index 0, which the block lists last
     inverse = SystemInverse(liouv)
-    try:
-        x = inverse(b)
-    except RuntimeError as exc:
-        raise _diagnose_failure(liouv, float("inf")) from exc
+    x = inverse(b)
     x = 0.5 * (x + x[liouv.partner].conj())  # rho[i, j] and rho[j, i]^*
     tr = (liouv.trace @ x).real
     if abs(tr) < 1e-300:
@@ -343,7 +391,10 @@ def solve_steady_state(liouv: Superoperator) -> SteadyState:
     vec = np.zeros(liouv.dim_rho**2, dtype=complex)
     vec[liouv.blocks[0]] = x
     rho = devectorize(vec)
-    min_eig = float(np.linalg.eigvalsh(rho).min())
+    # rho is block-diagonal, empty dot and occupied dot, when the coherences between are dropped
+    nf = liouv.dim_rho // CHARGE_DOT_DIM
+    sectors = [rho[:nf, :nf], rho[nf:, nf:]] if len(liouv.blocks) > 1 else [rho]
+    min_eig = float(min(np.linalg.eigvalsh(r).min() for r in sectors))
     if min_eig < POSITIVITY_TOL:
         raise NumericalError(
             f"steady state has eigenvalue {min_eig:.3e} below {POSITIVITY_TOL:g}; "

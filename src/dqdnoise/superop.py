@@ -19,9 +19,11 @@ thermal lines) is available from :func:`thermal_dissipator` for the
 regrouping diagnostic, and differs by gamma_b n_bar/2 {a a^dag - a^dag a, rho}.
 
 A :class:`Superoperator` is built complete: the entries of its total, its
-sector blocks, L on the kept block and its steady system are plain fields
-that every builder fills. Its kept block lists its vec indices in one reverse Cuthill-McKee order with vec
-index 0 last, and every sparse LU of that block factors in it. Every
+sector blocks and L on the kept block are plain fields that every builder
+fills, and its steady system is one too or is formed on first use from what
+the builder passed. Its kept block lists its vec indices in one reverse
+Cuthill-McKee order with vec index 0 last, and every sparse LU of that block
+factors in it. Every
 command takes its transport generators from a :class:`GeneratorPlan`, one
 per (n_fock, Hamiltonian) per process (:func:`generator_plan`), which forms
 each point's generator on one fixed sparse pattern without kron products;
@@ -31,8 +33,9 @@ each point's generator on one fixed sparse pattern without kron products;
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg as la
@@ -96,21 +99,33 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> sp.csr_matrix:
+    """``scipy.sparse.kron(a, b, format="csr")`` of dense a and b, bit for bit: one outer
+    product of their nonzeros, put in row order (within a row, in a's order, then b's)."""
+    (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
+    (ma, na), (mb, nb) = a.shape, b.shape
+    rows = (ra[:, None] * mb + rb).ravel()
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(ma * mb + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=ma * mb), out=indptr[1:])
+    return sp.csr_matrix((np.multiply.outer(a[ra, ca], b[rb, cb]).ravel()[order],
+                          (ca[:, None] * nb + cb).ravel()[order], indptr),
+                         shape=(ma * mb, na * nb))
+
+
 def spre(op: np.ndarray) -> sp.csr_matrix:
     """Superoperator for left multiplication, rho -> op rho."""
-    d = op.shape[0]
-    return sp.kron(sp.identity(d, format="csr"), sp.csr_matrix(op), format="csr")
+    return _kron(np.eye(op.shape[0]), op)
 
 
 def spost(op: np.ndarray) -> sp.csr_matrix:
     """Superoperator for right multiplication, rho -> rho op."""
-    d = op.shape[0]
-    return sp.kron(sp.csr_matrix(op.T), sp.identity(d, format="csr"), format="csr")
+    return _kron(op.T, np.eye(op.shape[0]))
 
 
 def sandwich(left: np.ndarray, right: np.ndarray) -> sp.csr_matrix:
     """Superoperator for rho -> left rho right."""
-    return sp.kron(sp.csr_matrix(right.T), sp.csr_matrix(left), format="csr")
+    return _kron(right.T, left)
 
 
 def trace_vector(dim: int) -> np.ndarray:
@@ -184,9 +199,10 @@ class Superoperator:
     ``DENSE_MAX_DIM``). Both builders, :func:`assemble_liouvillian` and
     :meth:`GeneratorPlan.generator`, set every field; ``base``, ``matrix`` and
     the channel parts, D^2 x D^2 operators that no solve reads, are formed on
-    each use, and the kept block's eigendecomposition (:func:`kept_eig`) on
-    first use and kept. Instances are treated as immutable after
-    construction and are safe to share across threads.
+    each use, and ``system`` (which only a sparse LU reads; a builder may pass
+    the function that forms it) and the kept block's eigendecomposition
+    (:func:`kept_eig`) on first use and kept. Instances are treated as
+    immutable after construction and are safe to share across threads.
     """
 
     dim_rho: int
@@ -196,7 +212,7 @@ class Superoperator:
     pattern: tuple[np.ndarray, np.ndarray] = field(repr=False)
     blocks: tuple[np.ndarray, ...] = field(repr=False)
     kept: sp.csc_matrix = field(repr=False)
-    system: sp.csc_matrix = field(repr=False)
+    _system: sp.csc_matrix | Callable[[], sp.csc_matrix] = field(repr=False)
     trace: np.ndarray = field(repr=False)
     partner: np.ndarray = field(repr=False)
     uncoupled: KroneckerSum | None = field(repr=False)
@@ -209,6 +225,13 @@ class Superoperator:
             raise KeyError(
                 f"unknown channel {channel_id!r}; have {sorted(self.channels)}"
             ) from None
+
+    @property
+    def system(self) -> sp.csc_matrix:
+        """The :func:`trace_replaced_system` of the kept block, in block order."""
+        if callable(self._system):
+            self._system = self._system()
+        return self._system
 
     @property
     def base(self) -> sp.csr_matrix:
@@ -228,7 +251,8 @@ class KroneckerSum:
     """A transport generator at g = 0 on its kept block, L0 = A (x) 1 + 1 (x) B.
 
     The block's vector ``x`` reads in the (dot pair p, resonator pair r)
-    layout as ``x[order].reshape(5, -1)[p, r]``. ``dot`` is A, the dot's
+    layout as ``x[order].reshape(5, -1)[p, r]``, and a layout vector ``y`` in
+    block order as ``y[position]``. ``dot`` is A, the dot's
     generator on its charge-sector vec indices, those of (empty, empty),
     (L, L), (R, L), (L, R) and (R, R). B is the resonator's, with its pairs
     (n, n') listed by coherence order m = n - n' and then by n, where it is
@@ -238,6 +262,7 @@ class KroneckerSum:
     """
 
     order: np.ndarray
+    position: np.ndarray
     dot: np.ndarray
     bands: np.ndarray
     populations: slice
@@ -324,7 +349,7 @@ def assemble_liouvillian(h: np.ndarray,
         blocks=blocks, kept=kept,
         channels={cid: JumpChannel(rate, units[cid], *kept_unit, counted)
                   for (cid, rate, _, counted), kept_unit in zip(jumps, on_block)},
-        system=trace_replaced_system(matrix, blocks[0]), trace=trace, partner=partner,
+        _system=trace_replaced_system(matrix, blocks[0]), trace=trace, partner=partner,
         uncoupled=None)
 
 
@@ -381,19 +406,21 @@ class GeneratorPlan:
     L is linear in the Hamiltonian's ModelParams fields and in each
     channel's rate, the affine form QuTiP builds its generators in
     (Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)). The
-    plan keeps the Hamiltonian's terms and each channel's X^dag X as D x D
-    operators, each channel's sandwich X . X^dag, the union pattern of L
-    with int32 maps into it from M = -i H_eff (``base`` = spre(M) +
-    spost(M^dag) repeats M's entries along the diagonal blocks) and from
-    each sandwich, that pattern's sector blocks (a zero coefficient only
-    removes entries, so they hold at every point), the kept block ordered
-    from that pattern once for every factorization of the run, and the
-    gather maps from L's data to L on the kept block and to its
-    :func:`trace_replaced_system`. On the kept block it keeps what every
-    point shares: the trace row, the block position of each index's
-    transpose, and each sandwich there in block order with its trace row. A
-    point's generator then takes a few scaled additions of D x D and data
-    arrays and two gathers: no kron, no dense product, no sparse addition.
+    plan keeps the Hamiltonian's terms and each channel's X^dag X on the
+    entries (i, j) of H_eff that some term reaches, each channel's sandwich
+    X . X^dag, the union pattern of L with a 0/1 assembly matrix into it from
+    M = -i H_eff and M^* on those entries (``base`` = spre(M) + spost(M^dag)
+    repeats them along the diagonal blocks) and from each sandwich, that
+    pattern's sector blocks (a zero coefficient only removes entries, so
+    they hold at every point), the kept block ordered from that pattern once
+    for every factorization of the run, and the gather maps from L's data
+    to L on the kept block and to its :func:`trace_replaced_system`. On the
+    kept block it keeps what every point shares: the trace row, the block
+    position of each index's transpose, and each sandwich there in block
+    order with its trace row. A point's generator then takes a few scaled
+    additions on the entries of H_eff, one product with the assembly matrix
+    and one gather (a second forms the steady system, on first use): no
+    kron, no dense product, no sparse addition.
     Read-only after construction, as is every array it hands a generator,
     so every point of a process with the same (n_fock, hamiltonian), on any
     thread, shares the one plan of :func:`generator_plan`.
@@ -404,24 +431,33 @@ class GeneratorPlan:
         d = ops.space.dim
         d2 = d * d
         self.n_fock, self.dim_rho = n_fock, d
-        self._terms = hamiltonian_terms(hamiltonian, ops)
+        terms = hamiltonian_terms(hamiltonian, ops)
         jumps = _transport_jumps(ops)
-        self._decays = [c.conj().T @ c for _, c, _ in jumps]
+        decays = [c.conj().T @ c for _, c, _ in jumps]
         units = [sandwich(c, c.conj().T) for _, c, _ in jumps]
-        # spre(M) holds M[i, j] at (k d + i, k d + j), spost(M^dag) M^dag[j, i] at
-        # (i d + k, j d + k), for every k and every (i, j) that some term reaches
-        i, j = np.nonzero(sum(abs(x) for x in [x for _, x in self._terms] + self._decays))
+        # H_eff is kept on the entries (i, j) that some term reaches. spre(M) holds M[i, j]
+        # at (k d + i, k d + j), spost(M^dag) M^dag[j, i] = conj(M[i, j]) at
+        # (i d + k, j d + k), for every k
+        self._nonzero = i, j = np.nonzero(sum(abs(x) for x in [x for _, x in terms] + decays))
+        self._terms = [(name, x[i, j]) for name, x in terms]
+        self._decays = [x[i, j] for x in decays]
         k = np.arange(d)[:, None]
-        pre = ((k * d + i) * d2 + k * d + j).ravel()
-        post = ((i * d + k) * d2 + j * d + k).ravel()
-        self._sources = [np.broadcast_to(i * d + j, (d, i.size)).ravel(),
-                         np.broadcast_to(j * d + i, (d, i.size)).ravel()]
-        keys = [pre, post] + [np.repeat(np.arange(d2), np.diff(m.indptr)) * d2 + m.indices
-                              for m in units]
+        keys = [((k * d + i) * d2 + k * d + j).ravel(), ((i * d + k) * d2 + j * d + k).ravel()]
+        keys += [np.repeat(np.arange(d2), np.diff(m.indptr)) * d2 + m.indices for m in units]
         union = np.unique(np.concatenate(keys))
         self._indptr = np.searchsorted(union, np.arange(d2 + 1) * d2).astype(np.int32)
         self._indices = (union % d2).astype(np.int32)
-        self._where = [np.searchsorted(union, key).astype(np.int32) for key in keys]
+        # L's data, and after it the trace row's 1 (see below), is the product of this 0/1
+        # matrix with the sources: -i H_eff and i H_eff^* on (i, j), each sandwich's data
+        # times its rate, and 1. A row's columns ascend in that order, the order
+        # assemble_liouvillian adds in.
+        one = 2 * i.size + sum(m.nnz for m in units)  # the trace row's source
+        columns = np.concatenate([np.tile(np.arange(i.size), d),
+                                  np.tile(np.arange(i.size, 2 * i.size), d),
+                                  np.arange(2 * i.size, one + 1)])
+        rows = np.append(np.searchsorted(union, np.concatenate(keys)), union.size)
+        self._assembly = sp.csr_matrix((np.ones(rows.size, dtype=complex), (rows, columns)),
+                                       shape=(union.size + 1, one + 1))
         # L's pattern with data 2 + position: L on the kept block and the steady system
         # built from it hold 2 + the position of each entry's source, and 1 for the trace
         # row's ones, which generator() keeps at position -1 of its data array
@@ -436,8 +472,10 @@ class GeneratorPlan:
                           for (cid, _, counted), unit, kept_unit in zip(jumps, units, on_block)]
         self._kronecker = None
         if len(self.blocks) > 1 and self.blocks[0].size > DENSE_MAX_DIM:
-            self._kronecker = _kronecker_units(n_fock, self._terms, jumps, self.blocks[0])
-        for a in (self._indptr, self._indices, *self.blocks, *self._where, *self._sources,
+            self._kronecker = _kronecker_units(n_fock, terms, jumps, self.blocks[0])
+        assembly = self._assembly
+        for a in (self._indptr, self._indices, *self.blocks, i, j, assembly.data,
+                  assembly.indices, assembly.indptr, *(x for _, x in self._terms),
                   *(x for g in self._gathers for x in g), *self._decays, self.trace,
                   self.partner, *(x for _, unit, kept, row, _ in self._channels
                                   for x in (unit.data, unit.indices, unit.indptr, kept.data,
@@ -453,46 +491,54 @@ class GeneratorPlan:
             raise ValueError(f"params.n_fock {params.n_fock} does not match the plan's "
                              f"{self.n_fock}")
         rates = _transport_rates(params)
-        data = np.zeros(self._indices.size + 1, dtype=complex)
-        (pre, post), parts = self._where[:2], self._where[2:]
         with np.errstate(over="ignore", invalid="ignore"):  # the steady solve names inf/NaN
-            h_eff = sum(getattr(params, name) * x for name, x in self._terms)
+            h = sum(getattr(params, name) * x for name, x in self._terms)
             for rate, decay in zip(rates, self._decays):
-                h_eff = h_eff - 0.5j * rate * decay
-            data[pre] = (-1j * h_eff).ravel()[self._sources[0]]
-            data[post] += (1j * h_eff.conj().T).ravel()[self._sources[1]]
-        for rate, where, (_, unit, *_) in zip(rates, parts, self._channels):
-            data[where] += rate * unit.data  # in channel order, as assemble_liouvillian adds
-        data[-1] = 1.0  # the trace row's ones in the steady system
+                h -= 0.5j * rate * decay
+            data = self._assembly @ np.concatenate(
+                [-1j * h, 1j * h.conj(), *(rate * unit.data for rate, (_, unit, *_)
+                                           in zip(rates, self._channels)), [1.0]])
+        h_eff = np.zeros((self.dim_rho,) * 2, dtype=complex)
+        h_eff[self._nonzero] = h
+        g, indices, indptr = self._gathers[0]
         n = self.blocks[0].size
-        kept, system = (sp.csc_matrix((data[g], indices, indptr), shape=(n, n), copy=copy)
-                        for (g, indices, indptr), copy in zip(self._gathers, (False, True)))
-        system.eliminate_zeros()  # a zero coefficient's entries would cost SuperLU as much as any
         return Superoperator(dim_rho=self.dim_rho, h_eff=h_eff, data=data[:-1],
                              pattern=(self._indices, self._indptr), blocks=self.blocks,
                              channels={cid: JumpChannel(rate, *shared) for (cid, *shared), rate
                                        in zip(self._channels, rates)},
-                             kept=kept, system=system, trace=self.trace, partner=self.partner,
+                             kept=sp.csc_matrix((np.take(data, g), indices, indptr), shape=(n, n),
+                                                copy=False),
+                             _system=partial(self._system, data), trace=self.trace,
+                             partner=self.partner,
                              uncoupled=None if self._kronecker is None else
                              self._kronecker_sum(params))
+
+    def _system(self, data: np.ndarray) -> sp.csc_matrix:
+        """The steady system of the generator whose data, with the trace row's 1 last, is
+        ``data``."""
+        g, indices, indptr = self._gathers[1]
+        n = self.blocks[0].size
+        system = sp.csc_matrix((np.take(data, g), indices, indptr), shape=(n, n), copy=True)
+        system.eliminate_zeros()  # a zero coefficient's entries would cost SuperLU as much as any
+        return system
 
     def _kronecker_sum(self, params: ModelParams) -> KroneckerSum:
         """The generator at ``params`` with g = 0 on the kept block, as a :class:`KroneckerSum`."""
         coefficients = [getattr(params, name) for name, _ in self._terms]
         coefficients += _transport_rates(params)
-        order, dot, resonator, populations = self._kronecker
-        return KroneckerSum(order, sum(coefficients[k] * a for k, a in dot),
+        order, position, dot, resonator, populations = self._kronecker
+        return KroneckerSum(order, position, sum(coefficients[k] * a for k, a in dot),
                             sum(coefficients[k] * b for k, b in resonator), populations)
 
 
 def _kronecker_units(n_fock: int, terms: list[tuple[str, np.ndarray]],
                      jumps: list[tuple[str, np.ndarray, bool]], block: np.ndarray):
-    """(order, dot units, resonator units, populations) of a :class:`KroneckerSum`: the
-    generator of each Hamiltonian term but g's, -i[X, .], and of each channel at unit rate,
-    X . X^dag - {X^dag X, .} / 2, with its coefficient's index in the term fields and then
-    the rates. A dot unit is 5 x 5, a resonator unit three bands, each read-only. None when
-    one of them acts on both the dot and the resonator, or a resonator unit is not
-    tridiagonal."""
+    """(order, position, dot units, resonator units, populations) of a
+    :class:`KroneckerSum`: the generator of each Hamiltonian term but g's, -i[X, .], and of
+    each channel at unit rate, X . X^dag - {X^dag X, .} / 2, with its coefficient's index in
+    the term fields and then the rates. A dot unit is 5 x 5, a resonator unit three bands,
+    each read-only. None when one of them acts on both the dot and the resonator, or a
+    resonator unit is not tridiagonal."""
     def local(y: np.ndarray, coherent: bool) -> sp.csr_matrix:
         return spre(-1j * y) + spost(1j * y) if coherent else _dissipator(y, 1.0)
 
@@ -520,9 +566,10 @@ def _kronecker_units(n_fock: int, terms: list[tuple[str, np.ndarray]],
     at_dot[sector] = np.arange(sector.size)
     (dot_row, row), (dot_col, col) = divmod(block % (3 * nf), nf), divmod(block // (3 * nf), nf)
     order = np.argsort(at_dot[dot_row + 3 * dot_col] * nf * nf + at_pair[row + nf * col])
-    for a in (order, *(u for _, u in dot + resonator)):
+    position = np.argsort(order)
+    for a in (order, position, *(u for _, u in dot + resonator)):
         a.setflags(write=False)
-    return order, dot, resonator, slice(at_pair[0], at_pair[0] + nf)
+    return order, position, dot, resonator, slice(at_pair[0], at_pair[0] + nf)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -97,6 +97,21 @@ class TestSolve:
         with pytest.raises(DegenerateSteadyState, match=f"\\({n_zero} eigenvalues"):
             solve_steady_state(liouv)
 
+    @pytest.mark.parametrize("epsilon, temperature",
+                             list(itertools.product((0.5, -1.0), (0.0, 1.0))))
+    def test_degenerate_family_above_the_dense_cap_is_named(self, epsilon, temperature):
+        """Both leads off at n_fock 16 (n 1445, above the dense diagnosis): the steady
+        system's inverse condition estimate lies below n eps, so the point raises
+        DegenerateSteadyState through its plan and through the LU path alone, where it
+        returned a state (eps 0.5) or blamed the Fock cutoff (eps -1)."""
+        p = ModelParams(delta=0.5, g=0.1, epsilon=epsilon, temperature=temperature,
+                        gamma_L=0.0, gamma_R=0.0, gamma_b=0.05, n_fock=16)
+        liouv = generator_plan(16, "full").generator(p)
+        assert liouv.blocks[0].size > DENSE_MAX_DIM
+        for case in (liouv, replace(liouv, uncoupled=None)):
+            with pytest.raises(DegenerateSteadyState, match="inverse condition estimate"):
+                solve_steady_state(case)
+
     def test_overflowing_generator_is_named(self):
         # finite input, but the generator overflows to inf/NaN entries
         p = ModelParams(epsilon=1e308, n_fock=2)
@@ -219,11 +234,23 @@ class TestKrylovPath:
 
 
 class TestSolveRecord:
+    @staticmethod
+    def assert_min_eig(ss):
+        """min_eig is the smallest eigenvalue of rho's two charge-sector blocks, between
+        which rho holds exact zeros, and so that of rho up to roundoff."""
+        nf = ss.dim // 3
+        rho = ss.rho_ss
+        assert not rho[:nf, nf:].any() and not rho[nf:, :nf].any()
+        blocks = min(np.linalg.eigvalsh(rho[:nf, :nf]).min(),
+                     np.linalg.eigvalsh(rho[nf:, nf:]).min())
+        assert ss.min_eig == blocks >= POSITIVITY_TOL
+        assert abs(ss.min_eig - np.linalg.eigvalsh(rho).min()) <= 1e-15
+
     def test_lu_point(self, fig2_bundle):
         ss = fig2_bundle.ss
         fig2_bundle.noise("e", "e", 0.0)
         assert ss.path == "lu" and ss.iterations == []
-        assert ss.min_eig == np.linalg.eigvalsh(ss.rho_ss).min() >= POSITIVITY_TOL
+        self.assert_min_eig(ss)
 
     def test_krylov_point(self):
         point = TransportPoint(fig5a_point(temperature=1.0, epsilon=-0.5))
@@ -232,7 +259,7 @@ class TestSolveRecord:
         point.noise("b", "b", 0.0)
         assert len(point.ss.iterations) == 3
         assert all(1 <= k <= KRYLOV_MAX_ITER for k in point.ss.iterations)
-        assert point.ss.min_eig == np.linalg.eigvalsh(point.ss.rho_ss).min()
+        self.assert_min_eig(point.ss)
 
 
 class TestFactorOrder:

@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.optimize import linear_sum_assignment
 
+from dqdnoise import superop
 from dqdnoise.checks import _preset_point
 from dqdnoise.errors import MethodUnavailable
 from dqdnoise.noise import noise_eigen_expansion
@@ -92,6 +93,29 @@ class TestVectorization:
         rho = rng.standard_normal((4, 4))
         assert np.allclose(spre(a) @ vectorize(rho), vectorize(a @ rho))
         assert np.allclose(spost(a) @ vectorize(rho), vectorize(rho @ a))
+
+    def test_products_are_scipy_kron_bit_for_bit(self, rng):
+        """spre, spost and sandwich of random complex operators of dimension 3-21,
+        most entries zero and some with a zero (or -0.0) real or imaginary part."""
+        def operator(d):
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            x[rng.random((d, d)) < 0.6] = 0.0
+            x.real[rng.random((d, d)) < 0.1] = -0.0
+            x.imag[rng.random((d, d)) < 0.1] = 0.0
+            return x
+
+        def kron(a, b):
+            return scipy.sparse.kron(scipy.sparse.csr_matrix(a), scipy.sparse.csr_matrix(b),
+                                     format="csr")
+
+        for d in range(3, 22):
+            a, b = operator(d), operator(d)
+            eye = scipy.sparse.identity(d, format="csr")
+            for got, ref in ((spre(a), kron(eye, a)), (spost(a), kron(a.T, eye)),
+                             (sandwich(a, b), kron(b.T, a))):
+                assert np.array_equal(got.indptr, ref.indptr)
+                assert np.array_equal(got.indices, ref.indices)
+                assert got.data.tobytes() == ref.data.tobytes()
 
     def test_dimension_errors(self):
         with pytest.raises(ValueError):
@@ -215,8 +239,8 @@ class TestNoJumpAssembly:
 
     def test_one_kron_per_channel_plus_two(self, fig2_params, monkeypatch):
         calls = []
-        kron = scipy.sparse.kron
-        monkeypatch.setattr(scipy.sparse, "kron", lambda *a, **k: calls.append(1) or kron(*a, **k))
+        kron = superop._kron
+        monkeypatch.setattr(superop, "_kron", lambda *a, **k: calls.append(1) or kron(*a, **k))
         build_liouvillian(build_jc_hamiltonian(fig2_params), fig2_params)
         assert len(calls) == 2 + 4
 
@@ -261,10 +285,11 @@ class TestGeneratorPlan:
         assert abs(ref.system - trace_replaced_system(ref.matrix, ref.blocks[0])).max() == 0.0
 
     def test_both_builders_fill_every_field(self, fig2_params):
-        """The total's entries, blocks, L on the kept block, steady system and
-        the kept block's trace row and transpose partners are set by the
-        builder, not on first use: only the kept block's eigendecomposition memo
-        has a default. The D^2 x D^2 total is formed from its entries on use."""
+        """The total's entries, blocks, L on the kept block and the kept
+        block's trace row and transpose partners are set by the builder, not on
+        first use, and the steady system too, or the function that forms it:
+        only the kept block's eigendecomposition memo has a default. The D^2 x
+        D^2 total is formed from its entries on use."""
         assert [f.name for f in fields(Superoperator)
                 if f.default is not MISSING] == ["_kept_eig"]
         ref = build_liouvillian(build_jc_hamiltonian(fig2_params), fig2_params)

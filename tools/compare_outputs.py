@@ -15,10 +15,15 @@ output:
 * the exit codes, and whether stderr is the same.
 
 The outputs are every preset sweep at ``--workers 1`` and ``--workers 2``,
+the fig5a sweep at two BLAS threads (``sweep-fig5a-blas2``),
 ``spectrum --preset fig2 --methods resolvent,eigen,macdonald``,
 ``check --check full`` and ``steady --preset fig5a``. ``--only`` picks some
-of them by the names the table prints. The exit code is 0 when every output
-is identical with the same exit code and stderr, and 1 otherwise.
+of them by the names the table prints. A second table compares, on each
+side, outputs that differ only in how they were run: each sweep's 1- and
+2-worker CSVs, which must be byte-identical, and fig5a's CSVs at one and at
+two BLAS threads, whose move is reported only. The exit code is 0 when every
+output is identical with the same exit code and stderr, and every side's 1-
+and 2-worker CSVs are identical, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -39,16 +44,20 @@ PRESETS = ("fig2", "fig3", "fig4a", "fig4b", "fig5a", "fig5b", "fig5c", "fig6a",
            "fig6c")
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 RUN = "import sys; from dqdnoise.cli import main; sys.exit(main(sys.argv[1:]))"
+#: (output, output, must be identical) compared on each side
+SAME_SIDE = [(f"sweep-{p}-w1", f"sweep-{p}-w2", True) for p in PRESETS] + [
+    ("sweep-fig5a-w1", "sweep-fig5a-blas2", False)]
 
 
-def outputs() -> dict[str, list[str]]:
-    """Output name -> dqdnoise arguments, without ``--out``."""
-    runs = {f"sweep-{p}-w{w}": ["sweep", "--preset", p, "--workers", str(w)]
+def outputs() -> dict[str, tuple[list[str], int]]:
+    """Output name -> (dqdnoise arguments without ``--out``, BLAS threads)."""
+    runs = {f"sweep-{p}-w{w}": (["sweep", "--preset", p, "--workers", str(w)], 1)
             for p in PRESETS for w in (1, 2)}
-    runs["spectrum-fig2"] = ["spectrum", "--preset", "fig2", "--methods",
-                             "resolvent,eigen,macdonald"]
-    runs["check-full"] = ["check", "--check", "full"]
-    runs["steady-fig5a"] = ["steady", "--preset", "fig5a"]
+    runs["sweep-fig5a-blas2"] = (["sweep", "--preset", "fig5a", "--workers", "1"], 2)
+    runs["spectrum-fig2"] = (["spectrum", "--preset", "fig2", "--methods",
+                              "resolvent,eigen,macdonald"], 1)
+    runs["check-full"] = (["check", "--check", "full"], 1)
+    runs["steady-fig5a"] = (["steady", "--preset", "fig5a"], 1)
     return runs
 
 
@@ -64,11 +73,12 @@ def copy_tree(ref: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(side: Path, name: str, args: list[str]) -> tuple[int, bytes, bytes]:
-    """(exit code, output file, stderr) of one output in a fresh process."""
+def run(side: Path, name: str, args: list[str], threads: int) -> tuple[int, bytes, bytes]:
+    """(exit code, output file, stderr) of one output in a fresh process at ``threads``
+    BLAS threads."""
     out = side / f"{name}.out"
-    env = dict(os.environ, PYTHONPATH=str(side / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(side / "src"), OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
     proc = subprocess.run([sys.executable, "-c", RUN, *args, "--out", str(out)], cwd=side,
                           env=env, capture_output=True)
     return proc.returncode, out.read_bytes() if out.exists() else b"", proc.stderr
@@ -112,20 +122,30 @@ def main(argv: list[str] | None = None) -> int:
     unknown = set(args.only or ()) - set(runs)
     if unknown:
         parser.error(f"unknown outputs {sorted(unknown)}; known: {', '.join(runs)}")
-    clean = True
+    clean, files = True, {}
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
         sides = [Path(scratch) / "ref", Path(scratch) / "work"]
         copy_tree(args.ref, sides[0])
         copy_tree(str(ROOT), sides[1])
-        for name, cmd in runs.items():
+        for name, (cmd, threads) in runs.items():
             if args.only and name not in args.only:
                 continue
-            (code_a, out_a, err_a), (code_b, out_b, err_b) = (run(s, name, cmd) for s in sides)
+            (code_a, out_a, err_a), (code_b, out_b, err_b) = (run(s, name, cmd, threads)
+                                                              for s in sides)
+            files[name] = out_a, out_b
             result = move(out_a, out_b)
             codes = f"exit {code_a}" if code_a == code_b else f"exit {code_a} -> {code_b}"
             stderr = "stderr same" if err_a == err_b else "stderr differs"
             clean &= result == "identical" and code_a == code_b and err_a == err_b
             print(f"{name:<18} {result:<58} {codes:<12} {stderr}", flush=True)
+    pairs = [p for p in SAME_SIDE if p[0] in files and p[1] in files]
+    if pairs:
+        print("\non each side:")
+    for first, second, required in pairs:
+        results = [move(a, b) for a, b in zip(files[first], files[second])]
+        if required:
+            clean &= results == ["identical", "identical"]
+        print(f"{first} vs {second}: ref {results[0]}; work {results[1]}", flush=True)
     return 0 if clean else 1
 
 
